@@ -34,8 +34,8 @@ class PoolShutdownError(RuntimeError):
 class BoundedQueue:
     """Blocking FIFO with a hard capacity and a typed closed state.
 
-    put blocks while full; get blocks while empty and not closed; close
-    wakes every blocked producer and consumer.
+    put blocks while full; offer returns False instead; get blocks while
+    empty and not closed; close wakes every blocked producer and consumer.
     """
 
     def __init__(self, capacity: int):
@@ -60,10 +60,21 @@ class BoundedQueue:
         with self._not_full:
             while len(self._items) >= self.capacity and not self._closed:
                 self._not_full.wait()
-            if self._closed:
-                raise QueueClosed("queue is closed")
-            self._add(item)
-            self._not_empty.notify()
+            self._put_locked(item)
+
+    def offer(self, item) -> bool:
+        """Non-blocking put: False, and nothing queued, while the queue is full."""
+        with self._lock:
+            if len(self._items) >= self.capacity and not self._closed:
+                return False
+            self._put_locked(item)
+            return True
+
+    def _put_locked(self, item):
+        if self._closed:
+            raise QueueClosed("queue is closed")
+        self._add(item)
+        self._not_empty.notify()
 
     def get(self):
         with self._not_empty:
@@ -109,6 +120,9 @@ class BoundedPriorityQueue(BoundedQueue):
 
     def put(self, item, priority: int = 0):
         super().put((priority, next(self._arrivals), item))
+
+    def offer(self, item, priority: int = 0) -> bool:
+        return super().offer((priority, next(self._arrivals), item))
 
     def _add(self, entry):
         heapq.heappush(self._items, entry)
@@ -205,15 +219,25 @@ class ThreadPool:
             return self._state
 
     def submit(self, fn, *args, **kwargs) -> TaskFuture:
+        """Queue fn(*args, **kwargs), blocking while the task queue is full."""
+        future = TaskFuture()
+        self._put(self._queue.put, (future, fn, args, kwargs))
+        return future
+
+    def try_submit(self, fn, *args, **kwargs) -> TaskFuture | None:
+        """Queue fn(*args, **kwargs) without blocking; None while the task
+        queue is full."""
+        future = TaskFuture()
+        return future if self._put(self._queue.offer, (future, fn, args, kwargs)) else None
+
+    def _put(self, put, task):
         with self._state_lock:
             if self._state != "running":
                 raise PoolShutdownError("submit after shutdown")
-        future = TaskFuture()
         try:
-            self._queue.put((future, fn, args, kwargs))
+            return put(task)
         except QueueClosed:
             raise PoolShutdownError("submit after shutdown") from None
-        return future
 
     def _worker(self):
         while True:

@@ -2,8 +2,12 @@
 
 One thread owns the loop and every registered endpoint.  Other threads
 steer it only through queued loop commands (register, modify, deregister,
-stop), which a wakeup channel applies between dispatch rounds, in
-submission order.
+call_soon, stop), which the loop applies between dispatch rounds, in
+submission order.  A command submitted on the loop thread is applied at
+once.  A submitting thread writes one wakeup byte only when it finds the
+command queue empty, so a burst of commands costs the loop one wakeup.
+Modifying the interest to 0 keeps the registration but waits on nothing;
+a modify that leaves the interest unchanged touches no selector.
 """
 
 from __future__ import annotations
@@ -48,6 +52,12 @@ class Deregister:
 
 
 @dataclass
+class Call:
+    fn: object
+    args: tuple
+
+
+@dataclass
 class Stop:
     pass
 
@@ -78,6 +88,8 @@ class Reactor:
             return
         with self._command_lock:
             self._commands.append(command)
+            if len(self._commands) > 1:
+                return  # the byte sent for the first pending command still stands
         try:
             self._wake_send.send(b"\x00")
         except (BlockingIOError, OSError):
@@ -92,6 +104,10 @@ class Reactor:
     def deregister(self, endpoint):
         self._submit(Deregister(endpoint))
 
+    def call_soon(self, fn, *args):
+        """Run fn(*args) on the loop thread, in order with the other commands."""
+        self._submit(Call(fn, args))
+
     def stop(self):
         self._submit(Stop())
 
@@ -101,7 +117,9 @@ class Reactor:
     # -- loop internals -----------------------------------------------------
 
     def _apply(self, command):
-        if isinstance(command, Register):
+        if isinstance(command, Call):
+            command.fn(*command.args)
+        elif isinstance(command, Register):
             if command.endpoint in self._registrations:
                 raise ValueError("endpoint already registered")
             if command.endpoint.fileno() < 0:
@@ -111,16 +129,21 @@ class Reactor:
         elif isinstance(command, Modify):
             # queued commands race endpoint teardown; a vanished endpoint is
             # a no-op rather than a loop-killing fault
-            if command.endpoint not in self._registrations:
+            entry = self._registrations.get(command.endpoint)
+            if entry is None or entry[0] == command.interest:
                 return
-            _, handler = self._registrations[command.endpoint]
+            old, handler = entry
             self._registrations[command.endpoint] = (command.interest, handler)
-            self._selector.modify(command.endpoint, command.interest, data=handler)
+            if not old:
+                self._selector.register(command.endpoint, command.interest, data=handler)
+            elif not command.interest:
+                self._selector.unregister(command.endpoint)
+            else:
+                self._selector.modify(command.endpoint, command.interest, data=handler)
         elif isinstance(command, Deregister):
-            if command.endpoint not in self._registrations:
-                return
-            del self._registrations[command.endpoint]
-            self._selector.unregister(command.endpoint)
+            entry = self._registrations.pop(command.endpoint, None)
+            if entry is not None and entry[0]:
+                self._selector.unregister(command.endpoint)
         elif isinstance(command, Stop):
             self._stop_requested = True
         else:

@@ -1,9 +1,17 @@
 """The patternd TCP service.
 
 The reactor thread owns every endpoint; request lines are dispatched
-through the verb chain on the worker pool, and finished replies cross back
-to the loop as queued commands that enable write interest.  Only a bare
-QUIT on an idle session is answered on the loop thread itself.
+through the verb chain on the worker pool.  A finished reply is appended
+to the session's output buffer, and the first reply since the last flush
+schedules one flush on the loop (`Reactor.call_soon`), so pipelined replies
+share it.  The flush sends straight from the loop and asks for write
+interest only when the socket takes less than the whole buffer.  Only a
+bare QUIT on an idle session is answered on the loop thread itself.
+
+The loop never blocks on the pool: when the pool's queue is full, the
+session is parked and stops reading until a worker finishes a task and
+re-admits it.  Once a close reply is queued, nothing more of that
+session's input runs.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import sys
 import threading
 from collections import deque
 
-from .concurrency import PoolShutdownError, ThreadPool
+from .concurrency import ThreadPool
 from .creational import (HandlerFactory, ServerConfig, ConfigBuilder, build_config,
                          create_handler, create_protocol_family, registry_instance)
 from .expr import AtomPool, Context, EvalError, I64_MAX, I64_MIN, ParseError, eval_expr, parse_expr
@@ -54,11 +62,15 @@ class Session:
         self.in_buffer = bytearray()
         self.out_buffer = bytearray()
         self.out_lock = threading.Lock()
+        self.flush_pending = False
         self.inbox: deque[str] = deque()
         self.in_flight = False
         self.slot_lock = threading.Lock()
         self.closing = False
         self.open = True
+        # loop thread only: why the interest is not plain READ
+        self.writing = False  # a short send left bytes for on_writable
+        self.parked = False  # waiting for room in the pool's queue
 
 
 class VerbHandler(Handler):
@@ -288,6 +300,8 @@ class ListenerHandler(EventHandler):
         except OSError:
             return
         conn.setblocking(False)
+        # replies are whole lines: send each at once, not after the peer's ACK
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.server._on_accept(conn)
 
 
@@ -314,24 +328,8 @@ class ConnectionHandler(EventHandler):
 
     def on_writable(self, conn):
         session = self.server.sessions.get(conn)
-        if session is None:
-            return
-        finished = False
-        with session.out_lock:
-            if session.out_buffer:
-                try:
-                    sent = conn.send(session.out_buffer)
-                    del session.out_buffer[:sent]
-                except BlockingIOError:
-                    pass
-                except OSError:
-                    finished = True
-            if not session.out_buffer:
-                finished = finished or session.closing
-                if not finished:
-                    self.server.reactor.modify(conn, READ)
-        if finished:
-            self.server._drop(session)
+        if session is not None:
+            self.server._flush(session)
 
 
 class PatternServer:
@@ -357,6 +355,7 @@ class PatternServer:
         self.sessions: dict = {}
         self.listener = None
         self.port = None
+        self._parked: deque[Session] = deque()
         self._listener_handler = ListenerHandler(self)
         self._conn_handler = ConnectionHandler(self)
         self._loop_thread = None
@@ -419,6 +418,7 @@ class PatternServer:
             return
         with session.out_lock:
             session.open = False
+            session.closing = True
         self.chat.leave(session.sid)
         if session.temp_observer is not None:
             try:
@@ -432,27 +432,38 @@ class PatternServer:
         except OSError:
             pass
 
+    def _update_interest(self, session: Session):
+        interest = WRITE if session.writing else 0
+        if not (session.parked or session.closing):
+            interest |= READ
+        self.reactor.modify(session.conn, interest)
+
     def _pump_lines(self, session: Session):
-        while True:
+        while not session.closing:
             index = session.in_buffer.find(b"\n")
             if index < 0:
-                if len(session.in_buffer) > MAX_REQUEST_BYTES:
-                    self._queue_reply(session, Err("LIMIT", "request line too long"),
-                                      close=True)
-                return
+                if len(session.in_buffer) <= MAX_REQUEST_BYTES:
+                    return
+                self._queue_reply(session, Err("LIMIT", "request line too long"), close=True)
+                break
             raw = bytes(session.in_buffer[:index])
             del session.in_buffer[:index + 1]
             if raw.endswith(b"\r"):
                 raw = raw[:-1]
             if len(raw) > MAX_REQUEST_BYTES:
                 self._queue_reply(session, Err("LIMIT", "request line too long"), close=True)
-                return
+                break
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError:
                 self._queue_reply(session, Err("PARSE", "request is not valid UTF-8"))
                 continue
             self._enqueue_request(session, line)
+        # closing (a close reply is queued, or the session is gone): nothing
+        # after it runs, and nothing more is read
+        session.in_buffer.clear()
+        if session.open:
+            self._update_interest(session)
 
     def _enqueue_request(self, session: Session, line: str):
         with session.slot_lock:
@@ -468,11 +479,27 @@ class PatternServer:
         if idle:
             self._queue_reply(session, Ok("bye"), close=True)
             return
-        try:
-            self.pool.submit(self._run_session_requests, session)
-        except PoolShutdownError:
-            with session.slot_lock:
-                session.in_flight = False
+        # parked before the offer, so a worker that finishes after a refused
+        # offer finds it and schedules _readmit
+        self._parked.append(session)
+        self._readmit()
+        if self._parked:
+            # FIFO: the session appended last is still parked; stop reading
+            # it until a worker re-admits it
+            session.parked = True
+            self._update_interest(session)
+
+    def _readmit(self):
+        """Hand parked sessions to the pool, oldest first, while its queue
+        has room."""
+        while self._parked:
+            session = self._parked[0]
+            if self.pool.try_submit(self._run_session_requests, session) is None:
+                return
+            self._parked.popleft()
+            if session.parked:
+                session.parked = False
+                self._update_interest(session)
 
     # -- request execution (worker threads) ---------------------------------
 
@@ -481,15 +508,21 @@ class PatternServer:
             with session.slot_lock:
                 if not session.inbox:
                     session.in_flight = False
-                    return
+                    break
                 line = session.inbox.popleft()
             reply = handle_line(session, line)
             close = line.partition(" ")[0] == "QUIT" and isinstance(reply, Ok)
             self._queue_reply(session, reply, close=close)
+            if close:
+                break  # nothing runs after QUIT; in_flight stays set
+        if self._parked:
+            self.reactor.call_soon(self._readmit)
 
-    # -- reply / event completion (any thread) -------------------------------
+    # -- reply / event completion --------------------------------------------
 
     def _queue_reply(self, session: Session, reply, close: bool = False):
+        """Any thread: buffer one reply; the first since the last flush
+        schedules the next flush."""
         data = (self.family.render_reply(reply) + "\n").encode("utf-8")
         with session.out_lock:
             if not session.open:
@@ -497,7 +530,34 @@ class PatternServer:
             session.out_buffer += data
             if close:
                 session.closing = True
-        self.reactor.modify(session.conn, READ | WRITE)
+            if session.flush_pending:
+                return
+            session.flush_pending = True
+        self.reactor.call_soon(self._flush, session)
+
+    def _flush(self, session: Session):
+        """Loop thread: send what is buffered, keeping write interest only
+        while a short send leaves bytes behind."""
+        with session.out_lock:
+            session.flush_pending = False
+            if not session.open:
+                return
+            failed = False
+            if session.out_buffer:
+                try:
+                    sent = session.conn.send(session.out_buffer)
+                    del session.out_buffer[:sent]
+                except BlockingIOError:
+                    pass
+                except OSError:
+                    failed = True
+            backlog = bool(session.out_buffer)
+            finished = failed or (session.closing and not backlog)
+        if finished:
+            self._drop(session)
+        elif backlog != session.writing:
+            session.writing = backlog
+            self._update_interest(session)
 
     def push_event(self, session: Session, evt: Evt):
         self._queue_reply(session, evt)

@@ -313,3 +313,119 @@ class TestRunAndStop:
         thread.join(timeout=5)
         assert time.perf_counter() - started <= max_wait
         assert not thread.is_alive()
+
+
+class WriteCounter(EventHandler):
+    """Counts writable dispatches; ignores readability."""
+
+    def __init__(self):
+        self.writable = 0
+
+    def on_readable(self, endpoint):
+        pass
+
+    def on_writable(self, endpoint):
+        self.writable += 1
+
+
+def run_in_thread(fn):
+    thread = threading.Thread(target=fn)
+    thread.start()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+class TestHandoff:
+    def test_command_burst_from_another_thread_writes_one_wakeup_byte(self):
+        reactor = Reactor()
+        client, conn = tcp_pair()
+        try:
+            conn.setblocking(False)
+            counter = WriteCounter()
+            reactor.register(conn, READ, counter)
+            reactor.run_once(max_wait=0)  # this thread now owns the loop
+
+            def burst():
+                for i in range(100):
+                    reactor.modify(conn, READ | WRITE if i % 2 else READ)
+
+            run_in_thread(burst)
+            assert reactor._wake_recv.recv(4096) == b"\x00"
+            reactor.run_once(max_wait=1)
+            assert counter.writable == 1, "the last of the 100 modifies asked for WRITE"
+            # the loop emptied the queue, so the next command wakes it again
+            run_in_thread(lambda: reactor.modify(conn, READ))
+            assert reactor._wake_recv.recv(4096) == b"\x00"
+        finally:
+            client.close()
+            conn.close()
+
+    def test_unchanged_interest_makes_no_selector_call(self, monkeypatch):
+        reactor = Reactor()
+        client, conn = tcp_pair()
+        calls = []
+        modify = reactor._selector.modify
+        monkeypatch.setattr(reactor._selector, "modify",
+                            lambda *args, **kwargs: calls.append(args) or modify(*args, **kwargs))
+        try:
+            reactor.register(conn, READ, Collector())
+            reactor.modify(conn, READ)
+            assert calls == []
+            reactor.modify(conn, READ | WRITE)
+            reactor.modify(conn, READ | WRITE)
+            assert len(calls) == 1
+        finally:
+            client.close()
+            conn.close()
+
+    def test_zero_interest_keeps_the_registration_but_dispatches_nothing(self):
+        reactor = Reactor()
+        client, conn = tcp_pair()
+        try:
+            conn.setblocking(False)
+            collector = Collector()
+            reactor.register(conn, READ, collector)
+            reactor.modify(conn, 0)
+            client.sendall(b"held")
+            assert reactor.run_once(max_wait=0.05) == 0
+            assert reactor.registration_count() == 1
+            reactor.modify(conn, READ)
+            assert reactor.run_once(max_wait=2) == 1
+            assert bytes(collector.received) == b"held"
+            reactor.modify(conn, 0)
+            reactor.deregister(conn)
+            assert reactor.registration_count() == 0
+        finally:
+            client.close()
+            conn.close()
+
+    def test_call_soon_keeps_submission_order_with_other_commands(self):
+        reactor = Reactor()
+        client, conn = tcp_pair()
+        seen = []
+
+        def snapshot(tag):
+            entry = reactor._registrations.get(conn)
+            seen.append((tag, None if entry is None else entry[0]))
+
+        def submit():
+            reactor.call_soon(snapshot, "start")
+            reactor.register(conn, READ, Collector())
+            reactor.call_soon(snapshot, "registered")
+            reactor.modify(conn, READ | WRITE)
+            reactor.call_soon(snapshot, "modified")
+            reactor.deregister(conn)
+            reactor.call_soon(snapshot, "deregistered")
+
+        try:
+            reactor.run_once(max_wait=0)  # this thread now owns the loop
+            run_in_thread(submit)
+            assert seen == [], "commands from other threads wait for the loop"
+            reactor.run_once(max_wait=0)
+            assert seen == [("start", None), ("registered", READ),
+                            ("modified", READ | WRITE), ("deregistered", None)]
+            reactor.call_soon(snapshot, "inline")
+            assert seen[-1] == ("inline", None), "on the loop thread it runs at once"
+        finally:
+            client.close()
+            conn.close()

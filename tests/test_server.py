@@ -4,11 +4,14 @@ import json
 import random
 import re
 import socket
+import sys
+import threading
 import time
 
 import pytest
 
 from conftest import LineClient
+from patternkit import server as server_module
 from patternkit.server import CHAIN_ORDER, PatternServer, main
 from patternkit.wire import Err, Evt, JsonFamily, Ok, TextFamily
 
@@ -46,6 +49,23 @@ class TestGreetingAndAdmin:
         client.send_line("QUIT")
         assert client.read_line() == "OK bye"
         assert client.read_eof() == b""
+
+    @pytest.mark.parametrize("payload", [b"PING\nQUIT\nSAY x\nTEMP 5\n",
+                                         b"QUIT\nSAY x\nTEMP 5\n"],
+                             ids=["after-pool-quit", "after-bare-quit"])
+    def test_nothing_runs_after_quit(self, make_server, connect, payload):
+        # one worker: the watcher's PING runs after anything the quitter's
+        # task runs, so a stray event would arrive ahead of its reply
+        server = make_server(workers=1)
+        watcher = connect(server)
+        assert watcher.ask("WATCH temp") == "OK"
+        quitter = connect(server)
+        quitter.send_raw(payload)
+        if payload.startswith(b"PING"):
+            assert quitter.read_line() == "OK pong"
+        assert quitter.read_line() == "OK bye"
+        assert quitter.read_eof() == b""
+        assert watcher.ask("PING") == "OK pong"
 
     def test_unknown_verb_falls_off_the_chain(self, server, connect):
         assert connect(server).ask("BOGUS args") == "ERR UNKNOWN no handler for BOGUS"
@@ -312,6 +332,41 @@ class TestFraming:
         assert client.read_line() == "OK 2"
         assert client.read_line() == "OK ab"
 
+    def test_pipelined_pings_all_answered_in_order(self, server, connect):
+        client = connect(server)
+        client.send_raw(b"".join(b"PING\nEVAL %d\n" % i for i in range(500)))
+        for i in range(500):
+            assert client.read_line() == "OK pong"
+            assert client.read_line() == "OK %d" % i
+
+    def test_slow_reader_gets_every_byte_of_large_replies(self, server):
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.connect(("127.0.0.1", server.port))
+        sock.settimeout(10)
+        reader = sock.makefile("rb")
+        try:
+            assert reader.readline().startswith(b"OK patternd")
+            # a fixed small send buffer: autotuning could absorb megabytes
+            conn = next(iter(server.sessions))
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            chunk = "x" * 4000
+            sock.sendall(("WRITE %s\n" % chunk).encode() * 50)
+            for _ in range(50):
+                assert reader.readline().startswith(b"OK ")
+            sock.sendall(b"SHOW\n" * 3)
+            # the client is not reading, so the loop's send comes up short
+            assert wait_until(lambda: any(s.writing for s in server.sessions.values()))
+            expected = ("OK " + chunk * 50 + "\n").encode()
+            for _ in range(3):
+                assert reader.readline() == expected
+            sock.sendall(b"PING\n")
+            assert reader.readline() == b"OK pong\n"
+            assert wait_until(lambda: not any(s.writing for s in server.sessions.values()))
+        finally:
+            reader.close()
+            sock.close()
+
     def test_request_split_across_packets(self, server, connect):
         client = connect(server)
         client.send_raw(b"EVAL 2 +")
@@ -365,6 +420,75 @@ class TestConnectionLimit:
         second = LineClient(server.port)
         assert second.ask("PING") == "OK pong"
         second.close()
+
+
+class TestBackpressure:
+    def test_full_pool_queue_parks_the_session_not_the_loop(self, make_server, connect,
+                                                              monkeypatch):
+        entered = threading.Event()
+        release = threading.Event()
+        handle_line = server_module.handle_line
+
+        def held(session, line):
+            if line == "HOLD":
+                entered.set()
+                release.wait(10)
+                return Ok("held")
+            return handle_line(session, line)
+
+        monkeypatch.setattr(server_module, "handle_line", held)
+        server = make_server(workers=1, queue_cap=1)
+        first, second, third = connect(server), connect(server), connect(server)
+        try:
+            first.send_line("HOLD")
+            assert entered.wait(5), "the only worker is busy"
+            second.send_line("HOLD")
+            third.send_line("PING")  # one of these two fills the queue
+            late = connect(server, timeout=2)
+            assert late.greeting.startswith("OK patternd")
+            late.send_line("QUIT")
+            assert late.read_line() == "OK bye"
+            assert late.read_eof() == b""
+            assert any(s.parked for s in server.sessions.values())
+        finally:
+            release.set()
+        assert first.read_line() == "OK held"
+        assert second.read_line() == "OK held"
+        assert third.read_line() == "OK pong"
+        assert not any(s.parked for s in server.sessions.values())
+        assert third.ask("PING") == "OK pong"
+
+    def test_pipelining_into_a_saturated_pool_loses_no_reply(self, make_server):
+        # a lost flush or a lost re-admission leaves a client waiting forever
+        server = make_server(workers=4, queue_cap=1)
+        clients = [LineClient(server.port, timeout=10) for _ in range(6)]
+        errors = []
+
+        def drive(client, base):
+            try:
+                for batch in range(4):
+                    start = base + batch * 50
+                    client.send_raw(b"".join(b"EVAL %d\n" % n for n in range(start, start + 50)))
+                    for n in range(start, start + 50):
+                        assert client.read_line() == "OK %d" % n
+            except Exception as exc:  # reported below, from the test thread
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=drive, args=(client, k * 1000))
+                       for k, client in enumerate(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(previous)
+            for client in clients:
+                client.close()
+        assert errors == []
 
 
 class TestJsonFamily:
@@ -437,6 +561,12 @@ class TestHousekeeping:
             client.close()
         assert wait_until(lambda: server.reactor.registration_count() == baseline)
         assert baseline == 1
+
+    def test_accepted_sockets_set_tcp_nodelay(self, server, connect):
+        connect(server)
+        assert wait_until(lambda: server.active_sessions() == 1)
+        conn = next(iter(server.sessions))
+        assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
 
     def test_chain_order_matches_routing_contract(self):
         assert CHAIN_ORDER == ("admin", "eval", "doc", "price", "player", "events")
