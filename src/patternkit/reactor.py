@@ -1,13 +1,17 @@
 """Single-threaded readiness event loop over the selectors module.
 
 One thread owns the loop and every registered endpoint.  Other threads
-steer it only through queued loop commands (register, modify, deregister,
-call_soon, stop), which the loop applies between dispatch rounds, in
-submission order.  A command submitted on the loop thread is applied at
-once.  A submitting thread writes one wakeup byte only when it finds the
-command queue empty, so a burst of commands costs the loop one wakeup.
-Modifying the interest to 0 keeps the registration but waits on nothing;
-a modify that leaves the interest unchanged touches no selector.
+steer it only through queued commands.  A command is a plain callable and
+its arguments, a `(fn, args)` pair; `register`, `modify`, `deregister` and
+`stop` queue the loop's own methods, and `call_soon(fn, *args)` queues any
+callable.  The loop runs the queue between dispatch rounds, in submission
+order.  A command submitted on the loop thread runs at once.  A submitting
+thread writes one wakeup byte only when it finds the command queue empty,
+so a burst of commands costs the loop one wakeup.  Modifying the interest
+to 0 keeps the registration but waits on nothing; a modify that leaves the
+interest unchanged touches no selector.  `close` releases the selector,
+the wakeup socket pair and every registered endpoint; `run` calls it on
+exit, and a reactor that never runs must be closed by its owner.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import selectors
 import socket
 import threading
 from collections import deque
-from dataclasses import dataclass
 
 READ = selectors.EVENT_READ
 WRITE = selectors.EVENT_WRITE
@@ -33,35 +36,6 @@ class EventHandler:
         raise NotImplementedError
 
 
-@dataclass
-class Register:
-    endpoint: object
-    interest: int
-    handler: EventHandler
-
-
-@dataclass
-class Modify:
-    endpoint: object
-    interest: int
-
-
-@dataclass
-class Deregister:
-    endpoint: object
-
-
-@dataclass
-class Call:
-    fn: object
-    args: tuple
-
-
-@dataclass
-class Stop:
-    pass
-
-
 class Reactor:
     def __init__(self):
         self._selector = selectors.DefaultSelector()
@@ -72,7 +46,6 @@ class Reactor:
         self._wake_recv.setblocking(False)
         self._wake_send.setblocking(False)
         self._selector.register(self._wake_recv, READ, data=None)
-        self._running = False
         self._stop_requested = False
         self._loop_ident: int | None = None
 
@@ -82,12 +55,12 @@ class Reactor:
         # before the loop starts, the configuring thread acts as the loop
         return self._loop_ident is None or self._loop_ident == threading.get_ident()
 
-    def _submit(self, command):
+    def _submit(self, fn, args: tuple):
         if self._on_loop_thread():
-            self._apply(command)
+            fn(*args)
             return
         with self._command_lock:
-            self._commands.append(command)
+            self._commands.append((fn, args))
             if len(self._commands) > 1:
                 return  # the byte sent for the first pending command still stands
         try:
@@ -96,66 +69,64 @@ class Reactor:
             pass  # wakeup pipe full or closing: a pending byte already exists
 
     def register(self, endpoint, interest: int, handler: EventHandler):
-        self._submit(Register(endpoint, interest, handler))
+        self._submit(self._register, (endpoint, interest, handler))
 
     def modify(self, endpoint, interest: int):
-        self._submit(Modify(endpoint, interest))
+        self._submit(self._modify, (endpoint, interest))
 
     def deregister(self, endpoint):
-        self._submit(Deregister(endpoint))
+        self._submit(self._deregister, (endpoint,))
 
     def call_soon(self, fn, *args):
         """Run fn(*args) on the loop thread, in order with the other commands."""
-        self._submit(Call(fn, args))
+        self._submit(fn, args)
 
     def stop(self):
-        self._submit(Stop())
+        self._submit(self._request_stop, ())
 
     def registration_count(self) -> int:
         return len(self._registrations)
 
     # -- loop internals -----------------------------------------------------
 
-    def _apply(self, command):
-        if isinstance(command, Call):
-            command.fn(*command.args)
-        elif isinstance(command, Register):
-            if command.endpoint in self._registrations:
-                raise ValueError("endpoint already registered")
-            if command.endpoint.fileno() < 0:
-                raise ValueError("endpoint is closed")
-            self._registrations[command.endpoint] = (command.interest, command.handler)
-            self._selector.register(command.endpoint, command.interest, data=command.handler)
-        elif isinstance(command, Modify):
-            # queued commands race endpoint teardown; a vanished endpoint is
-            # a no-op rather than a loop-killing fault
-            entry = self._registrations.get(command.endpoint)
-            if entry is None or entry[0] == command.interest:
-                return
-            old, handler = entry
-            self._registrations[command.endpoint] = (command.interest, handler)
-            if not old:
-                self._selector.register(command.endpoint, command.interest, data=handler)
-            elif not command.interest:
-                self._selector.unregister(command.endpoint)
-            else:
-                self._selector.modify(command.endpoint, command.interest, data=handler)
-        elif isinstance(command, Deregister):
-            entry = self._registrations.pop(command.endpoint, None)
-            if entry is not None and entry[0]:
-                self._selector.unregister(command.endpoint)
-        elif isinstance(command, Stop):
-            self._stop_requested = True
+    def _register(self, endpoint, interest: int, handler: EventHandler):
+        if endpoint in self._registrations:
+            raise ValueError("endpoint already registered")
+        if endpoint.fileno() < 0:
+            raise ValueError("endpoint is closed")
+        self._registrations[endpoint] = (interest, handler)
+        self._selector.register(endpoint, interest, data=handler)
+
+    def _modify(self, endpoint, interest: int):
+        # queued commands race endpoint teardown; a vanished endpoint is
+        # a no-op rather than a loop-killing fault
+        entry = self._registrations.get(endpoint)
+        if entry is None or entry[0] == interest:
+            return
+        old, handler = entry
+        self._registrations[endpoint] = (interest, handler)
+        if not old:
+            self._selector.register(endpoint, interest, data=handler)
+        elif not interest:
+            self._selector.unregister(endpoint)
         else:
-            raise TypeError("not a loop command: %r" % (command,))
+            self._selector.modify(endpoint, interest, data=handler)
+
+    def _deregister(self, endpoint):
+        entry = self._registrations.pop(endpoint, None)
+        if entry is not None and entry[0]:
+            self._selector.unregister(endpoint)
+
+    def _request_stop(self):
+        self._stop_requested = True
 
     def _apply_pending(self):
         while True:
             with self._command_lock:
                 if not self._commands:
                     return
-                command = self._commands.popleft()
-            self._apply(command)
+                fn, args = self._commands.popleft()
+            fn(*args)
 
     def run_once(self, max_wait: float) -> int:
         """One round: apply queued commands, wait up to max_wait, dispatch.
@@ -191,26 +162,23 @@ class Reactor:
         return dispatched
 
     def run(self, max_wait: float = 0.5):
-        """Loop until a stop command arrives, then drop every registration
-        and close the endpoints."""
+        """Loop until a stop command arrives, then close the reactor."""
         self._loop_ident = threading.get_ident()
-        self._running = True
         try:
             while not self._stop_requested:
                 self.run_once(max_wait)
         finally:
-            self._running = False
-            for endpoint in list(self._registrations):
-                try:
-                    self._selector.unregister(endpoint)
-                except (KeyError, ValueError):
-                    pass
-                try:
-                    endpoint.close()
-                except OSError:
-                    pass
-            self._registrations.clear()
-            self._selector.unregister(self._wake_recv)
-            self._wake_recv.close()
-            self._wake_send.close()
-            self._selector.close()
+            self.close()
+
+    def close(self):
+        """Close every registered endpoint, the selector and the wakeup
+        socket pair.  Idempotent."""
+        for endpoint in self._registrations:
+            try:
+                endpoint.close()
+            except OSError:
+                pass
+        self._registrations.clear()
+        self._selector.close()
+        self._wake_recv.close()
+        self._wake_send.close()

@@ -1,17 +1,30 @@
 """The patternd TCP service.
 
-The reactor thread owns every endpoint; request lines are dispatched
-through the verb chain on the worker pool.  A finished reply is appended
-to the session's output buffer, and the first reply since the last flush
-schedules one flush on the loop (`Reactor.call_soon`), so pipelined replies
-share it.  The flush sends straight from the loop and asks for write
-interest only when the socket takes less than the whole buffer.  Only a
-bare QUIT on an idle session is answered on the loop thread itself.
+The reactor thread owns every endpoint and frames request lines; the
+worker pool runs each session's lines through the verb chain, one task at
+a time, in arrival order.  One lock per session guards its inbox, output
+buffer, `busy` (a pool task owns the inbox), `flush_pending` and `state`,
+which only moves forward:
+
+    OPEN      reading; each complete line joins the inbox
+    DRAINING  an over-long line arrived: reading stops, earlier lines run
+    CLOSING   a close reply (QUIT's, or the over-long line's ERR LIMIT)
+              is buffered; nothing after it runs or is sent
+    CLOSED    dropped by the loop
+
+A framing error (invalid UTF-8, an over-long line) joins the inbox as a
+ready reply, so every reply leaves in request order.  The loop itself
+answers only the greeting, the connection-limit refusal and a bare QUIT on
+an idle session.  The first reply buffered since the last flush schedules
+one flush on the loop (`Reactor.call_soon`), so pipelined replies share
+it.  The flush sends straight from the loop and asks for write interest
+only when the socket takes less than the whole buffer.
 
 The loop never blocks on the pool: when the pool's queue is full, the
 session is parked and stops reading until a worker finishes a task and
-re-admits it.  Once a close reply is queued, nothing more of that
-session's input runs.
+re-admits it.  Teardown belongs to whoever finishes last: the loop
+unsubscribes a dropped session's temperature observer unless a pool task
+is busy with the session, and then that task does it on its way out.
 """
 
 from __future__ import annotations
@@ -44,11 +57,19 @@ _session_ids = itertools.count(1)
 
 IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
-CHAIN_ORDER = ("admin", "eval", "doc", "price", "player", "events")
+OPEN, DRAINING, CLOSING, CLOSED = range(4)
+
+# framing errors, queued in the inbox in place of a request line
+_LINE_TOO_LONG = Err("LIMIT", "request line too long")
+_NOT_UTF8 = Err("PARSE", "request is not valid UTF-8")
 
 
 class Session:
-    """One connection's state; mutated by at most one request at a time."""
+    """One connection's state; mutated by at most one request at a time.
+
+    `lock` guards inbox, out_buffer, busy, flush_pending and state.  The
+    loop reads `state` without it to decide what to read; `_enqueue`
+    checks it again under the lock before anything joins the inbox."""
 
     def __init__(self, conn, server: PatternServer):
         self.sid = "user-%d" % next(_session_ids)
@@ -59,15 +80,13 @@ class Session:
         self.player = STOPPED
         self.ctx = Context()
         self.temp_observer = None
-        self.in_buffer = bytearray()
+        self.in_buffer = bytearray()  # loop thread only
+        self.lock = threading.Lock()
+        self.inbox: deque = deque()  # request lines and ready framing-error replies
         self.out_buffer = bytearray()
-        self.out_lock = threading.Lock()
+        self.busy = False  # a pool task owns the inbox
         self.flush_pending = False
-        self.inbox: deque[str] = deque()
-        self.in_flight = False
-        self.slot_lock = threading.Lock()
-        self.closing = False
-        self.open = True
+        self.state = OPEN
         # loop thread only: why the interest is not plain READ
         self.writing = False  # a short send left bytes for on_writable
         self.parked = False  # waiting for room in the pool's queue
@@ -260,6 +279,9 @@ class ServerHandlerFactory(HandlerFactory):
         return self.KINDS[kind](self.server)
 
 
+CHAIN_ORDER = tuple(ServerHandlerFactory.KINDS)
+
+
 def build_chain(server: PatternServer, middleware=("logging", "timing"), logger=None):
     """Assemble the verb chain in its fixed order and wrap it in middleware."""
     factory = ServerHandlerFactory(server)
@@ -280,14 +302,11 @@ def handle_line(session: Session, line: str):
         return Err("PARSE", str(exc))
     registry_instance().bump("requests")
     try:
-        reply = chain_handle(server.chain, request)
+        return chain_handle(server.chain, request)  # FallbackHandler answers every verb
     except WireError as exc:
         return Err("PARSE", str(exc))
     except Exception as exc:
         return Err("INTERNAL", "unexpected failure: %s" % exc)
-    if reply is None:
-        return Err("UNKNOWN", "no handler for %s" % verb)
-    return reply
 
 
 class ListenerHandler(EventHandler):
@@ -416,67 +435,76 @@ class PatternServer:
     def _drop(self, session: Session):
         if self.sessions.pop(session.conn, None) is None:
             return
-        with session.out_lock:
-            session.open = False
-            session.closing = True
+        with session.lock:
+            session.state = CLOSED
+            busy = session.busy
         self.chat.leave(session.sid)
-        if session.temp_observer is not None:
-            try:
-                self.temperature.unsubscribe(session.temp_observer)
-            except ValueError:
-                pass
-            session.temp_observer = None
+        if not busy:
+            self._unwatch(session)  # else the busy task does it on its way out
         self.reactor.deregister(session.conn)
         try:
             session.conn.close()
         except OSError:
             pass
 
+    def _unwatch(self, session: Session):
+        """Run by whichever of the loop and the session's task finishes last."""
+        if session.temp_observer is not None:
+            self.temperature.unsubscribe(session.temp_observer)
+            session.temp_observer = None
+
     def _update_interest(self, session: Session):
         interest = WRITE if session.writing else 0
-        if not (session.parked or session.closing):
+        if session.state == OPEN and not session.parked:
             interest |= READ
         self.reactor.modify(session.conn, interest)
 
     def _pump_lines(self, session: Session):
-        while not session.closing:
+        while session.state == OPEN:
             index = session.in_buffer.find(b"\n")
             if index < 0:
                 if len(session.in_buffer) <= MAX_REQUEST_BYTES:
                     return
-                self._queue_reply(session, Err("LIMIT", "request line too long"), close=True)
+                self._enqueue(session, _LINE_TOO_LONG)
                 break
             raw = bytes(session.in_buffer[:index])
             del session.in_buffer[:index + 1]
             if raw.endswith(b"\r"):
                 raw = raw[:-1]
             if len(raw) > MAX_REQUEST_BYTES:
-                self._queue_reply(session, Err("LIMIT", "request line too long"), close=True)
+                self._enqueue(session, _LINE_TOO_LONG)
                 break
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError:
-                self._queue_reply(session, Err("PARSE", "request is not valid UTF-8"))
+                self._enqueue(session, _NOT_UTF8)
                 continue
             self._enqueue_request(session, line)
-        # closing (a close reply is queued, or the session is gone): nothing
-        # after it runs, and nothing more is read
+        # past OPEN: nothing more is read
         session.in_buffer.clear()
-        if session.open:
+        if session.state != CLOSED:
             self._update_interest(session)
 
     def _enqueue_request(self, session: Session, line: str):
-        with session.slot_lock:
-            idle = not session.in_flight and not session.inbox
-            if idle and line == "QUIT":
-                pass  # answered inline below, off the pool
-            else:
-                session.inbox.append(line)
-                if session.in_flight:
+        """Loop thread: queue one decoded request line.  Framing errors
+        take `_enqueue` directly, so every call here is a request."""
+        self._enqueue(session, line)
+
+    def _enqueue(self, session: Session, item):
+        """Loop thread: add a request line or a ready framing-error reply to
+        the inbox, and hand the session to the pool unless a task owns it."""
+        with session.lock:
+            if session.state != OPEN:
+                return
+            if item is _LINE_TOO_LONG:
+                session.state = DRAINING
+            bare_quit = item == "QUIT" and not session.busy  # answered off the pool
+            if not bare_quit:
+                session.inbox.append(item)
+                if session.busy:
                     return
-                session.in_flight = True
-                idle = False
-        if idle:
+                session.busy = True
+        if bare_quit:
             self._queue_reply(session, Ok("bye"), close=True)
             return
         # parked before the offer, so a worker that finishes after a refused
@@ -505,16 +533,20 @@ class PatternServer:
 
     def _run_session_requests(self, session: Session):
         while True:
-            with session.slot_lock:
-                if not session.inbox:
-                    session.in_flight = False
+            with session.lock:
+                if not session.inbox or session.state >= CLOSING:
+                    session.busy = False
+                    closed = session.state == CLOSED
                     break
-                line = session.inbox.popleft()
-            reply = handle_line(session, line)
-            close = line.partition(" ")[0] == "QUIT" and isinstance(reply, Ok)
+                item = session.inbox.popleft()
+            if isinstance(item, str):
+                reply = handle_line(session, item)
+                close = item.partition(" ")[0] == "QUIT" and isinstance(reply, Ok)
+            else:
+                reply, close = item, item is _LINE_TOO_LONG
             self._queue_reply(session, reply, close=close)
-            if close:
-                break  # nothing runs after QUIT; in_flight stays set
+        if closed:
+            self._unwatch(session)
         if self._parked:
             self.reactor.call_soon(self._readmit)
 
@@ -522,14 +554,14 @@ class PatternServer:
 
     def _queue_reply(self, session: Session, reply, close: bool = False):
         """Any thread: buffer one reply; the first since the last flush
-        schedules the next flush."""
+        schedules the next flush.  Nothing is buffered after a close reply."""
         data = (self.family.render_reply(reply) + "\n").encode("utf-8")
-        with session.out_lock:
-            if not session.open:
+        with session.lock:
+            if session.state >= CLOSING:
                 return
             session.out_buffer += data
             if close:
-                session.closing = True
+                session.state = CLOSING
             if session.flush_pending:
                 return
             session.flush_pending = True
@@ -538,21 +570,25 @@ class PatternServer:
     def _flush(self, session: Session):
         """Loop thread: send what is buffered, keeping write interest only
         while a short send leaves bytes behind."""
-        with session.out_lock:
+        with session.lock:
             session.flush_pending = False
-            if not session.open:
+            if session.state == CLOSED:
                 return
-            failed = False
-            if session.out_buffer:
-                try:
-                    sent = session.conn.send(session.out_buffer)
-                    del session.out_buffer[:sent]
-                except BlockingIOError:
-                    pass
-                except OSError:
-                    failed = True
+            # send without the lock, so workers keep buffering replies meanwhile
+            data, session.out_buffer = session.out_buffer, bytearray()
+        failed = False
+        if data:
+            try:
+                del data[:session.conn.send(data)]
+            except BlockingIOError:
+                pass
+            except OSError:
+                failed = True
+        with session.lock:
+            data += session.out_buffer  # replies buffered during the send
+            session.out_buffer = data
             backlog = bool(session.out_buffer)
-            finished = failed or (session.closing and not backlog)
+            finished = failed or (session.state == CLOSING and not backlog)
         if finished:
             self._drop(session)
         elif backlog != session.writing:
@@ -580,6 +616,8 @@ def serve(config: ServerConfig) -> int:
     try:
         server.bind()
     except OSError as exc:
+        server.reactor.close()
+        server.pool.shutdown("now")
         print("patternd: cannot bind port %d: %s" % (config.port, exc), file=sys.stderr)
         return 1
     print("patternd listening on 127.0.0.1:%d" % server.port, file=sys.stderr)
@@ -597,22 +635,13 @@ def main(argv=None) -> int:
     parser.add_argument("--queue-cap", type=int, default=None)
     parser.add_argument("--family", choices=("text", "json"), default=None)
     parser.add_argument("--max-conns", type=int, default=None)
-    parser.add_argument("--log", default=None, metavar="PATH")
+    parser.add_argument("--log", default=None, metavar="PATH", dest="log_path")
     args = parser.parse_args(argv)
 
     builder = ConfigBuilder()
-    if args.port is not None:
-        builder.port(args.port)
-    if args.workers is not None:
-        builder.workers(args.workers)
-    if args.queue_cap is not None:
-        builder.queue_cap(args.queue_cap)
-    if args.family is not None:
-        builder.family(args.family)
-    if args.max_conns is not None:
-        builder.max_conns(args.max_conns)
-    if args.log is not None:
-        builder.log_path(args.log)
+    for setter, value in vars(args).items():  # each dest names a ConfigBuilder setter
+        if value is not None:
+            getattr(builder, setter)(value)
     try:
         config = build_config(builder)
     except ValueError as exc:

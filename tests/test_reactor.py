@@ -10,6 +10,13 @@ import pytest
 from patternkit.reactor import READ, WRITE, EventHandler, Reactor
 
 
+@pytest.fixture
+def reactor():
+    reactor = Reactor()
+    yield reactor
+    reactor.close()
+
+
 def tcp_pair():
     """Connected (client, server_conn) sockets on loopback."""
     listener = socket.socket()
@@ -87,8 +94,7 @@ class _EchoConn(EventHandler):
 
 
 class TestRunOnce:
-    def test_dispatches_readable(self):
-        reactor = Reactor()
+    def test_dispatches_readable(self, reactor):
         client, conn = tcp_pair()
         try:
             conn.setblocking(False)
@@ -102,8 +108,7 @@ class TestRunOnce:
             client.close()
             conn.close()
 
-    def test_returns_zero_on_timeout(self):
-        reactor = Reactor()
+    def test_returns_zero_on_timeout(self, reactor):
         client, conn = tcp_pair()
         try:
             reactor.register(conn, READ, Collector())
@@ -112,8 +117,7 @@ class TestRunOnce:
             client.close()
             conn.close()
 
-    def test_level_triggered_readiness_repeats(self):
-        reactor = Reactor()
+    def test_level_triggered_readiness_repeats(self, reactor):
         client, conn = tcp_pair()
         try:
             conn.setblocking(False)
@@ -130,8 +134,7 @@ class TestRunOnce:
             client.close()
             conn.close()
 
-    def test_modify_enables_writable_dispatch(self):
-        reactor = Reactor()
+    def test_modify_enables_writable_dispatch(self, reactor):
         client, conn = tcp_pair()
         writable = []
 
@@ -150,9 +153,8 @@ class TestRunOnce:
             client.close()
             conn.close()
 
-    def test_interest_checked_per_dispatch(self):
+    def test_interest_checked_per_dispatch(self, reactor):
         # a handler that drops WRITE interest must not get a stale callback
-        reactor = Reactor()
         client, conn = tcp_pair()
         calls = []
 
@@ -179,8 +181,7 @@ class TestRunOnce:
 
 
 class TestCommands:
-    def test_duplicate_register_rejected(self):
-        reactor = Reactor()
+    def test_duplicate_register_rejected(self, reactor):
         client, conn = tcp_pair()
         try:
             reactor.register(conn, READ, Collector())
@@ -190,16 +191,14 @@ class TestCommands:
             client.close()
             conn.close()
 
-    def test_register_closed_endpoint_rejected(self):
-        reactor = Reactor()
+    def test_register_closed_endpoint_rejected(self, reactor):
         client, conn = tcp_pair()
         conn.close()
         client.close()
         with pytest.raises(ValueError):
             reactor.register(conn, READ, Collector())
 
-    def test_deregister_stops_dispatch(self):
-        reactor = Reactor()
+    def test_deregister_stops_dispatch(self, reactor):
         client, conn = tcp_pair()
         try:
             conn.setblocking(False)
@@ -214,8 +213,7 @@ class TestCommands:
             client.close()
             conn.close()
 
-    def test_deregister_unknown_is_tolerated(self):
-        reactor = Reactor()
+    def test_deregister_unknown_is_tolerated(self, reactor):
         client, conn = tcp_pair()
         try:
             reactor.deregister(conn)
@@ -224,8 +222,7 @@ class TestCommands:
             client.close()
             conn.close()
 
-    def test_cross_thread_register_takes_effect(self):
-        reactor = Reactor()
+    def test_cross_thread_register_takes_effect(self, reactor):
         client, conn = tcp_pair()
         conn.setblocking(False)
         collector = Collector()
@@ -247,8 +244,7 @@ class TestCommands:
 
 
 class TestRunAndStop:
-    def test_stop_interrupts_long_select_quickly(self):
-        reactor = Reactor()
+    def test_stop_interrupts_long_select_quickly(self, reactor):
         thread = threading.Thread(target=reactor.run, kwargs={"max_wait": 5})
         thread.start()
         time.sleep(0.05)
@@ -259,8 +255,7 @@ class TestRunAndStop:
         assert not thread.is_alive()
         assert elapsed < 5, "stop must not wait out the full select timeout"
 
-    def test_run_closes_endpoints_on_exit(self):
-        reactor = Reactor()
+    def test_run_closes_endpoints_on_exit(self, reactor):
         client, conn = tcp_pair()
         conn.setblocking(False)
         reactor.register(conn, READ, Collector())
@@ -273,8 +268,16 @@ class TestRunAndStop:
         assert reactor.registration_count() == 0
         client.close()
 
-    def test_echo_round_trip_random_payloads(self):
-        reactor = Reactor()
+    def test_close_releases_a_reactor_that_never_ran(self, reactor):
+        client, conn = tcp_pair()
+        reactor.register(conn, READ, Collector())
+        reactor.close()
+        assert conn.fileno() == -1
+        assert reactor._wake_recv.fileno() == -1 and reactor._wake_send.fileno() == -1
+        assert reactor.registration_count() == 0
+        client.close()
+
+    def test_echo_round_trip_random_payloads(self, reactor):
         listener = socket.socket()
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind(("127.0.0.1", 0))
@@ -302,8 +305,7 @@ class TestRunAndStop:
             thread.join(timeout=5)
         assert not thread.is_alive()
 
-    def test_shutdown_latency_within_one_max_wait(self):
-        reactor = Reactor()
+    def test_shutdown_latency_within_one_max_wait(self, reactor):
         max_wait = 0.5
         thread = threading.Thread(target=reactor.run, kwargs={"max_wait": max_wait})
         thread.start()
@@ -336,8 +338,7 @@ def run_in_thread(fn):
 
 
 class TestHandoff:
-    def test_command_burst_from_another_thread_writes_one_wakeup_byte(self):
-        reactor = Reactor()
+    def test_command_burst_from_another_thread_writes_one_wakeup_byte(self, reactor):
         client, conn = tcp_pair()
         try:
             conn.setblocking(False)
@@ -360,8 +361,7 @@ class TestHandoff:
             client.close()
             conn.close()
 
-    def test_unchanged_interest_makes_no_selector_call(self, monkeypatch):
-        reactor = Reactor()
+    def test_unchanged_interest_makes_no_selector_call(self, reactor, monkeypatch):
         client, conn = tcp_pair()
         calls = []
         modify = reactor._selector.modify
@@ -378,8 +378,7 @@ class TestHandoff:
             client.close()
             conn.close()
 
-    def test_zero_interest_keeps_the_registration_but_dispatches_nothing(self):
-        reactor = Reactor()
+    def test_zero_interest_keeps_the_registration_but_dispatches_nothing(self, reactor):
         client, conn = tcp_pair()
         try:
             conn.setblocking(False)
@@ -399,8 +398,7 @@ class TestHandoff:
             client.close()
             conn.close()
 
-    def test_call_soon_keeps_submission_order_with_other_commands(self):
-        reactor = Reactor()
+    def test_call_soon_keeps_submission_order_with_other_commands(self, reactor):
         client, conn = tcp_pair()
         seen = []
 

@@ -12,8 +12,13 @@ import pytest
 
 from conftest import LineClient
 from patternkit import server as server_module
+from patternkit.creational import HANDLER_KINDS
 from patternkit.server import CHAIN_ORDER, PatternServer, main
 from patternkit.wire import Err, Evt, JsonFamily, Ok, TextFamily
+
+
+# a request slow enough that the loop frames the next line before it is answered
+SLOW_EVAL = b"EVAL " + b"+".join([b"1"] * 700) + b"\n"
 
 
 def wait_until(predicate, timeout=5.0):
@@ -385,11 +390,24 @@ class TestFraming:
         assert client.read_line() == "ERR LIMIT request line too long"
         assert client.read_eof() == b""
 
+    def test_oversized_tail_is_refused_after_earlier_replies(self, server, connect):
+        client = connect(server)
+        client.send_raw(SLOW_EVAL + b"a" * 5000)
+        assert client.read_line() == "OK 700"
+        assert client.read_line() == "ERR LIMIT request line too long"
+        assert client.read_eof() == b""
+
     def test_invalid_utf8_is_a_parse_error(self, server, connect):
         client = connect(server)
         client.send_raw(b"EVAL \xff\xfe\n")
         assert client.read_line() == "ERR PARSE request is not valid UTF-8"
         assert client.ask("PING") == "OK pong"
+
+    def test_invalid_utf8_is_answered_in_request_order(self, server, connect):
+        client = connect(server)
+        client.send_raw(SLOW_EVAL + b"\xff\n")
+        assert client.read_line() == "OK 700"
+        assert client.read_line() == "ERR PARSE request is not valid UTF-8"
 
     def test_empty_line_is_a_parse_error(self, server, connect):
         client = connect(server)
@@ -568,8 +586,19 @@ class TestHousekeeping:
         conn = next(iter(server.sessions))
         assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
 
+    def test_watch_then_close_leaves_no_observer(self, server):
+        # the loop may drop the session while a worker still runs its WATCH
+        for _ in range(300):
+            with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+                sock.sendall(b"WATCH temp\n")
+        assert wait_until(lambda: server.active_sessions() == 0)
+        assert wait_until(lambda: server.temperature.publish(0) == 0)
+
     def test_chain_order_matches_routing_contract(self):
         assert CHAIN_ORDER == ("admin", "eval", "doc", "price", "player", "events")
+
+    def test_chain_order_names_every_handler_kind(self):
+        assert set(CHAIN_ORDER) == set(HANDLER_KINDS)
 
     def test_request_log_lines_are_timestamped(self, make_server, tmp_path, connect):
         log_path = tmp_path / "patternd.log"
