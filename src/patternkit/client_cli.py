@@ -20,8 +20,7 @@ import sys
 import threading
 from dataclasses import dataclass
 
-_EVENT_TEXT_PREFIX = "EVT "
-_EVENT_JSON_PREFIX = '{"evt"'
+from .wire import Err, Evt, JsonFamily, ProtocolFamily, TextFamily
 
 
 @dataclass(frozen=True)
@@ -38,26 +37,28 @@ class ClientConfig:
             raise ValueError("timeout-ms must be >= 1")
 
 
-def _is_event(line: str) -> bool:
-    return line.startswith(_EVENT_TEXT_PREFIX) or line.startswith(_EVENT_JSON_PREFIX)
-
-
-def _is_error(line: str) -> bool:
-    return line.startswith("ERR ") or line.startswith('{"ok": false') or line.startswith('{"ok":false')
+def _parse_reply(family: ProtocolFamily, line: str):
+    """The line as a reply, or None when the family cannot parse it."""
+    try:
+        return family.parse_reply(line)
+    except ValueError:
+        return None
 
 
 class _Reader(threading.Thread):
-    """Prints every server line and hands non-event lines to the main loop.
+    """Prints every server line and queues, for each non-event line,
+    whether it is an error reply (None at end of stream).
 
     Keeping all printing on one thread preserves arrival order between
     replies and asynchronous events.  The main loop only consumes the
     queue for flow control, never for output.
     """
 
-    def __init__(self, sock: socket.socket) -> None:
+    def __init__(self, sock: socket.socket, family: ProtocolFamily) -> None:
         super().__init__(name="patternsh-reader", daemon=True)
         self._sock = sock
-        self.replies: queue.Queue[str | None] = queue.Queue()
+        self._family = family
+        self.replies: queue.Queue[bool | None] = queue.Queue()
 
     def run(self) -> None:
         buffer = b""
@@ -74,11 +75,12 @@ class _Reader(threading.Thread):
                     raw = buffer[:newline]
                     buffer = buffer[newline + 1:]
                     line = raw.decode("utf-8", errors="replace").rstrip("\r")
-                    if _is_event(line):
+                    reply = _parse_reply(self._family, line)
+                    if isinstance(reply, Evt):
                         print("* " + line, flush=True)
                     else:
                         print(line, flush=True)
-                        self.replies.put(line)
+                        self.replies.put(isinstance(reply, Err))
         except OSError:
             pass
         self.replies.put(None)
@@ -122,11 +124,14 @@ def repl(cfg: ClientConfig) -> int:
     with sock:
         sock.settimeout(timeout)
         try:
-            print(_read_greeting(sock), flush=True)
+            greeting = _read_greeting(sock)
         except (OSError, ConnectionError) as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 1
-        reader = _Reader(sock)
+        print(greeting, flush=True)
+        # a greeting the text family cannot parse comes from a json server
+        text = _parse_reply(TextFamily(), greeting) is not None
+        reader = _Reader(sock, TextFamily() if text else JsonFamily())
         reader.start()
         try:
             for line in _command_lines(cfg):
@@ -139,14 +144,14 @@ def repl(cfg: ClientConfig) -> int:
                     print("send failed: %s" % exc, file=sys.stderr)
                     return 1
                 try:
-                    reply = reader.replies.get(timeout=timeout)
+                    is_error = reader.replies.get(timeout=timeout)
                 except queue.Empty:
                     print("timed out waiting for reply", file=sys.stderr)
                     return 1
-                if reply is None:
+                if is_error is None:
                     print("server closed the connection", file=sys.stderr)
                     return 1
-                if _is_error(reply) and cfg.script is not None:
+                if is_error and cfg.script is not None:
                     return 1
                 if command.split(" ", 1)[0] == "QUIT":
                     break

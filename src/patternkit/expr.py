@@ -11,10 +11,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-I64_MIN = -(2**63)
-I64_MAX = 2**63 - 1
-
-MAX_EXPR_BYTES = 4096
+from .wire import I64_MAX, I64_MIN, MAX_REQUEST_BYTES, WireError, parse_i64
 
 
 class ParseError(ValueError):
@@ -319,9 +316,11 @@ class _Parser:
             self.pos += 1
         while _is_digit(self.peek()):
             self.pos += 1
-        value = int(self.text[start:self.pos])
-        if not I64_MIN <= value <= I64_MAX:
-            raise ParseError("integer literal out of 64-bit range", self.byte_offset(start))
+        try:
+            value = parse_i64(self.text[start:self.pos])
+        except WireError:  # the scan took only digits: the literal is out of range
+            raise ParseError("integer literal out of 64-bit range",
+                             self.byte_offset(start)) from None
         return self.pool.intern(value)
 
     def parse_ident(self) -> Expr:
@@ -337,8 +336,8 @@ class _Parser:
 
 def parse_expr(text: str, pool: AtomPool | None = None) -> Expr:
     """Parse an infix expression line into a tree; leaves are interned."""
-    if len(text.encode("utf-8")) > MAX_EXPR_BYTES:
-        raise ParseError("expression too long", MAX_EXPR_BYTES)
+    if len(text.encode("utf-8")) > MAX_REQUEST_BYTES:
+        raise ParseError("expression too long", MAX_REQUEST_BYTES)
     return _Parser(text, pool if pool is not None else _default_pool).parse()
 
 

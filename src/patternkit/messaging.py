@@ -3,9 +3,10 @@ dispatcher the server routes verbs through."""
 
 from __future__ import annotations
 
-import re
 import threading
 from dataclasses import dataclass
+
+from .wire import is_verb
 
 
 class Subject:
@@ -131,7 +132,7 @@ class Request:
     session: object = None
 
     def __post_init__(self):
-        if not re.fullmatch(r"[A-Z]+", self.verb):
+        if not is_verb(self.verb):
             raise ValueError("verb must be a single uppercase token")
 
 

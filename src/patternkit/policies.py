@@ -3,6 +3,8 @@ document pipeline."""
 
 from __future__ import annotations
 
+from .wire import parse_i64
+
 
 # Strategy: discounts over money in minor units.
 
@@ -72,10 +74,11 @@ def parse_strategy(text: str) -> DiscountStrategy:
 
 
 def _parse_simple(token: str) -> DiscountStrategy:
-    kind, sep, raw = token.partition(":")
-    if not sep or not _is_int(raw):
-        raise ValueError("bad strategy %r" % token)
-    value = int(raw)
+    kind, _, raw = token.partition(":")
+    try:
+        value = parse_i64(raw)
+    except ValueError:
+        raise ValueError("bad strategy %r" % token) from None
     if kind == "pct":
         if not 0 <= value <= 100:
             raise ValueError("pct must be in 0..100")
@@ -85,11 +88,6 @@ def _parse_simple(token: str) -> DiscountStrategy:
             raise ValueError("fixed discount must be >= 0")
         return FixedDiscount(value * 100)
     raise ValueError("bad strategy %r" % token)
-
-
-def _is_int(raw: str) -> bool:
-    body = raw[1:] if raw[:1] == "-" else raw
-    return body.isascii() and body.isdigit() and body != ""
 
 
 # State: the three-state media player with its exact transition table.

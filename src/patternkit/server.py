@@ -2,23 +2,29 @@
 
 The reactor thread owns every endpoint and frames request lines; the
 worker pool runs each session's lines through the verb chain, one task at
-a time, in arrival order.  One lock per session guards its inbox, output
+a time, in arrival order.  The server is the reactor's event handler for
+its listener (`on_readable` accepts), and each session is the handler for
+its own connection.  One lock per session guards its inbox, output
 buffer, `busy` (a pool task owns the inbox), `flush_pending` and `state`,
 which only moves forward:
 
     OPEN      reading; each complete line joins the inbox
-    DRAINING  an over-long line arrived: reading stops, earlier lines run
-    CLOSING   a close reply (QUIT's, or the over-long line's ERR LIMIT)
-              is buffered; nothing after it runs or is sent
+    DRAINING  an over-long line arrived, or the peer sent EOF while work
+              was pending: reading stops, earlier lines still run
+    CLOSING   a close reply (QUIT's, the over-long line's ERR LIMIT, or
+              the silent end of a half-closed session) is buffered;
+              nothing after it runs or is sent
     CLOSED    dropped by the loop
 
-A framing error (invalid UTF-8, an over-long line) joins the inbox as a
-ready reply, so every reply leaves in request order.  The loop itself
-answers only the greeting, the connection-limit refusal and a bare QUIT on
-an idle session.  The first reply buffered since the last flush schedules
-one flush on the loop (`Reactor.call_soon`), so pipelined replies share
-it.  The flush sends straight from the loop and asks for write interest
-only when the socket takes less than the whole buffer.
+A framing error (invalid UTF-8, an over-long line) and the peer's EOF join
+the inbox in place of a request line, so every reply leaves in request
+order and a half-closed client still gets the replies to what it sent.
+EOF on an idle session, or a failed `recv`, drops it at once.  The loop
+itself answers only the greeting, the connection-limit refusal and a bare
+QUIT on an idle session.  The first reply buffered since the last flush
+schedules one flush on the loop (`Reactor.call_soon`), so pipelined
+replies share it.  The flush sends straight from the loop and asks for
+write interest only when the socket takes less than the whole buffer.
 
 The loop never blocks on the pool: when the pool's queue is full, the
 session is parked and stops reading until a worker finishes a task and
@@ -41,17 +47,17 @@ from collections import deque
 from .concurrency import ThreadPool
 from .creational import (HandlerFactory, ServerConfig, ConfigBuilder, build_config,
                          create_handler, create_protocol_family, registry_instance)
-from .expr import AtomPool, Context, EvalError, I64_MAX, I64_MIN, ParseError, eval_expr, parse_expr
+from .expr import AtomPool, Context, EvalError, ParseError, eval_expr, parse_expr
 from .messaging import ChatRoom, Handler, Request, Subject, chain_handle, temperature_line
 from .policies import STOPPED, apply_discount, parse_strategy, player_press
 from .reactor import READ, WRITE, EventHandler, Reactor
 from .session_commands import (Caretaker, Document, EmptyHistoryError, UnknownSnapshotError,
                                WriteCommand, execute_command, restore_memento, save_memento,
                                undo_last)
-from .structural_kit import (FileLogSink, LazyStatsProxy, NullLogger, RegistryStats,
+from .structural_kit import (MIDDLEWARE, FileLogSink, LazyStatsProxy, NullLogger, RegistryStats,
                              adapt_logger, decorate_handler)
-from .wire import (MAX_REQUEST_BYTES, PROTOCOL_VERSION, Err, Evt, Ok, WireError, escape_doc,
-                   format_money)
+from .wire import (I64_MAX, MAX_REQUEST_BYTES, PROTOCOL_VERSION, Err, Evt, Ok, WireError,
+                   escape_doc, format_money, parse_i64)
 
 _session_ids = itertools.count(1)
 
@@ -59,13 +65,18 @@ IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 OPEN, DRAINING, CLOSING, CLOSED = range(4)
 
-# framing errors, queued in the inbox in place of a request line
+# Framing errors and the peer's EOF join the inbox in place of a request
+# line.  `_queue_reply` closes the session on `_BYE`, `_LINE_TOO_LONG` and
+# `_HANG_UP`, matched by identity.
 _LINE_TOO_LONG = Err("LIMIT", "request line too long")
 _NOT_UTF8 = Err("PARSE", "request is not valid UTF-8")
+_HANG_UP = object()  # the peer's EOF; sends nothing
+_BYE = Ok("bye")  # QUIT's reply
 
 
-class Session:
-    """One connection's state; mutated by at most one request at a time.
+class Session(EventHandler):
+    """One connection's state and its reactor handler; mutated by at most
+    one request at a time.
 
     `lock` guards inbox, out_buffer, busy, flush_pending and state.  The
     loop reads `state` without it to decide what to read; `_enqueue`
@@ -82,7 +93,7 @@ class Session:
         self.temp_observer = None
         self.in_buffer = bytearray()  # loop thread only
         self.lock = threading.Lock()
-        self.inbox: deque = deque()  # request lines and ready framing-error replies
+        self.inbox: deque = deque()  # request lines, framing-error replies, _HANG_UP
         self.out_buffer = bytearray()
         self.busy = False  # a pool task owns the inbox
         self.flush_pending = False
@@ -90,6 +101,12 @@ class Session:
         # loop thread only: why the interest is not plain READ
         self.writing = False  # a short send left bytes for on_writable
         self.parked = False  # waiting for room in the pool's queue
+
+    def on_readable(self, conn):
+        self.server._receive(self)
+
+    def on_writable(self, conn):
+        self.server._flush(self)
 
 
 class VerbHandler(Handler):
@@ -108,16 +125,6 @@ def _no_args(request):
         raise WireError("%s takes no arguments" % request.verb)
 
 
-def _parse_i64(token: str) -> int:
-    body = token[1:] if token[:1] == "-" else token
-    if not body or not body.isascii() or not body.isdigit():
-        raise WireError("not an integer: %r" % token)
-    value = int(token)
-    if not I64_MIN <= value <= I64_MAX:
-        raise WireError("integer out of range: %r" % token)
-    return value
-
-
 class AdminHandler(VerbHandler):
     verbs = ("STATS", "PING", "QUIT")
 
@@ -126,7 +133,7 @@ class AdminHandler(VerbHandler):
         if request.verb == "PING":
             return Ok("pong")
         if request.verb == "QUIT":
-            return Ok("bye")
+            return _BYE
         counters = self.server.stats_proxy.request()
         payload = " ".join("%s=%d" % kv for kv in sorted(counters.items()))
         return Ok(payload)
@@ -149,7 +156,7 @@ class EvalHandler(VerbHandler):
         name, raw = tokens
         if not IDENT_RE.fullmatch(name):
             raise WireError("bad variable name %r" % name)
-        session.ctx = session.ctx.bind(name, _parse_i64(raw))
+        session.ctx = session.ctx.bind(name, parse_i64(raw))
         return Ok()
 
 
@@ -190,7 +197,7 @@ class PriceHandler(VerbHandler):
         tokens = request.args.split()
         if len(tokens) != 2:
             raise WireError("PRICE takes an amount and a strategy")
-        amount = _parse_i64(tokens[0])
+        amount = parse_i64(tokens[0])
         if not 0 <= amount <= self.MAX_MAJOR:
             raise WireError("price out of range")
         try:
@@ -216,7 +223,7 @@ class SessionTempObserver:
 
     def update(self, value: int):
         line = "temp " + temperature_line(self.session.sid, value)
-        self.session.server.push_event(self.session, Evt(line))
+        self.session.server._queue_reply(self.session, Evt(line))
 
 
 class EventsHandler(VerbHandler):
@@ -225,9 +232,9 @@ class EventsHandler(VerbHandler):
     def answer(self, request):
         session = request.session
         server = self.server
+        if request.verb in ("WATCH", "UNWATCH") and request.args != "temp":
+            raise WireError("unknown topic %r" % request.args)
         if request.verb == "WATCH":
-            if request.args != "temp":
-                raise WireError("unknown topic %r" % request.args)
             if session.temp_observer is not None:
                 return Err("STATE", "already watching temp")
             observer = SessionTempObserver(session)
@@ -235,8 +242,6 @@ class EventsHandler(VerbHandler):
             session.temp_observer = observer
             return Ok()
         if request.verb == "UNWATCH":
-            if request.args != "temp":
-                raise WireError("unknown topic %r" % request.args)
             if session.temp_observer is None:
                 return Err("STATE", "not watching temp")
             server.temperature.unsubscribe(session.temp_observer)
@@ -246,7 +251,7 @@ class EventsHandler(VerbHandler):
             token = request.args.strip()
             if not token:
                 raise WireError("TEMP takes an integer")
-            server.temperature.publish(_parse_i64(token))
+            server.temperature.publish(parse_i64(token))
             return Ok()
         server.chat.send(session.sid, request.args)
         return Ok()
@@ -282,14 +287,14 @@ class ServerHandlerFactory(HandlerFactory):
 CHAIN_ORDER = tuple(ServerHandlerFactory.KINDS)
 
 
-def build_chain(server: PatternServer, middleware=("logging", "timing"), logger=None):
+def build_chain(server: PatternServer, logger=None):
     """Assemble the verb chain in its fixed order and wrap it in middleware."""
     factory = ServerHandlerFactory(server)
     nodes = [create_handler(factory, kind) for kind in CHAIN_ORDER]
     nodes.append(FallbackHandler())
     for node, successor in zip(nodes, nodes[1:]):
         node.set_successor(successor)
-    return decorate_handler(nodes[0], middleware, logger)
+    return decorate_handler(nodes[0], MIDDLEWARE, logger)
 
 
 def handle_line(session: Session, line: str):
@@ -309,55 +314,12 @@ def handle_line(session: Session, line: str):
         return Err("INTERNAL", "unexpected failure: %s" % exc)
 
 
-class ListenerHandler(EventHandler):
-    def __init__(self, server: PatternServer):
-        self.server = server
-
-    def on_readable(self, listener):
-        try:
-            conn, _ = listener.accept()
-        except OSError:
-            return
-        conn.setblocking(False)
-        # replies are whole lines: send each at once, not after the peer's ACK
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.server._on_accept(conn)
-
-
-class ConnectionHandler(EventHandler):
-    def __init__(self, server: PatternServer):
-        self.server = server
-
-    def on_readable(self, conn):
-        session = self.server.sessions.get(conn)
-        if session is None:
-            return
-        try:
-            data = conn.recv(4096)
-        except BlockingIOError:
-            return
-        except OSError:
-            self.server._drop(session)
-            return
-        if not data:
-            self.server._drop(session)
-            return
-        session.in_buffer += data
-        self.server._pump_lines(session)
-
-    def on_writable(self, conn):
-        session = self.server.sessions.get(conn)
-        if session is not None:
-            self.server._flush(session)
-
-
-class PatternServer:
-    """Composition root wiring the pool, reactor, chain, and event fan-out."""
+class PatternServer(EventHandler):
+    """Composition root wiring the pool, reactor, chain, and event fan-out;
+    the reactor's handler for the listener."""
 
     def __init__(self, config: ServerConfig):
         self.config = config
-        registry = registry_instance()
-        registry.config = config
         self.family = create_protocol_family(config.family)
         self.pool = ThreadPool(config.workers, config.queue_cap)
         self.reactor = Reactor()
@@ -365,7 +327,6 @@ class PatternServer:
             self.logger = adapt_logger(FileLogSink(config.log_path))
         else:
             self.logger = NullLogger()
-        registry.log_sink = self.logger
         self.temperature = Subject(logger=self.logger)
         self.chat = ChatRoom()
         self.atom_pool = AtomPool()
@@ -375,8 +336,6 @@ class PatternServer:
         self.listener = None
         self.port = None
         self._parked: deque[Session] = deque()
-        self._listener_handler = ListenerHandler(self)
-        self._conn_handler = ConnectionHandler(self)
         self._loop_thread = None
 
     # -- lifecycle ----------------------------------------------------------
@@ -393,7 +352,7 @@ class PatternServer:
         sock.setblocking(False)
         self.listener = sock
         self.port = sock.getsockname()[1]
-        self.reactor.register(sock, READ, self._listener_handler)
+        self.reactor.register(sock, READ, self)
 
     def run(self, max_wait: float = 0.5):
         try:
@@ -417,7 +376,14 @@ class PatternServer:
 
     # -- connection plumbing (loop thread) ----------------------------------
 
-    def _on_accept(self, conn):
+    def on_readable(self, listener):
+        try:
+            conn, _ = listener.accept()
+        except OSError:
+            return
+        conn.setblocking(False)
+        # replies are whole lines: send each at once, not after the peer's ACK
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         if len(self.sessions) >= self.config.max_conns:
             line = self.family.render_reply(Err("LIMIT", "too many connections")) + "\n"
             try:
@@ -428,8 +394,8 @@ class PatternServer:
             return
         session = Session(conn, self)
         self.sessions[conn] = session
-        self.reactor.register(conn, READ, self._conn_handler)
-        self.chat.join(session.sid, _ChatDelivery(self, session))
+        self.reactor.register(conn, READ, session)
+        self.chat.join(session.sid, lambda line: self._queue_reply(session, Evt("chat " + line)))
         self._queue_reply(session, Ok("patternd %d %s" % (PROTOCOL_VERSION, session.sid)))
 
     def _drop(self, session: Session):
@@ -446,6 +412,27 @@ class PatternServer:
             session.conn.close()
         except OSError:
             pass
+
+    def _receive(self, session: Session):
+        try:
+            data = session.conn.recv(4096)
+        except BlockingIOError:
+            return
+        except OSError:
+            self._drop(session)
+            return
+        if data:
+            session.in_buffer += data
+            self._pump_lines(session)
+            return
+        # EOF: a half-closed peer still gets the replies to what it sent
+        with session.lock:
+            idle = not (session.busy or session.out_buffer or session.flush_pending)
+        if idle:
+            self._drop(session)
+            return
+        self._enqueue(session, _HANG_UP)
+        self._update_interest(session)
 
     def _unwatch(self, session: Session):
         """Run by whichever of the loop and the session's task finishes last."""
@@ -496,7 +483,7 @@ class PatternServer:
         with session.lock:
             if session.state != OPEN:
                 return
-            if item is _LINE_TOO_LONG:
+            if item is _LINE_TOO_LONG or item is _HANG_UP:
                 session.state = DRAINING
             bare_quit = item == "QUIT" and not session.busy  # answered off the pool
             if not bare_quit:
@@ -505,7 +492,7 @@ class PatternServer:
                     return
                 session.busy = True
         if bare_quit:
-            self._queue_reply(session, Ok("bye"), close=True)
+            self._queue_reply(session, _BYE)
             return
         # parked before the offer, so a worker that finishes after a refused
         # offer finds it and schedules _readmit
@@ -539,12 +526,8 @@ class PatternServer:
                     closed = session.state == CLOSED
                     break
                 item = session.inbox.popleft()
-            if isinstance(item, str):
-                reply = handle_line(session, item)
-                close = item.partition(" ")[0] == "QUIT" and isinstance(reply, Ok)
-            else:
-                reply, close = item, item is _LINE_TOO_LONG
-            self._queue_reply(session, reply, close=close)
+            reply = handle_line(session, item) if isinstance(item, str) else item
+            self._queue_reply(session, reply)
         if closed:
             self._unwatch(session)
         if self._parked:
@@ -552,15 +535,16 @@ class PatternServer:
 
     # -- reply / event completion --------------------------------------------
 
-    def _queue_reply(self, session: Session, reply, close: bool = False):
+    def _queue_reply(self, session: Session, reply):
         """Any thread: buffer one reply; the first since the last flush
-        schedules the next flush.  Nothing is buffered after a close reply."""
-        data = (self.family.render_reply(reply) + "\n").encode("utf-8")
+        schedules the next flush.  `_BYE`, `_LINE_TOO_LONG` and `_HANG_UP`
+        close the session, and nothing is buffered after them."""
+        data = b"" if reply is _HANG_UP else (self.family.render_reply(reply) + "\n").encode()
         with session.lock:
             if session.state >= CLOSING:
                 return
             session.out_buffer += data
-            if close:
+            if reply is _BYE or reply is _LINE_TOO_LONG or reply is _HANG_UP:
                 session.state = CLOSING
             if session.flush_pending:
                 return
@@ -594,20 +578,6 @@ class PatternServer:
         elif backlog != session.writing:
             session.writing = backlog
             self._update_interest(session)
-
-    def push_event(self, session: Session, evt: Evt):
-        self._queue_reply(session, evt)
-
-
-class _ChatDelivery:
-    """Member callback handed to the chat room for one session."""
-
-    def __init__(self, server: PatternServer, session: Session):
-        self.server = server
-        self.session = session
-
-    def __call__(self, line: str):
-        self.server.push_event(self.session, Evt("chat " + line))
 
 
 def serve(config: ServerConfig) -> int:

@@ -1,8 +1,9 @@
 """Wire-level values for the patternd protocol.
 
 Requests are LF-terminated UTF-8 verb lines in every family; the protocol
-family only changes how replies are rendered (and parsed back).  Money is
-carried as integer minor units and formatted for display here.
+family only changes how replies are rendered (and parsed back).  The
+request grammar (line limit, verbs, integers) is stated only here.  Money
+is carried as integer minor units and formatted for display here.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from dataclasses import dataclass
 ERROR_CODES = frozenset({"EVAL", "EMPTY", "UNKNOWN", "PARSE", "STATE", "LIMIT", "INTERNAL"})
 MAX_REQUEST_BYTES = 4096
 PROTOCOL_VERSION = 1
+I64_MIN = -(2**63)
+I64_MAX = 2**63 - 1
 
 
 class WireError(ValueError):
@@ -44,6 +47,22 @@ class Evt:
 Reply = Ok | Err | Evt
 
 
+def is_verb(token: str) -> bool:
+    """A verb is one or more uppercase ASCII letters."""
+    return token.isascii() and token.isalpha() and token.isupper()
+
+
+def parse_i64(token: str) -> int:
+    """An integer is an optional '-' then ASCII digits, within 64 bits."""
+    body = token[1:] if token[:1] == "-" else token
+    if not body or not body.isascii() or not body.isdigit():
+        raise WireError("not an integer: %r" % token)
+    value = int(token)
+    if not I64_MIN <= value <= I64_MAX:
+        raise WireError("integer out of range: %r" % token)
+    return value
+
+
 def parse_request(line: str) -> tuple[str, str]:
     """Split a request line into (verb, args).
 
@@ -55,7 +74,7 @@ def parse_request(line: str) -> tuple[str, str]:
     if line == "":
         raise WireError("empty request line")
     verb, _, args = line.partition(" ")
-    if not verb.isascii() or not verb.isalpha() or not verb.isupper():
+    if not is_verb(verb):
         raise WireError("verb must be a single uppercase token")
     return verb, args
 
@@ -158,5 +177,5 @@ class JsonFamily(ProtocolFamily):
         if obj.get("ok") is True:
             return Ok(obj.get("value", ""))
         if obj.get("ok") is False:
-            return Err(obj["code"], obj.get("message", ""))
+            return Err(obj.get("code"), obj.get("message", ""))
         raise WireError("not a json-family reply: %r" % line)

@@ -58,6 +58,17 @@ class TestScriptMode:
         assert lines[-1] == "ERR EVAL unexpected end of input at offset 3"
         assert "OK pong" not in result.stdout
 
+    def test_first_json_error_reply_stops_with_exit_1(self, make_server, tmp_path):
+        server = make_server(family="json")
+        script = write_script(tmp_path, ["PING", "EVAL 1 +", "PING", "QUIT"])
+        result = run_cli(["--port", str(server.port), "--script", script])
+        assert result.returncode == 1
+        lines = result.stdout.splitlines()
+        assert lines[-1] == (
+            '{"ok": false, "code": "EVAL", "message": "unexpected end of input at offset 3"}'
+        )
+        assert len(lines) == 3  # greeting, pong, the error
+
     def test_undo_on_fresh_session(self, server, tmp_path):
         script = write_script(tmp_path, ["UNDO"])
         result = run_cli(["--port", str(server.port), "--script", script])

@@ -149,6 +149,17 @@ class TestEval:
         )
         assert client.ask("EVAL 5 +") == "ERR EVAL unexpected end of input at offset 3"
 
+    @pytest.mark.parametrize("line,reply", [
+        *((template % token, "ERR PARSE")
+          for template in ("LET x %s", "TEMP %s", "PRICE 100 fixed:%s", "PRICE 100 pct:%s")
+          for token in ("+5", "1.5", "\N{ARABIC-INDIC DIGIT THREE}", "9223372036854775808")),
+        ("LET x -9223372036854775808", "OK"),
+        ("TEMP -9223372036854775808", "OK"),
+    ])
+    def test_one_integer_grammar(self, server, connect, line, reply):
+        # every integer on the wire: an optional '-', ASCII digits, 64 bits
+        assert connect(server).ask(line).startswith(reply)
+
     def test_let_argument_validation(self, server, connect):
         client = connect(server)
         assert client.ask("LET x") == "ERR PARSE LET takes a name and an integer"
@@ -395,6 +406,14 @@ class TestFraming:
         client.send_raw(SLOW_EVAL + b"a" * 5000)
         assert client.read_line() == "OK 700"
         assert client.read_line() == "ERR LIMIT request line too long"
+        assert client.read_eof() == b""
+
+    def test_half_closed_client_gets_its_pending_replies(self, server, connect):
+        # the EOF arrives while the EVAL still runs (nc -N, shutdown(SHUT_WR))
+        client = connect(server)
+        client.send_raw(SLOW_EVAL)
+        client.sock.shutdown(socket.SHUT_WR)
+        assert client.read_line() == "OK 700"
         assert client.read_eof() == b""
 
     def test_invalid_utf8_is_a_parse_error(self, server, connect):

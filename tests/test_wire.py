@@ -180,6 +180,11 @@ class TestJsonFamily:
         with pytest.raises(WireError):
             self.family.parse_reply("not json")
 
+    def test_parse_rejects_error_without_code(self):
+        # patternsh treats a line it cannot parse as a plain reply
+        with pytest.raises(ValueError):
+            self.family.parse_reply('{"ok": false}')
+
 
 @pytest.mark.parametrize("family", [TextFamily(), JsonFamily()])
 def test_family_round_trip_random(family):
