@@ -1,11 +1,14 @@
 """Line-oriented REPL client for a patternd server.
 
-The client opens one TCP connection, prints the greeting, then enters a
-send/receive loop.  A background reader thread owns stdout for server
-traffic so that pushed event lines appear as they arrive, interleaved in
-arrival order with ordinary replies.  Event lines are marked with a
-leading ``* `` so they stand out from the reply to the command you just
-typed.
+The client opens one TCP connection and hands its read side to a
+background reader thread, the only code that reads the connection.  The
+reader frames every server line, the greeting included, and owns stdout
+for server traffic, so pushed event lines appear as they arrive,
+interleaved in arrival order with ordinary replies, even while the
+prompt sits idle.  Event lines are marked with a leading ``* `` so they
+stand out from the reply to the command you just typed.  The main loop
+waits up to ``--timeout-ms`` for the greeting and then for the reply to
+each command it sends; a greeting that is an error reply ends the run.
 
 Run it as ``patternsh``, or pass ``--script`` to feed commands from a
 file and exit non-zero on the first error reply.
@@ -46,7 +49,8 @@ def _parse_reply(family: ProtocolFamily, line: str):
 
 
 class _Reader(threading.Thread):
-    """Prints every server line and queues, for each non-event line,
+    """Owns the connection's read side: frames every server line, the
+    greeting included, prints it, and queues for each non-event line
     whether it is an error reply (None at end of stream).
 
     Keeping all printing on one thread preserves arrival order between
@@ -54,28 +58,22 @@ class _Reader(threading.Thread):
     queue for flow control, never for output.
     """
 
-    def __init__(self, sock: socket.socket, family: ProtocolFamily) -> None:
+    def __init__(self, sock: socket.socket) -> None:
         super().__init__(name="patternsh-reader", daemon=True)
         self._sock = sock
-        self._family = family
         self.replies: queue.Queue[bool | None] = queue.Queue()
 
     def run(self) -> None:
-        buffer = b""
+        family = None
         try:
-            while True:
-                chunk = self._sock.recv(4096)
-                if not chunk:
-                    break
-                buffer += chunk
-                while True:
-                    newline = buffer.find(b"\n")
-                    if newline < 0:
-                        break
-                    raw = buffer[:newline]
-                    buffer = buffer[newline + 1:]
-                    line = raw.decode("utf-8", errors="replace").rstrip("\r")
-                    reply = _parse_reply(self._family, line)
+            with self._sock.makefile("rb") as stream:
+                for raw in stream:
+                    line = raw.decode("utf-8", errors="replace").rstrip("\r\n")
+                    if family is None:
+                        # a greeting the text family cannot parse comes from a json server
+                        text = _parse_reply(TextFamily(), line) is not None
+                        family = TextFamily() if text else JsonFamily()
+                    reply = _parse_reply(family, line)
                     if isinstance(reply, Evt):
                         print("* " + line, flush=True)
                     else:
@@ -84,19 +82,6 @@ class _Reader(threading.Thread):
         except OSError:
             pass
         self.replies.put(None)
-
-
-def _read_greeting(sock: socket.socket) -> str:
-    buffer = b""
-    while b"\n" not in buffer:
-        chunk = sock.recv(4096)
-        if not chunk:
-            raise ConnectionError("server closed the connection before greeting")
-        buffer += chunk
-    line, _, rest = buffer.partition(b"\n")
-    if rest:
-        raise ConnectionError("unexpected data after greeting")
-    return line.decode("utf-8", errors="replace").rstrip("\r")
 
 
 def _command_lines(cfg: ClientConfig):
@@ -113,6 +98,18 @@ def _command_lines(cfg: ClientConfig):
             return
 
 
+def _await_reply(reader: _Reader, timeout: float) -> bool | None:
+    """Whether the next reply is an error, or None (reported) when none comes."""
+    try:
+        is_error = reader.replies.get(timeout=timeout)
+    except queue.Empty:
+        print("timed out waiting for reply", file=sys.stderr)
+        return None
+    if is_error is None:
+        print("server closed the connection", file=sys.stderr)
+    return is_error
+
+
 def repl(cfg: ClientConfig) -> int:
     """Run one client session; returns the process exit status."""
     timeout = cfg.timeout_ms / 1000.0
@@ -122,20 +119,13 @@ def repl(cfg: ClientConfig) -> int:
         print("connect failed: %s" % exc, file=sys.stderr)
         return 1
     with sock:
-        sock.settimeout(timeout)
-        try:
-            greeting = _read_greeting(sock)
-        except (OSError, ConnectionError) as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 1
-        print(greeting, flush=True)
-        # a greeting the text family cannot parse comes from a json server
-        text = _parse_reply(TextFamily(), greeting) is not None
-        reader = _Reader(sock, TextFamily() if text else JsonFamily())
+        sock.settimeout(None)  # only the wait for each reply is bounded, never idle time
+        reader = _Reader(sock)
         reader.start()
         try:
-            for line in _command_lines(cfg):
-                command = line
+            if _await_reply(reader, timeout) is not False:  # an ERR greeting refuses the session
+                return 1
+            for command in _command_lines(cfg):
                 if not command.strip():
                     continue
                 try:
@@ -143,15 +133,8 @@ def repl(cfg: ClientConfig) -> int:
                 except OSError as exc:
                     print("send failed: %s" % exc, file=sys.stderr)
                     return 1
-                try:
-                    is_error = reader.replies.get(timeout=timeout)
-                except queue.Empty:
-                    print("timed out waiting for reply", file=sys.stderr)
-                    return 1
-                if is_error is None:
-                    print("server closed the connection", file=sys.stderr)
-                    return 1
-                if is_error and cfg.script is not None:
+                is_error = _await_reply(reader, timeout)
+                if is_error is None or (is_error and cfg.script is not None):
                     return 1
                 if command.split(" ", 1)[0] == "QUIT":
                     break

@@ -11,7 +11,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-from .wire import I64_MAX, I64_MIN, MAX_REQUEST_BYTES, WireError, parse_i64
+from .wire import I64_MAX, I64_MIN, MAX_REQUEST_BYTES, WireError, ident_end, parse_i64
 
 
 class ParseError(ValueError):
@@ -232,10 +232,6 @@ def _is_digit(ch: str) -> bool:
     return "0" <= ch <= "9"
 
 
-def _is_lower(ch: str) -> bool:
-    return "a" <= ch <= "z"
-
-
 class _Parser:
     """Recursive descent over the infix grammar.
 
@@ -304,8 +300,10 @@ class _Parser:
         if _is_digit(ch) or (ch == "-" and self.pos + 1 < len(self.text)
                              and _is_digit(self.text[self.pos + 1])):
             return self.parse_int()
-        if _is_lower(ch):
-            return self.parse_ident()
+        end = ident_end(self.text, self.pos)
+        if end > self.pos:
+            name, self.pos = self.text[self.pos:end], end
+            return self.pool.intern(name)
         if ch == "":
             raise ParseError("unexpected end of input", self.byte_offset())
         raise ParseError("unexpected character %r" % ch, self.byte_offset())
@@ -322,16 +320,6 @@ class _Parser:
             raise ParseError("integer literal out of 64-bit range",
                              self.byte_offset(start)) from None
         return self.pool.intern(value)
-
-    def parse_ident(self) -> Expr:
-        start = self.pos
-        while True:
-            ch = self.peek()
-            if _is_lower(ch) or _is_digit(ch) or ch == "_":
-                self.pos += 1
-            else:
-                break
-        return self.pool.intern(self.text[start:self.pos])
 
 
 def parse_expr(text: str, pool: AtomPool | None = None) -> Expr:

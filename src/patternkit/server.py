@@ -16,15 +16,18 @@ which only moves forward:
               nothing after it runs or is sent
     CLOSED    dropped by the loop
 
-A framing error (invalid UTF-8, an over-long line) and the peer's EOF join
-the inbox in place of a request line, so every reply leaves in request
-order and a half-closed client still gets the replies to what it sent.
-EOF on an idle session, or a failed `recv`, drops it at once.  The loop
-itself answers only the greeting, the connection-limit refusal and a bare
-QUIT on an idle session.  The first reply buffered since the last flush
-schedules one flush on the loop (`Reactor.call_soon`), so pipelined
-replies share it.  The flush sends straight from the loop and asks for
-write interest only when the socket takes less than the whole buffer.
+A session's first line is always its greeting: the loop buffers it before
+the session joins the chat room or can send a request, so no reply or
+event can precede it.  A framing error (invalid UTF-8, an over-long line)
+and the peer's EOF join the inbox in place of a request line, so every
+reply leaves in request order and a half-closed client still gets the
+replies to what it sent.  EOF on an idle session, or a failed `recv`,
+drops it at once.  The loop itself answers only the greeting, the
+connection-limit refusal and a bare QUIT on an idle session.  The first
+reply buffered since the last flush schedules one flush on the loop
+(`Reactor.call_soon`), so pipelined replies share it.  The flush sends
+straight from the loop and asks for write interest only when the socket
+takes less than the whole buffer.
 
 The loop never blocks on the pool: when the pool's queue is full, the
 session is parked and stops reading until a worker finishes a task and
@@ -37,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import re
 import signal
 import socket
 import sys
@@ -57,11 +59,9 @@ from .session_commands import (Caretaker, Document, EmptyHistoryError, UnknownSn
 from .structural_kit import (MIDDLEWARE, FileLogSink, LazyStatsProxy, NullLogger, RegistryStats,
                              adapt_logger, decorate_handler)
 from .wire import (I64_MAX, MAX_REQUEST_BYTES, PROTOCOL_VERSION, Err, Evt, Ok, WireError,
-                   escape_doc, format_money, parse_i64)
+                   escape_doc, format_money, is_ident, parse_i64)
 
 _session_ids = itertools.count(1)
-
-IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 OPEN, DRAINING, CLOSING, CLOSED = range(4)
 
@@ -154,7 +154,7 @@ class EvalHandler(VerbHandler):
         if len(tokens) != 2:
             raise WireError("LET takes a name and an integer")
         name, raw = tokens
-        if not IDENT_RE.fullmatch(name):
+        if not is_ident(name):
             raise WireError("bad variable name %r" % name)
         session.ctx = session.ctx.bind(name, parse_i64(raw))
         return Ok()
@@ -395,8 +395,9 @@ class PatternServer(EventHandler):
         session = Session(conn, self)
         self.sessions[conn] = session
         self.reactor.register(conn, READ, session)
-        self.chat.join(session.sid, lambda line: self._queue_reply(session, Evt("chat " + line)))
+        # greet before joining the room, so no chat event can precede the greeting
         self._queue_reply(session, Ok("patternd %d %s" % (PROTOCOL_VERSION, session.sid)))
+        self.chat.join(session.sid, lambda line: self._queue_reply(session, Evt("chat " + line)))
 
     def _drop(self, session: Session):
         if self.sessions.pop(session.conn, None) is None:

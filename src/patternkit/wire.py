@@ -2,13 +2,15 @@
 
 Requests are LF-terminated UTF-8 verb lines in every family; the protocol
 family only changes how replies are rendered (and parsed back).  The
-request grammar (line limit, verbs, integers) is stated only here.  Money
-is carried as integer minor units and formatted for display here.
+request grammar (line limit, verbs, integers, identifiers) is stated only
+here.  Money is carried as integer minor units and formatted for display
+here.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 ERROR_CODES = frozenset({"EVAL", "EMPTY", "UNKNOWN", "PARSE", "STATE", "LIMIT", "INTERNAL"})
@@ -16,6 +18,7 @@ MAX_REQUEST_BYTES = 4096
 PROTOCOL_VERSION = 1
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
+_IDENT = re.compile(r"[a-z][a-z0-9_]*")
 
 
 class WireError(ValueError):
@@ -61,6 +64,18 @@ def parse_i64(token: str) -> int:
     if not I64_MIN <= value <= I64_MAX:
         raise WireError("integer out of range: %r" % token)
     return value
+
+
+def ident_end(text: str, pos: int = 0) -> int:
+    """An identifier is a lowercase ASCII letter, then lowercase ASCII
+    letters, digits and '_'.  Returns the end of the identifier that starts
+    at `pos`, or `pos` when none does."""
+    match = _IDENT.match(text, pos)
+    return match.end() if match else pos
+
+
+def is_ident(token: str) -> bool:
+    return _IDENT.fullmatch(token) is not None
 
 
 def parse_request(line: str) -> tuple[str, str]:

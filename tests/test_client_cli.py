@@ -1,7 +1,10 @@
 """REPL client: script mode, event marking, and exit codes."""
 
+import socket
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -120,6 +123,33 @@ class TestEventDisplay:
             line.startswith('* {"evt"') for line in result.stdout.splitlines()
         )
 
+    def test_event_in_the_greetings_packet_is_printed(self, tmp_path):
+        listener = socket.create_server(("127.0.0.1", 0))
+        answers = {b"PING\n": b"OK pong\n", b"QUIT\n": b"OK bye\n"}
+
+        def serve_one():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as requests:
+                conn.sendall(b"OK patternd 1 user-1\nEVT chat [user-2] hi\n")
+                for line in requests:
+                    conn.sendall(answers.get(line, b"ERR UNKNOWN unexpected\n"))
+                    if line == b"QUIT\n":
+                        return
+
+        thread = threading.Thread(target=serve_one, daemon=True)
+        thread.start()
+        try:
+            script = write_script(tmp_path, ["PING", "QUIT"])
+            port = listener.getsockname()[1]
+            result = run_cli(["--port", str(port), "--script", script])
+        finally:
+            thread.join(timeout=10)
+            listener.close()
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            "OK patternd 1 user-1", "* EVT chat [user-2] hi", "OK pong", "OK bye",
+        ]
+
     def test_chat_events_reach_a_scripted_client(self, server, tmp_path, connect):
         watcher = connect(server)
         script = write_script(tmp_path, ["SAY hello from the script", "QUIT"])
@@ -150,12 +180,38 @@ class TestInteractiveMode:
         assert result.returncode == 0
         assert "OK pong" in result.stdout
 
+    def test_idle_time_at_the_prompt_does_not_end_the_session(self, server):
+        args = ["--port", str(server.port), "--timeout-ms", "300"]
+        with subprocess.Popen([sys.executable, "-m", "patternkit.client_cli", *args],
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True) as proc:
+            proc.stdin.write("PING\n")
+            proc.stdin.flush()
+            time.sleep(1.0)  # idle well past --timeout-ms
+            try:
+                out, err = proc.communicate("PING\nQUIT\n", timeout=20)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                raise
+        assert proc.returncode == 0, err
+        assert out.splitlines()[1:] == ["OK pong", "OK pong", "OK bye"]
+
 
 class TestFailures:
     def test_connection_refused_exits_1(self):
         result = run_cli(["--port", "1", "--timeout-ms", "500"])
         assert result.returncode == 1
         assert "connect failed" in result.stderr
+
+    def test_refused_greeting_exits_1(self, make_server):
+        server = make_server(max_conns=1)
+        keeper = LineClient(server.port)
+        try:
+            result = run_cli(["--port", str(server.port)], stdin_text="")
+        finally:
+            keeper.close()
+        assert result.returncode == 1
+        assert result.stdout.splitlines() == ["ERR LIMIT too many connections"]
 
     def test_invalid_timeout_exits_2(self):
         result = run_cli(["--timeout-ms", "0"])

@@ -35,6 +35,20 @@ class TestGreetingAndAdmin:
         client = connect(server)
         assert re.fullmatch(r"OK patternd 1 user-\d+", client.greeting)
 
+    def test_greeting_precedes_a_chat_event_sent_during_the_join(self, server, connect):
+        speaker = connect(server)
+        sid = speaker.greeting.rsplit(" ", 1)[-1]
+        join = server.chat.join
+
+        def join_then_say(name, deliver):
+            join(name, deliver)
+            server.chat.send(sid, "hi")  # a worker's SAY landing right after the join
+
+        server.chat.join = join_then_say
+        newcomer = connect(server)
+        assert newcomer.greeting.startswith("OK patternd 1 user-")
+        assert newcomer.read_line() == "EVT chat [%s] hi" % sid
+
     def test_sessions_get_distinct_ids(self, server, connect):
         first = connect(server).greeting
         second = connect(server).greeting
@@ -166,6 +180,18 @@ class TestEval:
         assert client.ask("LET 9x 5") == "ERR PARSE bad variable name '9x'"
         assert client.ask("LET Up 5") == "ERR PARSE bad variable name 'Up'"
         assert client.ask("LET x 1.5") == "ERR PARSE not an integer: '1.5'"
+
+    @pytest.mark.parametrize("name,valid", [
+        ("a", True), ("x_1", True), ("_x", False), ("1x", False), ("Xy", False),
+        ("\N{LATIN SMALL LETTER E WITH ACUTE}", False), ("x-y", False),
+    ])
+    def test_let_and_eval_agree_on_names(self, server, connect, name, valid):
+        client = connect(server)
+        if valid:
+            assert client.ask("LET %s 1" % name) == "OK"
+            assert client.ask("EVAL %s" % name) == "OK 1"
+        else:
+            assert client.ask("LET %s 1" % name) == "ERR PARSE bad variable name %r" % name
 
 
 class TestDocumentVerbs:
