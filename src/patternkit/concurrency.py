@@ -1,5 +1,11 @@
 """Thread pool with futures and the bounded producer-consumer queues,
-built directly on locks and condition variables."""
+built directly on locks and condition variables.
+
+`ThreadPool.submit` blocks while the pool's task queue is full, so a caller
+that must not block (an event loop) sizes the queue to a bound on its own
+outstanding tasks.  A worker keeps nothing of a finished task: once
+`result()` returns, the pool holds no reference to the task's callable or
+arguments."""
 
 from __future__ import annotations
 
@@ -34,8 +40,8 @@ class PoolShutdownError(RuntimeError):
 class BoundedQueue:
     """Blocking FIFO with a hard capacity and a typed closed state.
 
-    put blocks while full; offer returns False instead; get blocks while
-    empty and not closed; close wakes every blocked producer and consumer.
+    put blocks while full; get blocks while empty and not closed; close
+    wakes every blocked producer and consumer.
     """
 
     def __init__(self, capacity: int):
@@ -60,21 +66,10 @@ class BoundedQueue:
         with self._not_full:
             while len(self._items) >= self.capacity and not self._closed:
                 self._not_full.wait()
-            self._put_locked(item)
-
-    def offer(self, item) -> bool:
-        """Non-blocking put: False, and nothing queued, while the queue is full."""
-        with self._lock:
-            if len(self._items) >= self.capacity and not self._closed:
-                return False
-            self._put_locked(item)
-            return True
-
-    def _put_locked(self, item):
-        if self._closed:
-            raise QueueClosed("queue is closed")
-        self._add(item)
-        self._not_empty.notify()
+            if self._closed:
+                raise QueueClosed("queue is closed")
+            self._add(item)
+            self._not_empty.notify()
 
     def get(self):
         with self._not_empty:
@@ -120,9 +115,6 @@ class BoundedPriorityQueue(BoundedQueue):
 
     def put(self, item, priority: int = 0):
         super().put((priority, next(self._arrivals), item))
-
-    def offer(self, item, priority: int = 0) -> bool:
-        return super().offer((priority, next(self._arrivals), item))
 
     def _add(self, entry):
         heapq.heappush(self._items, entry)
@@ -220,24 +212,15 @@ class ThreadPool:
 
     def submit(self, fn, *args, **kwargs) -> TaskFuture:
         """Queue fn(*args, **kwargs), blocking while the task queue is full."""
-        future = TaskFuture()
-        self._put(self._queue.put, (future, fn, args, kwargs))
-        return future
-
-    def try_submit(self, fn, *args, **kwargs) -> TaskFuture | None:
-        """Queue fn(*args, **kwargs) without blocking; None while the task
-        queue is full."""
-        future = TaskFuture()
-        return future if self._put(self._queue.offer, (future, fn, args, kwargs)) else None
-
-    def _put(self, put, task):
         with self._state_lock:
             if self._state != "running":
                 raise PoolShutdownError("submit after shutdown")
+        future = TaskFuture()
         try:
-            return put(task)
+            self._queue.put((future, fn, args, kwargs))
         except QueueClosed:
             raise PoolShutdownError("submit after shutdown") from None
+        return future
 
     def _worker(self):
         while True:
@@ -246,11 +229,17 @@ class ThreadPool:
             except QueueClosed:
                 return
             if not future._mark_running():
-                continue  # cancelled before pickup
+                del future, fn, args, kwargs  # cancelled before pickup
+                continue
             try:
-                future._settle(DONE, value=fn(*args, **kwargs))
+                value, error = fn(*args, **kwargs), None
             except BaseException as exc:
-                future._settle(FAILED, error=exc)
+                value, error = None, exc
+            # dropped before settling, so an idle worker keeps nothing of the
+            # task alive once result() returns
+            del fn, args, kwargs
+            future._settle(DONE if error is None else FAILED, value, error)
+            del future, value, error
 
     def shutdown(self, mode: str = "drain"):
         """drain runs everything queued first; now cancels what has not

@@ -16,7 +16,6 @@ class ServerConfig:
 
     port: int = 7465
     workers: int = 4
-    queue_cap: int = 64
     family: str = "text"
     max_conns: int = 128
     log_path: str | None = None
@@ -26,8 +25,6 @@ class ServerConfig:
             raise ValueError("port out of range")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.queue_cap < 1:
-            raise ValueError("queue_cap must be >= 1")
         if self.family not in ("text", "json"):
             raise ValueError("family must be 'text' or 'json'")
         if self.max_conns < 1:
@@ -46,10 +43,6 @@ class ConfigBuilder:
 
     def workers(self, value: int) -> ConfigBuilder:
         self._fields["workers"] = value
-        return self
-
-    def queue_cap(self, value: int) -> ConfigBuilder:
-        self._fields["queue_cap"] = value
         return self
 
     def family(self, value: str) -> ConfigBuilder:
@@ -200,20 +193,20 @@ class MacDialog(Dialog):
         return MacButton()
 
 
-HANDLER_KINDS = ("eval", "doc", "price", "player", "events", "admin")
-
-
 class HandlerFactory:
-    """Factory-method seam: the subclass decides each kind's concrete type."""
+    """Factory-method seam: the subclass decides each kind's concrete type,
+    and `KINDS` maps every kind it makes to that type."""
+
+    KINDS: dict = {}
 
     def make(self, kind: str):
         raise NotImplementedError
 
 
 def create_handler(factory: HandlerFactory, kind: str):
-    if kind not in HANDLER_KINDS:
+    if kind not in factory.KINDS:
         raise ValueError("unknown handler kind %r; registered kinds: %s"
-                         % (kind, ", ".join(HANDLER_KINDS)))
+                         % (kind, ", ".join(factory.KINDS)))
     return factory.make(kind)
 
 

@@ -99,9 +99,6 @@ class AtomPool:
             return len(self._interned)
 
 
-_default_pool = AtomPool()
-
-
 def _apply_binary(op: str, left: int, right: int) -> int:
     if op == "+":
         result = left + right
@@ -323,10 +320,11 @@ class _Parser:
 
 
 def parse_expr(text: str, pool: AtomPool | None = None) -> Expr:
-    """Parse an infix expression line into a tree; leaves are interned."""
+    """Parse an infix expression line into a tree; leaves are interned in
+    `pool`, or in a fresh pool when none is given."""
     if len(text.encode("utf-8")) > MAX_REQUEST_BYTES:
         raise ParseError("expression too long", MAX_REQUEST_BYTES)
-    return _Parser(text, pool if pool is not None else _default_pool).parse()
+    return _Parser(text, pool if pool is not None else AtomPool()).parse()
 
 
 # Demo fixtures: shape visitors and the book-collection iterator.

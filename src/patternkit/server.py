@@ -29,11 +29,14 @@ reply buffered since the last flush schedules one flush on the loop
 straight from the loop and asks for write interest only when the socket
 takes less than the whole buffer.
 
-The loop never blocks on the pool: when the pool's queue is full, the
-session is parked and stops reading until a worker finishes a task and
-re-admits it.  Teardown belongs to whoever finishes last: the loop
-unsubscribes a dropped session's temperature observer unless a pool task
-is busy with the session, and then that task does it on its way out.
+A session holds its connection slot until it no longer owns a pool task.
+Dropping it closes the socket, leaves the chat room and marks it CLOSED;
+releasing it frees the slot (`sessions`) and unsubscribes its temperature
+observer.  The loop releases a dropped session at once unless a pool task
+is busy with it, and then that task schedules the release on its way out.
+Each session owns at most one queued or running task, so queued tasks <=
+busy sessions <= len(sessions) <= max_conns: a pool queue as long as the
+connection cap never fills, and the loop never blocks in `submit`.
 """
 
 from __future__ import annotations
@@ -74,6 +77,12 @@ _HANG_UP = object()  # the peer's EOF; sends nothing
 _BYE = Ok("bye")  # QUIT's reply
 
 
+def _too_long(buffer: bytearray, end: int) -> bool:
+    """The line limit, for a framed line and an unterminated tail alike:
+    the bytes before `end`, less one trailing CR, pass MAX_REQUEST_BYTES."""
+    return end > MAX_REQUEST_BYTES and end - (buffer[end - 1] == 0x0D) > MAX_REQUEST_BYTES
+
+
 class Session(EventHandler):
     """One connection's state and its reactor handler; mutated by at most
     one request at a time.
@@ -90,6 +99,7 @@ class Session(EventHandler):
         self.caretaker = Caretaker()
         self.player = STOPPED
         self.ctx = Context()
+        self.atom_pool = AtomPool()  # EVAL leaves, dropped with the session
         self.temp_observer = None
         self.in_buffer = bytearray()  # loop thread only
         self.lock = threading.Lock()
@@ -98,9 +108,7 @@ class Session(EventHandler):
         self.busy = False  # a pool task owns the inbox
         self.flush_pending = False
         self.state = OPEN
-        # loop thread only: why the interest is not plain READ
-        self.writing = False  # a short send left bytes for on_writable
-        self.parked = False  # waiting for room in the pool's queue
+        self.writing = False  # loop thread only: a short send left bytes for on_writable
 
     def on_readable(self, conn):
         self.server._receive(self)
@@ -146,7 +154,7 @@ class EvalHandler(VerbHandler):
         session = request.session
         if request.verb == "EVAL":
             try:
-                tree = parse_expr(request.args, self.server.atom_pool)
+                tree = parse_expr(request.args, session.atom_pool)
                 return Ok(str(eval_expr(tree, session.ctx)))
             except (ParseError, EvalError) as exc:
                 return Err("EVAL", str(exc))
@@ -321,7 +329,7 @@ class PatternServer(EventHandler):
     def __init__(self, config: ServerConfig):
         self.config = config
         self.family = create_protocol_family(config.family)
-        self.pool = ThreadPool(config.workers, config.queue_cap)
+        self.pool = ThreadPool(config.workers, config.max_conns)
         self.reactor = Reactor()
         if config.log_path:
             self.logger = adapt_logger(FileLogSink(config.log_path))
@@ -329,13 +337,11 @@ class PatternServer(EventHandler):
             self.logger = NullLogger()
         self.temperature = Subject(logger=self.logger)
         self.chat = ChatRoom()
-        self.atom_pool = AtomPool()
         self.stats_proxy = LazyStatsProxy(RegistryStats)
         self.chain = build_chain(self, logger=self.logger)
         self.sessions: dict = {}
         self.listener = None
         self.port = None
-        self._parked: deque[Session] = deque()
         self._loop_thread = None
 
     # -- lifecycle ----------------------------------------------------------
@@ -400,19 +406,27 @@ class PatternServer(EventHandler):
         self.chat.join(session.sid, lambda line: self._queue_reply(session, Evt("chat " + line)))
 
     def _drop(self, session: Session):
-        if self.sessions.pop(session.conn, None) is None:
-            return
         with session.lock:
+            if session.state == CLOSED:
+                return
             session.state = CLOSED
             busy = session.busy
         self.chat.leave(session.sid)
-        if not busy:
-            self._unwatch(session)  # else the busy task does it on its way out
         self.reactor.deregister(session.conn)
         try:
             session.conn.close()
         except OSError:
             pass
+        if not busy:
+            self._release(session)  # else the busy task schedules it on its way out
+
+    def _release(self, session: Session):
+        """Loop thread: free a dropped session's connection slot once no
+        pool task owns it."""
+        del self.sessions[session.conn]
+        if session.temp_observer is not None:
+            self.temperature.unsubscribe(session.temp_observer)
+            session.temp_observer = None
 
     def _receive(self, session: Session):
         try:
@@ -435,33 +449,24 @@ class PatternServer(EventHandler):
         self._enqueue(session, _HANG_UP)
         self._update_interest(session)
 
-    def _unwatch(self, session: Session):
-        """Run by whichever of the loop and the session's task finishes last."""
-        if session.temp_observer is not None:
-            self.temperature.unsubscribe(session.temp_observer)
-            session.temp_observer = None
-
     def _update_interest(self, session: Session):
         interest = WRITE if session.writing else 0
-        if session.state == OPEN and not session.parked:
+        if session.state == OPEN:
             interest |= READ
         self.reactor.modify(session.conn, interest)
 
     def _pump_lines(self, session: Session):
         while session.state == OPEN:
             index = session.in_buffer.find(b"\n")
-            if index < 0:
-                if len(session.in_buffer) <= MAX_REQUEST_BYTES:
-                    return
+            if _too_long(session.in_buffer, len(session.in_buffer) if index < 0 else index):
                 self._enqueue(session, _LINE_TOO_LONG)
                 break
+            if index < 0:
+                return
             raw = bytes(session.in_buffer[:index])
             del session.in_buffer[:index + 1]
             if raw.endswith(b"\r"):
                 raw = raw[:-1]
-            if len(raw) > MAX_REQUEST_BYTES:
-                self._enqueue(session, _LINE_TOO_LONG)
-                break
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError:
@@ -495,27 +500,7 @@ class PatternServer(EventHandler):
         if bare_quit:
             self._queue_reply(session, _BYE)
             return
-        # parked before the offer, so a worker that finishes after a refused
-        # offer finds it and schedules _readmit
-        self._parked.append(session)
-        self._readmit()
-        if self._parked:
-            # FIFO: the session appended last is still parked; stop reading
-            # it until a worker re-admits it
-            session.parked = True
-            self._update_interest(session)
-
-    def _readmit(self):
-        """Hand parked sessions to the pool, oldest first, while its queue
-        has room."""
-        while self._parked:
-            session = self._parked[0]
-            if self.pool.try_submit(self._run_session_requests, session) is None:
-                return
-            self._parked.popleft()
-            if session.parked:
-                session.parked = False
-                self._update_interest(session)
+        self.pool.submit(self._run_session_requests, session)  # never blocks: see the module docstring
 
     # -- request execution (worker threads) ---------------------------------
 
@@ -530,9 +515,7 @@ class PatternServer(EventHandler):
             reply = handle_line(session, item) if isinstance(item, str) else item
             self._queue_reply(session, reply)
         if closed:
-            self._unwatch(session)
-        if self._parked:
-            self.reactor.call_soon(self._readmit)
+            self.reactor.call_soon(self._release, session)
 
     # -- reply / event completion --------------------------------------------
 
@@ -603,7 +586,6 @@ def main(argv=None) -> int:
                                      description="pattern demonstration TCP service")
     parser.add_argument("--port", type=int, default=None)
     parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--queue-cap", type=int, default=None)
     parser.add_argument("--family", choices=("text", "json"), default=None)
     parser.add_argument("--max-conns", type=int, default=None)
     parser.add_argument("--log", default=None, metavar="PATH", dest="log_path")

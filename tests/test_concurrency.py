@@ -2,6 +2,7 @@
 
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -163,25 +164,6 @@ class TestBoundedQueue:
         queue.close()
         assert queue.closed
 
-    def test_offer_refuses_when_full_without_blocking(self):
-        queue = BoundedQueue(2)
-        assert queue.offer("a") is True
-        assert queue.offer("b") is True
-        started = time.perf_counter()
-        assert queue.offer("c") is False
-        assert time.perf_counter() - started < 1
-        assert queue.get() == "a"
-        assert queue.offer("c") is True
-        assert [queue.get(), queue.get()] == ["b", "c"]
-
-    def test_offer_after_close_rejected(self):
-        queue = BoundedQueue(1)
-        queue.put("x")
-        queue.close()
-        with pytest.raises(QueueClosed):
-            queue.offer("y")
-
-
 class TestBoundedPriorityQueue:
     def test_minimum_priority_first(self):
         queue = BoundedPriorityQueue(8)
@@ -228,13 +210,6 @@ class TestBoundedPriorityQueue:
         assert not blocked.wait(0.05)
         queue.get()
         thread.join(timeout=5)
-
-    def test_offer_keeps_priority_order_and_capacity(self):
-        queue = BoundedPriorityQueue(2)
-        assert queue.offer("low", priority=5)
-        assert queue.offer("urgent", priority=1)
-        assert not queue.offer("mid", priority=3)
-        assert [queue.get(), queue.get()] == ["urgent", "low"]
 
     def test_drain_returns_items_not_entries(self):
         queue = BoundedPriorityQueue(8)
@@ -361,32 +336,20 @@ class TestThreadPool:
         with pytest.raises(PoolShutdownError):
             pool.submit(lambda: 1)
 
-    def test_try_submit_returns_none_while_queue_full(self):
-        pool = ThreadPool(1, queue_cap=1)
-        started = threading.Event()
-        release = threading.Event()
+    def test_finished_task_arguments_are_not_retained(self):
+        class Payload:
+            pass
 
-        def blocker_task():
-            started.set()
-            release.wait(5)
-
-        try:
-            pool.submit(blocker_task)
-            assert started.wait(5)
-            queued = pool.try_submit(lambda: "queued")
-            assert queued is not None
-            assert pool.try_submit(lambda: "refused") is None
-            release.set()
-            assert queued.result(timeout=5) == "queued"
-        finally:
-            release.set()
-            pool.shutdown()
-
-    def test_try_submit_after_shutdown_rejected(self):
         pool = ThreadPool(1)
-        pool.shutdown()
-        with pytest.raises(PoolShutdownError):
-            pool.try_submit(lambda: 1)
+        try:
+            payload = Payload()
+            alive = weakref.ref(payload)
+            assert pool.submit(lambda arg, *, key: None, payload, key=payload).result(5) is None
+            del payload
+            # the idle worker must not keep its last task's arguments alive
+            assert alive() is None
+        finally:
+            pool.shutdown()
 
     def test_shutdown_drain_finishes_queued_work(self):
         pool = ThreadPool(1, queue_cap=16)

@@ -5,7 +5,6 @@ import threading
 import pytest
 
 from patternkit.creational import (
-    HANDLER_KINDS,
     ConfigBuilder,
     Director,
     HandlerFactory,
@@ -33,7 +32,6 @@ class TestServerConfig:
         cfg = ServerConfig()
         assert cfg.port == 7465
         assert cfg.workers == 4
-        assert cfg.queue_cap == 64
         assert cfg.family == "text"
         assert cfg.max_conns == 128
         assert cfg.log_path is None
@@ -49,7 +47,6 @@ class TestServerConfig:
             {"port": -1},
             {"port": 65536},
             {"workers": 0},
-            {"queue_cap": 0},
             {"family": "xml"},
             {"max_conns": 0},
         ],
@@ -67,7 +64,6 @@ class TestConfigBuilder:
         builder = ConfigBuilder()
         assert builder.port(9000) is builder
         assert builder.workers(2) is builder
-        assert builder.queue_cap(8) is builder
         assert builder.family("json") is builder
         assert builder.max_conns(10) is builder
         assert builder.log_path("/tmp/x.log") is builder
@@ -77,13 +73,12 @@ class TestConfigBuilder:
             ConfigBuilder()
             .port(9000)
             .workers(2)
-            .queue_cap(8)
             .family("json")
             .max_conns(10)
             .log_path("/tmp/x.log")
             .build()
         )
-        assert cfg == ServerConfig(9000, 2, 8, "json", 10, "/tmp/x.log")
+        assert cfg == ServerConfig(9000, 2, "json", 10, "/tmp/x.log")
 
     def test_unset_fields_keep_defaults(self):
         cfg = ConfigBuilder().workers(7).build()
@@ -180,20 +175,19 @@ class TestFactoryMethod:
 
     def test_create_handler_requires_known_kind(self):
         class NullFactory(HandlerFactory):
+            KINDS = {"first": None, "second": None}
+
             def make(self, kind):
                 return kind
 
         factory = NullFactory()
-        for kind in HANDLER_KINDS:
+        for kind in NullFactory.KINDS:
             assert create_handler(factory, kind) == kind
         with pytest.raises(ValueError) as info:
             create_handler(factory, "bogus")
         message = str(info.value)
-        for kind in HANDLER_KINDS:
+        for kind in NullFactory.KINDS:
             assert kind in message
-
-    def test_handler_kinds_are_the_six_verb_groups(self):
-        assert HANDLER_KINDS == ("eval", "doc", "price", "player", "events", "admin")
 
 
 class TestAbstractFactory:

@@ -1,9 +1,11 @@
 """End-to-end tests of the command server over real sockets."""
 
+import gc
 import json
 import random
 import re
 import socket
+import struct
 import sys
 import threading
 import time
@@ -12,8 +14,8 @@ import pytest
 
 from conftest import LineClient
 from patternkit import server as server_module
-from patternkit.creational import HANDLER_KINDS
-from patternkit.server import CHAIN_ORDER, PatternServer, main
+from patternkit.expr import Number
+from patternkit.server import CHAIN_ORDER, CLOSED, OPEN, PatternServer, Session, main
 from patternkit.wire import Err, Evt, JsonFamily, Ok, TextFamily
 
 
@@ -28,6 +30,25 @@ def wait_until(predicate, timeout=5.0):
             return True
         time.sleep(0.01)
     return predicate()
+
+
+@pytest.fixture
+def hold(monkeypatch):
+    """A `HOLD` request occupies its worker until `release` is set."""
+    entered = threading.Event()
+    release = threading.Event()
+    handle_line = server_module.handle_line
+
+    def held(session, line):
+        if line == "HOLD":
+            entered.set()
+            release.wait(10)
+            return Ok("held")
+        return handle_line(session, line)
+
+    monkeypatch.setattr(server_module, "handle_line", held)
+    yield entered, release
+    release.set()
 
 
 class TestGreetingAndAdmin:
@@ -421,6 +442,16 @@ class TestFraming:
         client.send_raw(b"PING\r\n")
         assert client.read_line() == "OK pong"
 
+    def test_crlf_split_at_the_line_limit(self, server, connect):
+        client = connect(server)
+        session = next(iter(server.sessions.values()))
+        line = b"WRITE " + b"a" * 4090  # exactly MAX_REQUEST_BYTES
+        client.send_raw(line + b"\r")
+        assert wait_until(lambda: len(session.in_buffer) == len(line) + 1
+                          or session.state != OPEN)
+        client.send_raw(b"\n")  # the CR's LF, in a later segment
+        assert client.read_line() == "OK 4090"
+
     def test_oversized_line_gets_limit_then_close(self, server, connect):
         client = connect(server)
         client.send_raw(b"WRITE " + b"a" * 5000 + b"\n")
@@ -486,44 +517,28 @@ class TestConnectionLimit:
 
 
 class TestBackpressure:
-    def test_full_pool_queue_parks_the_session_not_the_loop(self, make_server, connect,
-                                                              monkeypatch):
-        entered = threading.Event()
-        release = threading.Event()
-        handle_line = server_module.handle_line
-
-        def held(session, line):
-            if line == "HOLD":
-                entered.set()
-                release.wait(10)
-                return Ok("held")
-            return handle_line(session, line)
-
-        monkeypatch.setattr(server_module, "handle_line", held)
-        server = make_server(workers=1, queue_cap=1)
+    def test_busy_pool_does_not_block_the_loop(self, make_server, connect, hold):
+        entered, release = hold
+        server = make_server(workers=1)
         first, second, third = connect(server), connect(server), connect(server)
-        try:
-            first.send_line("HOLD")
-            assert entered.wait(5), "the only worker is busy"
-            second.send_line("HOLD")
-            third.send_line("PING")  # one of these two fills the queue
-            late = connect(server, timeout=2)
-            assert late.greeting.startswith("OK patternd")
-            late.send_line("QUIT")
-            assert late.read_line() == "OK bye"
-            assert late.read_eof() == b""
-            assert any(s.parked for s in server.sessions.values())
-        finally:
-            release.set()
+        first.send_line("HOLD")
+        assert entered.wait(5), "the only worker is busy"
+        second.send_line("HOLD")
+        third.send_line("PING")
+        late = connect(server, timeout=2)
+        assert late.greeting.startswith("OK patternd")
+        late.send_line("QUIT")
+        assert late.read_line() == "OK bye"
+        assert late.read_eof() == b""
+        release.set()
         assert first.read_line() == "OK held"
         assert second.read_line() == "OK held"
         assert third.read_line() == "OK pong"
-        assert not any(s.parked for s in server.sessions.values())
         assert third.ask("PING") == "OK pong"
 
     def test_pipelining_into_a_saturated_pool_loses_no_reply(self, make_server):
-        # a lost flush or a lost re-admission leaves a client waiting forever
-        server = make_server(workers=4, queue_cap=1)
+        # a lost flush or a lost hand-off to the pool leaves a client waiting forever
+        server = make_server(workers=4)
         clients = [LineClient(server.port, timeout=10) for _ in range(6)]
         errors = []
 
@@ -552,6 +567,48 @@ class TestBackpressure:
             for client in clients:
                 client.close()
         assert errors == []
+
+
+class TestConnectionSlots:
+    """A session holds its connection slot until its last pool task ends."""
+
+    def test_reset_session_keeps_its_slot_until_its_task_ends(self, make_server, connect,
+                                                                hold):
+        entered, release = hold
+        server = make_server(workers=1, max_conns=1)
+        holder = connect(server)
+        session = next(iter(server.sessions.values()))
+        holder.send_line("HOLD")
+        assert entered.wait(5)
+        holder.sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        holder.close()  # a reset, not a FIN: the loop drops the session at once
+        assert wait_until(lambda: session.state == CLOSED)
+        for _ in range(2):
+            refused = connect(server)
+            assert refused.greeting == "ERR LIMIT too many connections"
+            assert refused.read_eof() == b""
+        release.set()
+        assert wait_until(lambda: server.active_sessions() == 0)
+        assert connect(server).greeting.startswith("OK patternd")
+
+    def test_queued_sessions_fill_the_cap_without_blocking_the_loop(self, make_server,
+                                                                     connect, hold):
+        entered, release = hold
+        server = make_server(workers=1, max_conns=4)
+        holder = connect(server)
+        holder.send_line("HOLD")
+        assert entered.wait(5)
+        queued = [connect(server) for _ in range(3)]
+        for client in queued:
+            client.send_line("PING")
+        assert wait_until(lambda: len(server.pool._queue) == 3)
+        started = time.monotonic()
+        refused = connect(server, timeout=2)
+        assert refused.greeting == "ERR LIMIT too many connections"
+        assert time.monotonic() - started < 1
+        release.set()
+        assert holder.read_line() == "OK held"
+        assert [client.read_line() for client in queued] == ["OK pong"] * 3
 
 
 class TestJsonFamily:
@@ -642,8 +699,37 @@ class TestHousekeeping:
     def test_chain_order_matches_routing_contract(self):
         assert CHAIN_ORDER == ("admin", "eval", "doc", "price", "player", "events")
 
-    def test_chain_order_names_every_handler_kind(self):
-        assert set(CHAIN_ORDER) == set(HANDLER_KINDS)
+    def test_no_session_outlives_its_connection(self, server):
+        chunk = "x" * 4000
+        for _ in range(4):
+            client = LineClient(server.port)
+            client.send_raw(("WRITE %s\n" % chunk).encode() * 25)  # 100 KB per document
+            assert [client.read_line() for _ in range(25)][-1] == "OK 100000"
+            assert client.ask("QUIT") == "OK bye"
+            client.close()
+        assert wait_until(lambda: server.active_sessions() == 0)
+
+        def census():
+            gc.collect()
+            return [obj for obj in gc.get_objects()
+                    if isinstance(obj, Session) and obj.server is server]
+        assert wait_until(lambda: census() == [])
+
+    def test_eval_literals_are_freed_with_the_session(self, server, connect):
+        base = 10_000_000
+        client = connect(server)
+        for n in range(50):
+            literals = range(base + 400 * n, base + 400 * (n + 1))
+            reply = client.ask("EVAL " + "+".join(map(str, literals)))
+            assert reply == "OK %d" % sum(literals)
+        assert client.ask("QUIT") == "OK bye"
+        assert wait_until(lambda: server.active_sessions() == 0)
+
+        def fresh_atoms():
+            gc.collect()
+            return sum(1 for obj in gc.get_objects()
+                       if type(obj) is Number and base <= obj.value < base + 20_000)
+        assert wait_until(lambda: fresh_atoms() == 0)
 
     def test_request_log_lines_are_timestamped(self, make_server, tmp_path, connect):
         log_path = tmp_path / "patternd.log"
