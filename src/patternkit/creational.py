@@ -67,7 +67,7 @@ def build_config(builder: ConfigBuilder) -> ServerConfig:
 
 
 class Registry:
-    """Process-wide singleton holding config, counters, and the log sink.
+    """Process-wide singleton holding named monotone counters only.
 
     Acquire it through registry_instance(); direct construction elsewhere
     breaks the one-instance guarantee.
@@ -79,9 +79,7 @@ class Registry:
 
     def __init__(self):
         type(self)._init_runs += 1
-        self.config = ServerConfig()
         self.counters: dict[str, int] = {}
-        self.log_sink = None  # anything with log_message(text)
         self._counter_lock = threading.Lock()
 
     def bump(self, name: str, amount: int = 1) -> int:

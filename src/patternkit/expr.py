@@ -1,13 +1,14 @@
 """The arithmetic expression language used by the EVAL verb.
 
 A composite syntax tree (Number/Variable leaves, Binary branches) with a
-recursive-descent parser, an interning pool for leaves, checked 64-bit
+shunting-yard parser, an interning pool for leaves, checked 64-bit
 evaluation against a variable context, visitor passes, and a bidirectional
 pre-order cursor.
 """
 
 from __future__ import annotations
 
+import re
 import threading
 from dataclasses import dataclass, field
 
@@ -225,106 +226,89 @@ def iter_nodes(e: Expr) -> BidirectionalCursor:
     return BidirectionalCursor(preorder_nodes(e))
 
 
-def _is_digit(ch: str) -> bool:
-    return "0" <= ch <= "9"
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+_LITERAL = re.compile(r"-?[0-9]+")
 
 
-class _Parser:
-    """Recursive descent over the infix grammar.
+def _byte_offset(text: str, pos: int) -> int:
+    return len(text[:pos].encode("utf-8"))
+
+
+def _reduce(operators: list, operands: list) -> None:
+    """Replace the top two operands with their Binary under the top operator."""
+    right = operands.pop()
+    operands.append(Binary(operators.pop(), operands.pop(), right))
+
+
+def parse_expr(text: str, pool: AtomPool | None = None) -> Expr:
+    """Parse an infix expression line into a tree; leaves are interned in
+    `pool`, or in a fresh pool when none is given.
 
     expr := term (('+'|'-') term)* ; term := factor (('*'|'/') factor)* ;
     factor := INT | IDENT | '(' expr ')'.  A '-' begins an integer literal
     only in factor position (expression head, after '(' or an operator) and
     only when a digit follows immediately; elsewhere it is the operator.
+    Both operator levels associate to the left.
+
+    One shunting-yard loop alternates between factor and operator position;
+    '(' markers and pending operators share one stack and operands another,
+    so nesting depth costs heap, never call stack.
     """
-
-    def __init__(self, text: str, pool: AtomPool):
-        self.text = text
-        self.pool = pool
-        self.pos = 0
-
-    def byte_offset(self, pos: int | None = None) -> int:
-        pos = self.pos if pos is None else pos
-        return len(self.text[:pos].encode("utf-8"))
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse(self) -> Expr:
-        node = self.parse_expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise ParseError("unexpected trailing input", self.byte_offset())
-        return node
-
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while True:
-            self.skip_ws()
-            ch = self.peek()
-            if ch == "+" or ch == "-":
-                self.pos += 1
-                node = Binary(ch, node, self.parse_term())
-            else:
-                return node
-
-    def parse_term(self) -> Expr:
-        node = self.parse_factor()
-        while True:
-            self.skip_ws()
-            ch = self.peek()
-            if ch == "*" or ch == "/":
-                self.pos += 1
-                node = Binary(ch, node, self.parse_factor())
-            else:
-                return node
-
-    def parse_factor(self) -> Expr:
-        self.skip_ws()
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            node = self.parse_expr()
-            self.skip_ws()
-            if self.peek() != ")":
-                raise ParseError("expected ')'", self.byte_offset())
-            self.pos += 1
-            return node
-        if _is_digit(ch) or (ch == "-" and self.pos + 1 < len(self.text)
-                             and _is_digit(self.text[self.pos + 1])):
-            return self.parse_int()
-        end = ident_end(self.text, self.pos)
-        if end > self.pos:
-            name, self.pos = self.text[self.pos:end], end
-            return self.pool.intern(name)
-        if ch == "":
-            raise ParseError("unexpected end of input", self.byte_offset())
-        raise ParseError("unexpected character %r" % ch, self.byte_offset())
-
-    def parse_int(self) -> Expr:
-        start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
-        while _is_digit(self.peek()):
-            self.pos += 1
-        try:
-            value = parse_i64(self.text[start:self.pos])
-        except WireError:  # the scan took only digits: the literal is out of range
-            raise ParseError("integer literal out of 64-bit range",
-                             self.byte_offset(start)) from None
-        return self.pool.intern(value)
-
-
-def parse_expr(text: str, pool: AtomPool | None = None) -> Expr:
-    """Parse an infix expression line into a tree; leaves are interned in
-    `pool`, or in a fresh pool when none is given."""
     if len(text.encode("utf-8")) > MAX_REQUEST_BYTES:
         raise ParseError("expression too long", MAX_REQUEST_BYTES)
-    return _Parser(text, pool if pool is not None else AtomPool()).parse()
+    pool = pool if pool is not None else AtomPool()
+    operators: list[str] = []
+    operands: list[Expr] = []
+    depth = 0  # '(' markers on the operator stack
+    pos, end = 0, len(text)
+    want_factor = True
+    while True:
+        while pos < end and text[pos] in " \t":
+            pos += 1
+        ch = text[pos] if pos < end else ""
+        if want_factor:
+            if ch == "(":
+                operators.append(ch)
+                depth += 1
+                pos += 1
+                continue
+            literal = _LITERAL.match(text, pos)
+            if literal:
+                try:
+                    leaf = parse_i64(literal.group())
+                except WireError:  # the match took only digits: the literal is out of range
+                    raise ParseError("integer literal out of 64-bit range",
+                                     _byte_offset(text, pos)) from None
+                pos = literal.end()
+            else:
+                start, pos = pos, ident_end(text, pos)
+                if pos == start:
+                    raise ParseError("unexpected character %r" % ch if ch
+                                     else "unexpected end of input", _byte_offset(text, pos))
+                leaf = text[start:pos]
+            operands.append(pool.intern(leaf))
+            want_factor = False
+        elif ch in _PRECEDENCE:
+            while (operators and operators[-1] != "("
+                   and _PRECEDENCE[operators[-1]] >= _PRECEDENCE[ch]):
+                _reduce(operators, operands)
+            operators.append(ch)
+            pos += 1
+            want_factor = True
+        elif ch == ")" and depth:
+            while operators[-1] != "(":
+                _reduce(operators, operands)
+            operators.pop()
+            depth -= 1
+            pos += 1
+        elif depth:
+            raise ParseError("expected ')'", _byte_offset(text, pos))
+        elif ch:
+            raise ParseError("unexpected trailing input", _byte_offset(text, pos))
+        else:
+            while operators:
+                _reduce(operators, operands)
+            return operands[0]
 
 
 # Demo fixtures: shape visitors and the book-collection iterator.

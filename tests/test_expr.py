@@ -4,6 +4,8 @@ import random
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     FROZEN_EVAL_CASES,
@@ -36,6 +38,31 @@ from patternkit.expr import (
 )
 
 I64_MAX = 2**63 - 1
+
+
+PARSE_ERRORS = [
+    ("", "unexpected end of input", 0),
+    ("   ", "unexpected end of input", 3),
+    ("5 +", "unexpected end of input", 3),
+    ("(1 + (\t", "unexpected end of input", 7),
+    ("5 ++ 3", "unexpected character '+'", 3),
+    ("Speed", "unexpected character 'S'", 0),
+    ("_x", "unexpected character '_'", 0),
+    ("1 + \N{GREEK SMALL LETTER ALPHA}", "unexpected character '\N{GREEK SMALL LETTER ALPHA}'", 4),
+    ("2 * - 3", "unexpected character '-'", 4),
+    ("(1 + 2", "expected ')'", 6),
+    ("(1 2)", "expected ')'", 3),
+    ("((1) x", "expected ')'", 5),
+    ("1 + 2)", "unexpected trailing input", 5),
+    ("5 5", "unexpected trailing input", 2),
+    ("(1) (2)", "unexpected trailing input", 4),
+    ("1 + 9223372036854775808", "integer literal out of 64-bit range", 4),
+    ("2 * (-9223372036854775809)", "integer literal out of 64-bit range", 5),
+    ("1" + " + 1" * 2000, "expression too long", 4096),
+]
+
+# every character class the grammar distinguishes, one non-ASCII letter included
+EXPR_ALPHABET = "0123456789+-*/() \tabxyzAXZ_\N{LATIN SMALL LETTER E WITH ACUTE}"
 
 
 def env_context(env: dict) -> Context:
@@ -81,25 +108,43 @@ class TestParser:
         ctx = env_context({"speed_2x": 4})
         assert eval_expr(parse_expr("speed_2x * 2"), ctx) == 8
 
-    @pytest.mark.parametrize(
-        "text,offset",
-        [
-            ("", 0),
-            ("   ", 3),
-            ("5 +", 3),
-            ("5 ++ 3", 3),
-            ("(1 + 2", 6),
-            ("1 + 2)", 5),
-            ("5 5", 2),
-            ("Speed", 0),
-            ("_x", 0),
-            ("1 + \N{GREEK SMALL LETTER ALPHA}", 4),
-        ],
-    )
-    def test_error_byte_offsets(self, text, offset):
+    # ids keep the "text-offset" form they had before the message was pinned;
+    # the one over-long text is cut to 40 characters
+    @pytest.mark.parametrize("text,message,offset", PARSE_ERRORS,
+                             ids=["%s-%d" % (text[:40], offset) for text, _, offset in PARSE_ERRORS])
+    def test_error_byte_offsets(self, text, message, offset):
         with pytest.raises(ParseError) as info:
             parse_expr(text)
         assert info.value.offset == offset
+        assert str(info.value) == "%s at offset %d" % (message, offset)
+
+    @pytest.mark.parametrize("text,printed", [
+        ("(" * 2000 + "1" + ")" * 2000, "1"),
+        ("1+(" * 900 + "1" + ")" * 900, "(1 + " * 900 + "1" + ")" * 900),
+        ("(" * 600 + "2" + " * 3)" * 600, "(" * 600 + "2" + " * 3)" * 600),
+    ], ids=["2000-parens", "900-right-nested-sums", "600-left-nested-products"])
+    def test_deep_nesting_parses(self, text, printed):
+        # PrintVisitor recurses, so print the deep tree with an explicit stack
+        out, stack = [], [parse_expr(text)]
+        while stack:
+            top = stack.pop()
+            if isinstance(top, str):
+                out.append(top)
+            elif isinstance(top, Binary):
+                stack += [")", top.right, " %s " % top.op, top.left, "("]
+            else:
+                out.append(top.accept(PrintVisitor()))
+        assert "".join(out) == printed
+
+    @settings(database=None, max_examples=400, deadline=None)
+    @given(st.text(alphabet=EXPR_ALPHABET, max_size=24))
+    def test_any_text_parses_to_a_printable_tree_or_fails_cleanly(self, text):
+        try:
+            node = parse_expr(text)
+        except ParseError as error:
+            assert 0 <= error.offset <= len(text.encode("utf-8"))
+            return
+        assert parse_expr(node.accept(PrintVisitor())) == node
 
     def test_literal_out_of_i64_range(self):
         with pytest.raises(ParseError):

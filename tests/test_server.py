@@ -184,6 +184,13 @@ class TestEval:
         )
         assert client.ask("EVAL 5 +") == "ERR EVAL unexpected end of input at offset 3"
 
+    @pytest.mark.parametrize("expr,value", [
+        ("(" * 2000 + "1" + ")" * 2000, 1),
+        ("1+(" * 900 + "1" + ")" * 900, 901),
+    ], ids=["2000-parens", "900-right-nested-sums"])
+    def test_deep_nesting_within_the_line_limit(self, server, connect, expr, value):
+        assert connect(server).ask("EVAL " + expr) == "OK %d" % value
+
     @pytest.mark.parametrize("line,reply", [
         *((template % token, "ERR PARSE")
           for template in ("LET x %s", "TEMP %s", "PRICE 100 fixed:%s", "PRICE 100 pct:%s")
