@@ -5,12 +5,12 @@ worker pool runs each session's lines through the verb chain, one task at
 a time, in arrival order.  The server is the reactor's event handler for
 its listener (`on_readable` accepts), and each session is the handler for
 its own connection.  One lock per session guards its inbox, output
-buffer, `busy` (a pool task owns the inbox), `flush_pending` and `state`,
-which only moves forward:
+buffer, `busy` (a pool task owns the inbox) and `state`, which only moves
+forward:
 
     OPEN      reading; each complete line joins the inbox
-    DRAINING  an over-long line arrived, or the peer sent EOF while work
-              was pending: reading stops, earlier lines still run
+    DRAINING  an over-long line arrived, or the peer sent EOF: reading
+              stops, earlier lines still run
     CLOSING   a close reply (QUIT's, the over-long line's ERR LIMIT, or
               the silent end of a half-closed session) is buffered;
               nothing after it runs or is sent
@@ -21,11 +21,13 @@ the session joins the chat room or can send a request, so no reply or
 event can precede it.  A framing error (invalid UTF-8, an over-long line)
 and the peer's EOF join the inbox in place of a request line, so every
 reply leaves in request order and a half-closed client still gets the
-replies to what it sent.  EOF on an idle session, or a failed `recv`,
-drops it at once.  The loop itself answers only the greeting, the
-connection-limit refusal and a bare QUIT on an idle session.  The first
-reply buffered since the last flush schedules one flush on the loop
-(`Reactor.call_soon`), so pipelined replies share it.  The flush sends
+replies to what it sent.  Only a failed `recv` drops a session at once.
+The loop itself answers only the greeting and the connection-limit
+refusal; every request, QUIT included, runs on the session's pool task,
+so each is counted, timed and logged alike.  A reply that finds the
+output buffer empty schedules one flush on the loop (`Reactor.call_soon`),
+so pipelined replies share it; a non-empty buffer already has a flush
+scheduled, or write interest waiting for the socket.  The flush sends
 straight from the loop and asks for write interest only when the socket
 takes less than the whole buffer.
 
@@ -87,7 +89,7 @@ class Session(EventHandler):
     """One connection's state and its reactor handler; mutated by at most
     one request at a time.
 
-    `lock` guards inbox, out_buffer, busy, flush_pending and state.  The
+    `lock` guards inbox, out_buffer, busy and state.  The
     loop reads `state` without it to decide what to read; `_enqueue`
     checks it again under the lock before anything joins the inbox."""
 
@@ -106,7 +108,6 @@ class Session(EventHandler):
         self.inbox: deque = deque()  # request lines, framing-error replies, _HANG_UP
         self.out_buffer = bytearray()
         self.busy = False  # a pool task owns the inbox
-        self.flush_pending = False
         self.state = OPEN
         self.writing = False  # loop thread only: a short send left bytes for on_writable
 
@@ -266,7 +267,7 @@ class EventsHandler(VerbHandler):
 
 
 class FallbackHandler(Handler):
-    """Chain tail: answers everything left over with UNKNOWN."""
+    """Answers every verb the chain leaves over with UNKNOWN."""
 
     def accepts(self, request) -> bool:
         return True
@@ -299,10 +300,12 @@ def build_chain(server: PatternServer, logger=None):
     """Assemble the verb chain in its fixed order and wrap it in middleware."""
     factory = ServerHandlerFactory(server)
     nodes = [create_handler(factory, kind) for kind in CHAIN_ORDER]
-    nodes.append(FallbackHandler())
     for node, successor in zip(nodes, nodes[1:]):
         node.set_successor(successor)
     return decorate_handler(nodes[0], MIDDLEWARE, logger)
+
+
+_FALLBACK = FallbackHandler()  # outside the middleware: unknown verbs leave no timing key
 
 
 def handle_line(session: Session, line: str):
@@ -315,7 +318,8 @@ def handle_line(session: Session, line: str):
         return Err("PARSE", str(exc))
     registry_instance().bump("requests")
     try:
-        return chain_handle(server.chain, request)  # FallbackHandler answers every verb
+        verdict = chain_handle(server.chain, request)
+        return _FALLBACK.answer(request) if verdict is None else verdict
     except WireError as exc:
         return Err("PARSE", str(exc))
     except Exception as exc:
@@ -441,11 +445,6 @@ class PatternServer(EventHandler):
             self._pump_lines(session)
             return
         # EOF: a half-closed peer still gets the replies to what it sent
-        with session.lock:
-            idle = not (session.busy or session.out_buffer or session.flush_pending)
-        if idle:
-            self._drop(session)
-            return
         self._enqueue(session, _HANG_UP)
         self._update_interest(session)
 
@@ -491,15 +490,10 @@ class PatternServer(EventHandler):
                 return
             if item is _LINE_TOO_LONG or item is _HANG_UP:
                 session.state = DRAINING
-            bare_quit = item == "QUIT" and not session.busy  # answered off the pool
-            if not bare_quit:
-                session.inbox.append(item)
-                if session.busy:
-                    return
-                session.busy = True
-        if bare_quit:
-            self._queue_reply(session, _BYE)
-            return
+            session.inbox.append(item)
+            if session.busy:
+                return
+            session.busy = True
         self.pool.submit(self._run_session_requests, session)  # never blocks: see the module docstring
 
     # -- request execution (worker threads) ---------------------------------
@@ -520,26 +514,24 @@ class PatternServer(EventHandler):
     # -- reply / event completion --------------------------------------------
 
     def _queue_reply(self, session: Session, reply):
-        """Any thread: buffer one reply; the first since the last flush
+        """Any thread: buffer one reply; one that finds the buffer empty
         schedules the next flush.  `_BYE`, `_LINE_TOO_LONG` and `_HANG_UP`
         close the session, and nothing is buffered after them."""
         data = b"" if reply is _HANG_UP else (self.family.render_reply(reply) + "\n").encode()
         with session.lock:
             if session.state >= CLOSING:
                 return
+            schedule = not session.out_buffer  # else a flush or write interest is pending
             session.out_buffer += data
             if reply is _BYE or reply is _LINE_TOO_LONG or reply is _HANG_UP:
                 session.state = CLOSING
-            if session.flush_pending:
-                return
-            session.flush_pending = True
-        self.reactor.call_soon(self._flush, session)
+        if schedule:
+            self.reactor.call_soon(self._flush, session)
 
     def _flush(self, session: Session):
         """Loop thread: send what is buffered, keeping write interest only
         while a short send leaves bytes behind."""
         with session.lock:
-            session.flush_pending = False
             if session.state == CLOSED:
                 return
             # send without the lock, so workers keep buffering replies meanwhile

@@ -47,9 +47,8 @@ class WriteCommand:
         doc.content += self.text
 
     def undo(self, doc: Document):
-        raw = doc.content.encode("utf-8")
-        keep = len(raw) - self.undo_info
-        doc.content = raw[:keep].decode("utf-8")
+        # history is LIFO and RESTORE clears it, so the content ends in self.text
+        doc.content = doc.content[:len(doc.content) - len(self.text)]
 
     def summary(self) -> str:
         return "write %d bytes" % self.undo_info

@@ -124,7 +124,8 @@ class LoggingHandler(Handler):
 
 
 class TimingHandler(Handler):
-    """Records elapsed milliseconds into the registry counters."""
+    """Records elapsed milliseconds of each handled request into the
+    registry counters; verdict passes unchanged."""
 
     def __init__(self, inner):
         super().__init__()
@@ -133,8 +134,9 @@ class TimingHandler(Handler):
     def handle(self, request):
         started = time.perf_counter()
         verdict = self._inner.handle(request)
-        elapsed_ms = int((time.perf_counter() - started) * 1000)
-        registry_instance().bump("elapsed_ms.%s" % _describe(request), elapsed_ms)
+        if verdict is not None:
+            elapsed_ms = int((time.perf_counter() - started) * 1000)
+            registry_instance().bump("elapsed_ms.%s" % _describe(request), elapsed_ms)
         return verdict
 
 

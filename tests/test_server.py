@@ -84,7 +84,7 @@ class TestGreetingAndAdmin:
         assert client.read_eof() == b""
 
     def test_bare_quit_on_fresh_session(self, server, connect):
-        # the idle-session shortcut answers without a pool round trip
+        # a QUIT with nothing before it runs on the session's pool task like any request
         client = connect(server)
         client.send_line("QUIT")
         assert client.read_line() == "OK bye"
@@ -106,6 +106,18 @@ class TestGreetingAndAdmin:
         assert quitter.read_line() == "OK bye"
         assert quitter.read_eof() == b""
         assert watcher.ask("PING") == "OK pong"
+
+    def test_bare_quit_is_counted_and_logged(self, make_server, tmp_path, connect):
+        log_path = tmp_path / "patternd.log"
+        server = make_server(log_path=str(log_path))
+        quitter = connect(server)
+        quitter.send_line("QUIT")
+        assert quitter.read_line() == "OK bye"
+        assert quitter.read_eof() == b""
+        assert log_path.read_text(encoding="utf-8").split()[-2:] == ["handled", "QUIT"]
+        pairs = dict(item.split("=") for item in connect(server).ask("STATS")[3:].split(" "))
+        assert pairs["requests"] == "2"  # the QUIT and this STATS
+        assert "elapsed_ms.QUIT" in pairs
 
     def test_unknown_verb_falls_off_the_chain(self, server, connect):
         assert connect(server).ask("BOGUS args") == "ERR UNKNOWN no handler for BOGUS"
@@ -139,6 +151,23 @@ class TestStats:
         client.ask("EVAL 1")
         keys = [item.split("=")[0] for item in client.ask("STATS")[3:].split(" ")]
         assert keys == sorted(keys)
+
+    def test_unknown_verbs_add_no_stats_keys(self, server, connect):
+        client = connect(server)
+        verbs = ["X" + "".join(chr(65 + n // 26 ** k % 26) for k in range(3))
+                 for n in range(2000)]
+        for start in range(0, len(verbs), 200):
+            batch = verbs[start:start + 200]
+            client.send_raw("".join(verb + "\n" for verb in batch).encode())
+            for verb in batch:
+                assert client.read_line() == "ERR UNKNOWN no handler for %s" % verb
+        reply = client.ask("STATS")
+        allowed = {"requests"} | {"elapsed_ms." + verb
+                                  for kind in server_module.ServerHandlerFactory.KINDS.values()
+                                  for verb in kind.verbs}
+        keys = {item.split("=")[0] for item in reply[3:].split(" ")}
+        assert keys <= allowed, sorted(keys - allowed)[:5]
+        assert "requests=2001" in reply.split(" ")
 
     def test_stats_subject_is_built_lazily(self, server, connect):
         client = connect(server)
@@ -533,14 +562,17 @@ class TestBackpressure:
         second.send_line("HOLD")
         third.send_line("PING")
         late = connect(server, timeout=2)
-        assert late.greeting.startswith("OK patternd")
+        assert late.greeting.startswith("OK patternd")  # the loop greets while the worker is held
         late.send_line("QUIT")
-        assert late.read_line() == "OK bye"
-        assert late.read_eof() == b""
+        sid = late.greeting.rsplit(" ", 1)[-1]
+        session = next(s for s in server.sessions.values() if s.sid == sid)
+        assert wait_until(lambda: list(session.inbox) == ["QUIT"])  # queued, not answered
         release.set()
         assert first.read_line() == "OK held"
         assert second.read_line() == "OK held"
         assert third.read_line() == "OK pong"
+        assert late.read_line() == "OK bye"
+        assert late.read_eof() == b""
         assert third.ask("PING") == "OK pong"
 
     def test_pipelining_into_a_saturated_pool_loses_no_reply(self, make_server):

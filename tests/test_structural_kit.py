@@ -170,6 +170,11 @@ class TestHandlerMiddleware:
         assert wrapped.handle(Request("PING")) is None
         assert logger.lines == []
 
+    def test_none_verdict_passes_through_untimed(self):
+        wrapped = decorate_handler(NeverAnswers(), middleware=("timing",))
+        assert wrapped.handle(Request("PING")) is None
+        assert registry_instance().snapshot() == {}
+
     def test_logging_middleware_logs_handled_requests(self):
         logger = RecordingLogger()
         wrapped = decorate_handler(AlwaysYes(), middleware=("logging",), logger=logger)
