@@ -333,12 +333,12 @@ class PatternServer(EventHandler):
     def __init__(self, config: ServerConfig):
         self.config = config
         self.family = create_protocol_family(config.family)
+        # opened first: a log that cannot be opened raises OSError before
+        # any thread or socket exists
+        self.log_sink = FileLogSink(config.log_path) if config.log_path else None
+        self.logger = adapt_logger(self.log_sink) if self.log_sink else NullLogger()
         self.pool = ThreadPool(config.workers, config.max_conns)
         self.reactor = Reactor()
-        if config.log_path:
-            self.logger = adapt_logger(FileLogSink(config.log_path))
-        else:
-            self.logger = NullLogger()
         self.temperature = Subject(logger=self.logger)
         self.chat = ChatRoom()
         self.stats_proxy = LazyStatsProxy(RegistryStats)
@@ -369,6 +369,11 @@ class PatternServer(EventHandler):
             self.reactor.run(max_wait)
         finally:
             self.pool.shutdown("drain")
+            self.close_log()
+
+    def close_log(self):
+        if self.log_sink is not None:
+            self.log_sink.close()
 
     def start_background(self, max_wait: float = 0.05):
         if self.listener is None:
@@ -558,12 +563,18 @@ class PatternServer(EventHandler):
 
 def serve(config: ServerConfig) -> int:
     """Run patternd until interrupted; returns a process exit status."""
-    server = PatternServer(config)
+    try:
+        server = PatternServer(config)
+    except OSError as exc:
+        print("patternd: cannot open log %s: %s" % (config.log_path, exc.strerror),
+              file=sys.stderr)
+        return 1
     try:
         server.bind()
     except OSError as exc:
         server.reactor.close()
         server.pool.shutdown("now")
+        server.close_log()
         print("patternd: cannot bind port %d: %s" % (config.port, exc), file=sys.stderr)
         return 1
     print("patternd listening on 127.0.0.1:%d" % server.port, file=sys.stderr)

@@ -4,6 +4,7 @@ bridge renderers."""
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -25,18 +26,27 @@ class LegacyLogSink:
 
 
 class FileLogSink:
-    """Legacy-interface sink writing `<unix-millis> <level> <message>` lines."""
+    """Legacy-interface sink: opens its file once, in append mode, and writes
+    each `<unix-millis> <level> <message>` line whole before `write_log` returns."""
 
     def __init__(self, path: str, level: str = "INFO"):
-        self._path = path
         self._level = level
         self._lock = threading.Lock()
+        self._fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT | os.O_CLOEXEC, 0o666)
 
     def write_log(self, message: str):
-        line = "%d %s %s\n" % (int(time.time() * 1000), self._level, message)
+        with self._lock:  # stamp under the lock, so stamps never go backwards in the file
+            data = ("%d %s %s\n" % (int(time.time() * 1000), self._level, message)).encode()
+            while data:
+                data = data[os.write(self._fd, data):]
+
+    def close(self):
+        """Close the file; idempotent, so a stale descriptor number is never
+        closed twice."""
         with self._lock:
-            with open(self._path, "a", encoding="utf-8") as fh:
-                fh.write(line)
+            if self._fd >= 0:
+                os.close(self._fd)
+                self._fd = -1
 
 
 class _LoggerAdapter:

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import os
 import random
 import re
 import socket
@@ -14,6 +15,7 @@ import pytest
 
 from conftest import LineClient
 from patternkit import server as server_module
+from patternkit.creational import ConfigBuilder
 from patternkit.expr import Number
 from patternkit.server import CHAIN_ORDER, CLOSED, OPEN, PatternServer, Session, main
 from patternkit.wire import Err, Evt, JsonFamily, Ok, TextFamily
@@ -783,6 +785,59 @@ class TestHousekeeping:
         stamps = [int(line.split(" ", 1)[0]) for line in lines]
         assert stamps == sorted(stamps)
 
+    def test_request_log_is_opened_once(self, make_server, tmp_path, connect):
+        log_path = tmp_path / "patternd.log"
+        moved = tmp_path / "patternd.log.1"
+        server = make_server(log_path=str(log_path))
+        client = connect(server)
+        assert client.ask("PING") == "OK pong"
+        log_path.rename(moved)
+        assert client.ask("PING") == "OK pong"
+        assert not log_path.exists()
+        lines = moved.read_text(encoding="utf-8").splitlines()
+        assert [line.split(" ", 1)[1] for line in lines] == ["INFO handled PING"] * 2
+
+    def test_request_log_has_one_record_per_pipelined_request(self, make_server, tmp_path):
+        log_path = tmp_path / "patternd.log"
+        server = make_server(log_path=str(log_path), workers=4)
+        rng = random.Random(11)
+        requests = ["PING", "EVAL 1+2", "LET x 3", "WRITE a", "SHOW", "UNDO", "SNAPSHOT",
+                    "PRICE 100 none", "PLAY", "PAUSE", "STOP", "STATS", "SAY hi"]
+        clients = [LineClient(server.port) for _ in range(2)]
+        try:
+            sent = [[rng.choice(requests) for _ in range(500)] for _ in clients]
+            for client, lines in zip(clients, sent):
+                client.send_raw("".join(line + "\n" for line in lines).encode())
+            for client in clients:
+                replies = 0
+                while replies < 500:
+                    replies += not client.read_line().startswith("EVT ")
+        finally:
+            for client in clients:
+                client.close()
+        records = log_path.read_text(encoding="utf-8").splitlines()
+        pattern = re.compile(r"^(\d{13,}) INFO handled ([A-Z]+)$")
+        matches = [pattern.match(record) for record in records]
+        assert all(matches)
+        assert sorted(m.group(2) for m in matches) == sorted(
+            line.split(" ", 1)[0] for lines in sent for line in lines)
+        stamps = [int(m.group(1)) for m in matches]
+        assert stamps == sorted(stamps)
+
+    def test_unopenable_log_raises_before_any_thread_starts(self, tmp_path):
+        config = ConfigBuilder().port(0).log_path(str(tmp_path / "missing" / "x.log")).build()
+        threads = threading.active_count()
+        with pytest.raises(OSError):
+            PatternServer(config)
+        assert threading.active_count() == threads
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_stopped_servers_leave_no_log_descriptor(self, make_server, tmp_path):
+        descriptors = len(os.listdir("/proc/self/fd"))
+        for _ in range(20):
+            make_server(log_path=str(tmp_path / "patternd.log")).stop()
+        assert len(os.listdir("/proc/self/fd")) == descriptors
+
 
 class TestFuzzSmoke:
     def test_random_lines_never_crash_the_session(self, server, connect):
@@ -818,3 +873,10 @@ class TestEntryPoint:
         # the fixture server already owns its port
         assert main(["--port", str(server.port)]) == 1
         assert "" != capsys.readouterr().err
+
+    def test_unopenable_log_exits_1(self, server, tmp_path, capsys):
+        # the port is taken too, so a server that opened no log first would
+        # still exit 1, but on the bind
+        bad = str(tmp_path / "missing" / "x.log")
+        assert main(["--port", str(server.port), "--log", bad]) == 1
+        assert bad in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 import threading
 
 import pytest
@@ -63,6 +64,7 @@ class TestAdapter:
         sink = FileLogSink(str(path))
         adapt_logger(sink).log_message("hello world")
         sink.write_log("second")
+        sink.close()
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2
         pattern = re.compile(r"^(\d{13,}) INFO (.+)$")
@@ -74,8 +76,38 @@ class TestAdapter:
 
     def test_file_log_sink_level_override(self, tmp_path):
         path = tmp_path / "warn.log"
-        FileLogSink(str(path), level="WARN").write_log("careful")
+        sink = FileLogSink(str(path), level="WARN")
+        sink.write_log("careful")
+        sink.close()
         assert " WARN careful" in path.read_text(encoding="utf-8")
+
+    def test_file_log_sink_stamps_never_go_backwards(self, tmp_path):
+        path = tmp_path / "busy.log"
+        sink = FileLogSink(str(path))
+
+        def write(t):
+            for i in range(2000):
+                sink.write_log("t%d-%d" % (t, i))
+        threads = [threading.Thread(target=write, args=(t,)) for t in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+            sink.close()
+        assert not any(thread.is_alive() for thread in threads)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        pattern = re.compile(r"^(\d{13,}) INFO (t\d-\d+)$")
+        matches = [pattern.match(line) for line in lines]
+        assert all(matches)
+        assert sorted(m.group(2) for m in matches) == sorted(
+            "t%d-%d" % (t, i) for t in range(8) for i in range(2000))
+        stamps = [int(m.group(1)) for m in matches]
+        assert stamps == sorted(stamps)
 
     def test_payment_adapter(self):
         adapter = PaymentAdapter(OldPaymentSystem())
