@@ -120,15 +120,44 @@ def _apply_binary(op: str, left: int, right: int) -> int:
 
 
 def eval_expr(e: Expr, ctx: Context | None = None) -> int:
-    """Direct recursive interpretation; division truncates toward zero."""
+    """Checked evaluation; division truncates toward zero.
+
+    A tree too deep for the caller's remaining call stack is walked again
+    with an explicit stack, so the answer never depends on the thread or
+    on how deep the caller already is."""
     ctx = ctx if ctx is not None else Context()
+    try:
+        return _eval(e, ctx)
+    except RecursionError:
+        return _eval_on_heap(e, ctx)
+
+
+def _eval(e: Expr, ctx: Context) -> int:
+    """Direct recursive interpretation."""
     if isinstance(e, Number):
         return e.value
     if isinstance(e, Variable):
         return ctx.value_of(e.name)
     if isinstance(e, Binary):
-        return _apply_binary(e.op, eval_expr(e.left, ctx), eval_expr(e.right, ctx))
+        return _apply_binary(e.op, _eval(e.left, ctx), _eval(e.right, ctx))
     raise EvalError("not an expression node: %r" % (e,))
+
+
+def _eval_on_heap(e: Expr, ctx: Context) -> int:
+    """Post-order walk on an explicit stack: left subtree, right subtree,
+    then the operator, so the first error raised is `_eval`'s."""
+    values: list[int] = []
+    pending = [(e, False)]
+    while pending:
+        node, operands_ready = pending.pop()
+        if operands_ready:
+            right = values.pop()
+            values.append(_apply_binary(node.op, values.pop(), right))
+        elif isinstance(node, Binary):
+            pending += ((node, True), (node.right, False), (node.left, False))
+        else:
+            values.append(_eval(node, ctx))
+    return values[0]
 
 
 class ExprVisitor:

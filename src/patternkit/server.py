@@ -1,14 +1,23 @@
 """The patternd TCP service.
 
-The reactor thread owns every endpoint and frames request lines; the
-worker pool runs each session's lines through the verb chain, one task at
-a time, in arrival order.  The server is the reactor's event handler for
-its listener (`on_readable` accepts), and each session is the handler for
-its own connection.  One lock per session guards its inbox, output
-buffer, `busy` (a pool task owns the inbox) and `state`, which only moves
-forward:
+The reactor thread owns every endpoint and frames request lines.  It
+answers a request itself when the session is idle (no pool task owns it,
+so its inbox is empty) and the verb's cost is bounded by the line limit or
+the connection cap: every verb but the document verbs (`LOOP_VERBS`).  The
+worker pool runs everything else through the verb chain, one task per
+session at a time, in arrival order: the document verbs, whose cost grows
+with the document, unknown verbs, lines that fail to parse, and every line
+that arrives while the session's task is queued or running.  One `TEMP` or
+`SAY` fans out to every watcher, so the loop stops answering once a
+callback has buffered `LOOP_REPLY_BUDGET` replies and events; the rest of
+that read joins the inbox for the pool, where the loop still gets the GIL
+between the worker's slices.  Either way a request is counted, timed and
+logged alike.  The server is the reactor's event handler for its listener
+(`on_readable` accepts), and each session is the handler for its own
+connection.  One lock per session guards its inbox, output buffer, `busy`
+(a pool task owns the inbox) and `state`, which only moves forward:
 
-    OPEN      reading; each complete line joins the inbox
+    OPEN      reading; each complete line is answered or joins the inbox
     DRAINING  an over-long line arrived, or the peer sent EOF: reading
               stops, earlier lines still run
     CLOSING   a close reply (QUIT's, the over-long line's ERR LIMIT, or
@@ -22,14 +31,16 @@ event can precede it.  A framing error (invalid UTF-8, an over-long line)
 and the peer's EOF join the inbox in place of a request line, so every
 reply leaves in request order and a half-closed client still gets the
 replies to what it sent.  Only a failed `recv` drops a session at once.
-The loop itself answers only the greeting and the connection-limit
-refusal; every request, QUIT included, runs on the session's pool task,
-so each is counted, timed and logged alike.  A reply that finds the
-output buffer empty schedules one flush on the loop (`Reactor.call_soon`),
-so pipelined replies share it; a non-empty buffer already has a flush
-scheduled, or write interest waiting for the socket.  The flush sends
-straight from the loop and asks for write interest only when the socket
-takes less than the whole buffer.
+
+Replies and events buffered during one reactor callback (a read, or the
+accept that buffers the greeting) are flushed once per session when the
+callback returns, so a pipelined burst answered on the loop costs one
+send.  A reply from a pool task that finds the output buffer empty
+schedules one flush on the loop (`Reactor.call_soon`), so pipelined
+replies share it; a non-empty buffer already has a flush pending, or
+write interest waiting for the socket.
+The flush sends straight from the loop and asks for write interest only
+when the socket takes less than the whole buffer.
 
 A session holds its connection slot until it no longer owns a pool task.
 Dropping it closes the socket, leaves the chat room and marks it CLOSED;
@@ -63,8 +74,8 @@ from .session_commands import (Caretaker, Document, EmptyHistoryError, UnknownSn
                                undo_last)
 from .structural_kit import (MIDDLEWARE, FileLogSink, LazyStatsProxy, NullLogger, RegistryStats,
                              adapt_logger, decorate_handler)
-from .wire import (I64_MAX, MAX_REQUEST_BYTES, PROTOCOL_VERSION, Err, Evt, Ok, WireError,
-                   escape_doc, format_money, is_ident, parse_i64)
+from .wire import (I64_MAX, MAX_BINDINGS, MAX_REQUEST_BYTES, PROTOCOL_VERSION, Err, Evt, Ok,
+                   WireError, escape_doc, format_money, is_ident, parse_i64)
 
 _session_ids = itertools.count(1)
 
@@ -112,7 +123,7 @@ class Session(EventHandler):
         self.writing = False  # loop thread only: a short send left bytes for on_writable
 
     def on_readable(self, conn):
-        self.server._receive(self)
+        self.server._batched(self.server._receive, self)
 
     def on_writable(self, conn):
         self.server._flush(self)
@@ -165,7 +176,11 @@ class EvalHandler(VerbHandler):
         name, raw = tokens
         if not is_ident(name):
             raise WireError("bad variable name %r" % name)
-        session.ctx = session.ctx.bind(name, parse_i64(raw))
+        value = parse_i64(raw)
+        bindings = session.ctx.bindings
+        if name not in bindings and len(bindings) >= MAX_BINDINGS:
+            return Err("LIMIT", "too many variables")
+        session.ctx = session.ctx.bind(name, value)
         return Ok()
 
 
@@ -295,6 +310,14 @@ class ServerHandlerFactory(HandlerFactory):
 
 CHAIN_ORDER = tuple(ServerHandlerFactory.KINDS)
 
+# verbs the loop answers on an idle session: each kind's cost is bounded by
+# the line limit or the connection cap, except the document's
+LOOP_VERBS = frozenset(verb for kind, cls in ServerHandlerFactory.KINDS.items()
+                       if kind != "doc" for verb in cls.verbs)
+# replies and events the loop may buffer in one callback before the rest of
+# the read goes to the pool: one TEMP or SAY fans out to every watcher
+LOOP_REPLY_BUDGET = 256
+
 
 def build_chain(server: PatternServer, logger=None):
     """Assemble the verb chain in its fixed order and wrap it in middleware."""
@@ -326,6 +349,15 @@ def handle_line(session: Session, line: str):
         return Err("INTERNAL", "unexpected failure: %s" % exc)
 
 
+class _LoopBatch(threading.local):
+    """The sessions given a reply during one reactor callback, each flushed
+    once when it returns (None on other threads and between callbacks), and
+    the number of replies and events buffered so far."""
+
+    sessions = None
+    replies = 0
+
+
 class PatternServer(EventHandler):
     """Composition root wiring the pool, reactor, chain, and event fan-out;
     the reactor's handler for the listener."""
@@ -344,6 +376,7 @@ class PatternServer(EventHandler):
         self.stats_proxy = LazyStatsProxy(RegistryStats)
         self.chain = build_chain(self, logger=self.logger)
         self.sessions: dict = {}
+        self._batch = _LoopBatch()
         self.listener = None
         self.port = None
         self._loop_thread = None
@@ -392,6 +425,21 @@ class PatternServer(EventHandler):
     # -- connection plumbing (loop thread) ----------------------------------
 
     def on_readable(self, listener):
+        self._batched(self._accept, listener)
+
+    def _batched(self, callback, endpoint):
+        """Loop thread: run one reactor callback, then flush once each
+        session that it gave a reply or an event."""
+        batch = self._batch
+        batch.sessions, batch.replies = [], 0
+        try:
+            callback(endpoint)
+        finally:
+            flushes, batch.sessions = batch.sessions, None
+            for session in flushes:
+                self._flush(session)
+
+    def _accept(self, listener):
         try:
             conn, _ = listener.accept()
         except OSError:
@@ -410,7 +458,9 @@ class PatternServer(EventHandler):
         session = Session(conn, self)
         self.sessions[conn] = session
         self.reactor.register(conn, READ, session)
-        # greet before joining the room, so no chat event can precede the greeting
+        # greet before joining the room, so no chat event can precede the
+        # greeting; `_batched` sends it after the join, so a failed send
+        # drops a session that is already a member and it leaves the room
         self._queue_reply(session, Ok("patternd %d %s" % (PROTOCOL_VERSION, session.sid)))
         self.chat.join(session.sid, lambda line: self._queue_reply(session, Evt("chat " + line)))
 
@@ -483,8 +533,18 @@ class PatternServer(EventHandler):
             self._update_interest(session)
 
     def _enqueue_request(self, session: Session, line: str):
-        """Loop thread: queue one decoded request line.  Framing errors
-        take `_enqueue` directly, so every call here is a request."""
+        """Loop thread: answer one decoded request line here when its verb
+        is a loop verb and the session is idle, else queue it for the pool.
+        Framing errors take `_enqueue` directly, so every call here is a
+        request."""
+        if (line.partition(" ")[0] in LOOP_VERBS
+                and self._batch.replies < LOOP_REPLY_BUDGET):
+            with session.lock:
+                # a task clears `busy` only once the inbox is empty
+                idle = session.state == OPEN and not session.busy
+            if idle:
+                self._queue_reply(session, handle_line(session, line))
+                return
         self._enqueue(session, line)
 
     def _enqueue(self, session: Session, item):
@@ -520,8 +580,9 @@ class PatternServer(EventHandler):
 
     def _queue_reply(self, session: Session, reply):
         """Any thread: buffer one reply; one that finds the buffer empty
-        schedules the next flush.  `_BYE`, `_LINE_TOO_LONG` and `_HANG_UP`
-        close the session, and nothing is buffered after them."""
+        schedules the next flush, at the end of the loop's current callback
+        or through the reactor.  `_BYE`, `_LINE_TOO_LONG` and `_HANG_UP` close
+        the session, and nothing is buffered after them."""
         data = b"" if reply is _HANG_UP else (self.family.render_reply(reply) + "\n").encode()
         with session.lock:
             if session.state >= CLOSING:
@@ -530,7 +591,12 @@ class PatternServer(EventHandler):
             session.out_buffer += data
             if reply is _BYE or reply is _LINE_TOO_LONG or reply is _HANG_UP:
                 session.state = CLOSING
-        if schedule:
+        batch = self._batch
+        if batch.sessions is not None:
+            batch.replies += 1
+            if schedule:
+                batch.sessions.append(session)
+        elif schedule:
             self.reactor.call_soon(self._flush, session)
 
     def _flush(self, session: Session):

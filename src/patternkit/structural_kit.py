@@ -119,7 +119,10 @@ def decorate_cost(base, layer: str):
 
 
 class LoggingHandler(Handler):
-    """Emits one log record per handled request; verdict passes unchanged."""
+    """Emits one log record per handled request; verdict passes unchanged.
+
+    The request is already applied when its record is written, so a record
+    that cannot be written is counted as `log_errors`, not answered."""
 
     def __init__(self, inner, logger):
         super().__init__()
@@ -129,7 +132,10 @@ class LoggingHandler(Handler):
     def handle(self, request):
         verdict = self._inner.handle(request)
         if verdict is not None:
-            self._logger.log_message("handled %s" % _describe(request))
+            try:
+                self._logger.log_message("handled %s" % _describe(request))
+            except OSError:
+                registry_instance().bump("log_errors")
         return verdict
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 ERROR_CODES = frozenset({"EVAL", "EMPTY", "UNKNOWN", "PARSE", "STATE", "LIMIT", "INTERNAL"})
 MAX_REQUEST_BYTES = 4096
+MAX_BINDINGS = 1024  # variable names one session may bind with LET
 PROTOCOL_VERSION = 1
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1

@@ -1,6 +1,7 @@
 """Expression AST: parser, two evaluation routes, printer, pool, cursor."""
 
 import random
+import re
 import threading
 
 import pytest
@@ -32,6 +33,7 @@ from patternkit.expr import (
     PrintVisitor,
     Rectangle,
     Variable,
+    _eval_on_heap,
     eval_expr,
     parse_expr,
     preorder_nodes,
@@ -198,6 +200,35 @@ class TestEvaluation:
     def test_rebinding_shadows(self):
         ctx = Context().bind("x", 1).bind("x", 9)
         assert eval_expr(parse_expr("x"), ctx) == 9
+
+    @pytest.mark.parametrize("text,value", [
+        ("+".join(["1"] * 2048), 2048),
+        ("1-(" * 1023 + "1" + ")" * 1023, 0),
+        ("(" * 1023 + "2" + "*1)" * 1023, 2),
+    ], ids=["2048-left-spine", "1023-right-nested-differences", "1023-left-nested-products"])
+    def test_trees_deeper_than_the_call_stack_evaluate(self, text, value):
+        assert eval_expr(parse_expr(text)) == value
+
+    def test_a_deep_tree_raises_its_leftmost_error(self):
+        # the heap walk must fail where the recursive walk would: left first
+        deep = "+".join(["1"] * 2000)
+        with pytest.raises(EvalError, match="unbound variable 'nope'"):
+            eval_expr(parse_expr("nope + 1/0 + " + deep))
+        with pytest.raises(EvalError, match="division by zero"):
+            eval_expr(parse_expr("1/0 + nope + " + deep))
+
+    def test_the_heap_walk_agrees_with_the_recursive_walk(self):
+        rng = random.Random(20261018)
+        for _ in range(500):
+            node = parse_expr(tree_to_text(random_tree(rng, max_depth=5)))
+            ctx = env_context(random_env(rng))
+            try:
+                expected = eval_expr(node, ctx)
+            except EvalError as exc:
+                with pytest.raises(EvalError, match="^%s$" % re.escape(str(exc))):
+                    _eval_on_heap(node, ctx)
+                continue
+            assert _eval_on_heap(node, ctx) == expected
 
 
 def test_random_trees_match_reference_evaluator():

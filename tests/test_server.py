@@ -18,11 +18,12 @@ from patternkit import server as server_module
 from patternkit.creational import ConfigBuilder
 from patternkit.expr import Number
 from patternkit.server import CHAIN_ORDER, CLOSED, OPEN, PatternServer, Session, main
-from patternkit.wire import Err, Evt, JsonFamily, Ok, TextFamily
+from patternkit.wire import MAX_BINDINGS, Err, Evt, JsonFamily, Ok, TextFamily
 
 
-# a request slow enough that the loop frames the next line before it is answered
-SLOW_EVAL = b"EVAL " + b"+".join([b"1"] * 700) + b"\n"
+# a document verb, which the pool runs, then a request slow enough that the
+# loop frames the next line before either is answered
+SLOW_POOLED = b"WRITE x\nEVAL " + b"+".join([b"1"] * 700) + b"\n"
 
 
 def wait_until(predicate, timeout=5.0):
@@ -32,6 +33,24 @@ def wait_until(predicate, timeout=5.0):
             return True
         time.sleep(0.01)
     return predicate()
+
+
+@pytest.fixture
+def submits(monkeypatch):
+    """`track(server)` returns the list of tasks its pool is given from then on."""
+
+    def track(server):
+        tasks = []
+        submit = server.pool.submit
+
+        def counting(fn, *args):
+            tasks.append(fn)
+            return submit(fn, *args)
+
+        monkeypatch.setattr(server.pool, "submit", counting)
+        return tasks
+
+    return track
 
 
 @pytest.fixture
@@ -86,28 +105,30 @@ class TestGreetingAndAdmin:
         assert client.read_eof() == b""
 
     def test_bare_quit_on_fresh_session(self, server, connect):
-        # a QUIT with nothing before it runs on the session's pool task like any request
+        # a QUIT on an idle session is answered on the loop like any loop verb
         client = connect(server)
         client.send_line("QUIT")
         assert client.read_line() == "OK bye"
         assert client.read_eof() == b""
 
-    @pytest.mark.parametrize("payload", [b"PING\nQUIT\nSAY x\nTEMP 5\n",
+    @pytest.mark.parametrize("payload", [b"WRITE a\nQUIT\nSAY x\nTEMP 5\n",
                                          b"QUIT\nSAY x\nTEMP 5\n"],
                              ids=["after-pool-quit", "after-bare-quit"])
     def test_nothing_runs_after_quit(self, make_server, connect, payload):
-        # one worker: the watcher's PING runs after anything the quitter's
-        # task runs, so a stray event would arrive ahead of its reply
+        # WRITE puts the quitter's lines on the only worker's task; a bare
+        # QUIT is answered on the loop.  The watcher's SHOW is a document
+        # verb, so its task runs after the quitter's, and a stray event
+        # would arrive ahead of its reply.
         server = make_server(workers=1)
         watcher = connect(server)
         assert watcher.ask("WATCH temp") == "OK"
         quitter = connect(server)
         quitter.send_raw(payload)
-        if payload.startswith(b"PING"):
-            assert quitter.read_line() == "OK pong"
+        if payload.startswith(b"WRITE"):
+            assert quitter.read_line() == "OK 1"
         assert quitter.read_line() == "OK bye"
         assert quitter.read_eof() == b""
-        assert watcher.ask("PING") == "OK pong"
+        assert watcher.ask("SHOW") == "OK"
 
     def test_bare_quit_is_counted_and_logged(self, make_server, tmp_path, connect):
         log_path = tmp_path / "patternd.log"
@@ -239,6 +260,16 @@ class TestEval:
         assert client.ask("LET 9x 5") == "ERR PARSE bad variable name '9x'"
         assert client.ask("LET Up 5") == "ERR PARSE bad variable name 'Up'"
         assert client.ask("LET x 1.5") == "ERR PARSE not an integer: '1.5'"
+
+    def test_let_caps_the_number_of_names(self, server, connect):
+        client = connect(server)
+        client.send_raw(b"".join(b"LET v%d %d\n" % (n, n) for n in range(MAX_BINDINGS)))
+        assert [client.read_line() for _ in range(MAX_BINDINGS)] == ["OK"] * MAX_BINDINGS
+        assert client.ask("LET extra 1") == "ERR LIMIT too many variables"
+        assert client.ask("EVAL extra").startswith("ERR EVAL unbound variable")
+        assert client.ask("LET v0 7") == "OK"  # rebinding adds no name
+        assert client.ask("EVAL v0 + v1023") == "OK 1030"
+        assert connect(server).ask("LET extra 1") == "OK"  # the cap is per session
 
     @pytest.mark.parametrize("name,valid", [
         ("a", True), ("x_1", True), ("_x", False), ("1x", False), ("Xy", False),
@@ -498,16 +529,18 @@ class TestFraming:
 
     def test_oversized_tail_is_refused_after_earlier_replies(self, server, connect):
         client = connect(server)
-        client.send_raw(SLOW_EVAL + b"a" * 5000)
+        client.send_raw(SLOW_POOLED + b"a" * 5000)
+        assert client.read_line() == "OK 1"
         assert client.read_line() == "OK 700"
         assert client.read_line() == "ERR LIMIT request line too long"
         assert client.read_eof() == b""
 
     def test_half_closed_client_gets_its_pending_replies(self, server, connect):
-        # the EOF arrives while the EVAL still runs (nc -N, shutdown(SHUT_WR))
+        # the EOF arrives while the pool still runs them (nc -N, shutdown(SHUT_WR))
         client = connect(server)
-        client.send_raw(SLOW_EVAL)
+        client.send_raw(SLOW_POOLED)
         client.sock.shutdown(socket.SHUT_WR)
+        assert client.read_line() == "OK 1"
         assert client.read_line() == "OK 700"
         assert client.read_eof() == b""
 
@@ -519,7 +552,8 @@ class TestFraming:
 
     def test_invalid_utf8_is_answered_in_request_order(self, server, connect):
         client = connect(server)
-        client.send_raw(SLOW_EVAL + b"\xff\n")
+        client.send_raw(SLOW_POOLED + b"\xff\n")
+        assert client.read_line() == "OK 1"
         assert client.read_line() == "OK 700"
         assert client.read_line() == "ERR PARSE request is not valid UTF-8"
 
@@ -565,14 +599,15 @@ class TestBackpressure:
         third.send_line("PING")
         late = connect(server, timeout=2)
         assert late.greeting.startswith("OK patternd")  # the loop greets while the worker is held
-        late.send_line("QUIT")
+        late.send_raw(b"SHOW\nQUIT\n")  # a document verb needs the pool; QUIT waits behind it
         sid = late.greeting.rsplit(" ", 1)[-1]
         session = next(s for s in server.sessions.values() if s.sid == sid)
-        assert wait_until(lambda: list(session.inbox) == ["QUIT"])  # queued, not answered
+        assert wait_until(lambda: list(session.inbox) == ["SHOW", "QUIT"])  # queued, not answered
         release.set()
         assert first.read_line() == "OK held"
         assert second.read_line() == "OK held"
         assert third.read_line() == "OK pong"
+        assert late.read_line() == "OK"
         assert late.read_line() == "OK bye"
         assert late.read_eof() == b""
         assert third.ask("PING") == "OK pong"
@@ -585,10 +620,14 @@ class TestBackpressure:
 
         def drive(client, base):
             try:
+                # each WRITE goes to the pool and each EVAL to the loop unless
+                # it arrives while the session's pool task still runs
                 for batch in range(4):
                     start = base + batch * 50
-                    client.send_raw(b"".join(b"EVAL %d\n" % n for n in range(start, start + 50)))
+                    client.send_raw(b"".join(b"WRITE x\nEVAL %d\n" % n
+                                             for n in range(start, start + 50)))
                     for n in range(start, start + 50):
+                        assert client.read_line() == "OK %d" % (n - base + 1)
                         assert client.read_line() == "OK %d" % n
             except Exception as exc:  # reported below, from the test thread
                 errors.append(exc)
@@ -641,7 +680,7 @@ class TestConnectionSlots:
         assert entered.wait(5)
         queued = [connect(server) for _ in range(3)]
         for client in queued:
-            client.send_line("PING")
+            client.send_raw(b"SHOW\nQUIT\n")  # a document verb needs the pool; QUIT waits behind it
         assert wait_until(lambda: len(server.pool._queue) == 3)
         started = time.monotonic()
         refused = connect(server, timeout=2)
@@ -649,7 +688,116 @@ class TestConnectionSlots:
         assert time.monotonic() - started < 1
         release.set()
         assert holder.read_line() == "OK held"
-        assert [client.read_line() for client in queued] == ["OK pong"] * 3
+        assert [[client.read_line(), client.read_line()] for client in queued] == [
+            ["OK", "OK bye"]] * 3
+
+
+class TestLoopAndPool:
+    """The loop answers loop verbs on an idle session; the pool runs the rest."""
+
+    def test_loop_verbs_are_answered_while_the_only_worker_is_held(self, make_server,
+                                                                    connect, hold):
+        entered, release = hold
+        server = make_server(workers=1)
+        holder = connect(server)
+        holder.send_line("HOLD")
+        assert entered.wait(5)
+        other = connect(server, timeout=1)
+        for line, reply in [("PING", "OK pong"), ("EVAL 1+2", "OK 3"),
+                            ("PRICE 100 none", "OK 100.0")]:
+            started = time.monotonic()
+            assert other.ask(line) == reply
+            assert time.monotonic() - started < 1
+        release.set()
+        assert holder.read_line() == "OK held"
+
+    def test_loop_verbs_submit_nothing_to_the_pool(self, server, connect, submits):
+        tasks = submits(server)
+        client = connect(server)
+        cycle = [("PING", "OK pong"), ("EVAL 1+2", "OK 3"), ("LET x 5", "OK"),
+                 ("PRICE 100 none", "OK 100.0"), ("PLAY", "OK Starting playback."),
+                 ("STOP", "OK Stopping the player.")]
+        # bursts of 60 stay inside the loop's per-read budget
+        lines = [cycle[n % len(cycle)] for n in range(60)]
+        for _ in range(8):
+            client.send_raw("".join(line + "\n" for line, _ in lines).encode())
+            assert [client.read_line() for _ in lines] == [reply for _, reply in lines]
+        assert tasks == []
+        client.send_raw(b"PING\nWRITE ab\nPING\n")
+        assert [client.read_line() for _ in range(3)] == ["OK pong", "OK 2", "OK pong"]
+        assert len(tasks) == 1
+
+    def test_replies_cross_loop_and_pool_in_request_order(self, server, connect):
+        client = connect(server)
+        burst = b"PING\nWRITE ab\nPING\nSHOW\nEVAL 2*3\nUNDO\nLET x 1\nEVAL x+1\n"
+        expected = ["OK pong", "OK 2", "OK pong", "OK ab", "OK 6", "OK", "OK", "OK 2"]
+        for _ in range(20):
+            client.send_raw(burst)
+            assert [client.read_line() for _ in expected] == expected
+
+    def test_temp_on_the_loop_sends_each_watcher_one_event(self, server, connect, submits):
+        watchers = [connect(server) for _ in range(3)]
+        for watcher in watchers:
+            assert watcher.ask("WATCH temp") == "OK"
+        tasks = submits(server)
+        assert connect(server).ask("TEMP 19") == "OK"
+        assert tasks == []
+        for watcher in watchers:
+            sid = watcher.greeting.rsplit(" ", 1)[-1]
+            assert watcher.read_line() == (
+                "EVT temp %s: The current temperature is 19.0\N{DEGREE SIGN}C" % sid
+            )
+            assert watcher.ask("PING") == "OK pong"  # no second event ahead of it
+
+    def test_deep_eval_leaves_the_loop_serving(self, server, connect):
+        client = connect(server)
+        client.send_line("EVAL " + "+".join(["1"] * 1500))
+        assert client.read_line() == "OK 1500"
+        started = time.monotonic()
+        assert connect(server, timeout=1).ask("PING") == "OK pong"
+        assert time.monotonic() - started < 1
+        assert client.ask("PING") == "OK pong"
+
+
+    @pytest.mark.parametrize("expr,value", [
+        ("1+(" * 980 + "1" + ")" * 980, 981),
+        ("+".join(["1"] * 2040), 2040),
+    ], ids=["980-right-nested-sums", "2040-left-spine"])
+    @pytest.mark.parametrize("prefix,replies", [("", []), ("WRITE x\n", ["OK 1"])],
+                             ids=["on-the-loop", "on-the-pool"])
+    def test_deep_eval_answers_alike_on_either_thread(self, server, connect, expr, value,
+                                                      prefix, replies):
+        # the loop's call stack is deeper than a worker's; the answer is not
+        client = connect(server)
+        client.send_raw((prefix + "EVAL " + expr + "\n").encode())
+        assert [client.read_line() for _ in range(len(replies) + 1)] == (
+            replies + ["OK %d" % value])
+
+    def test_fan_out_past_the_budget_goes_to_the_pool(self, server, connect, submits,
+                                                      monkeypatch):
+        watchers = [connect(server) for _ in range(20)]
+        for watcher in watchers:
+            assert watcher.ask("WATCH temp") == "OK"
+        tasks = submits(server)
+        batched, largest = server._batched, []
+
+        def measured(callback, endpoint):
+            batched(callback, endpoint)
+            largest.append(server._batch.replies)
+
+        monkeypatch.setattr(server, "_batched", measured)
+        flooder = connect(server)
+        flooder.send_raw(b"".join(b"TEMP %d\n" % n for n in range(100)))
+        assert [flooder.read_line() for _ in range(100)] == ["OK"] * 100
+        # one callback buffers at most the budget plus one TEMP's reply and events
+        assert max(largest) < server_module.LOOP_REPLY_BUDGET + 1 + len(watchers)
+        assert tasks
+        for watcher in watchers:
+            sid = watcher.greeting.rsplit(" ", 1)[-1]
+            assert [watcher.read_line() for _ in range(100)] == [
+                "EVT temp %s: The current temperature is %d.0\N{DEGREE SIGN}C" % (sid, n)
+                for n in range(100)]
+            assert watcher.ask("PING") == "OK pong"
 
 
 class TestJsonFamily:
@@ -711,6 +859,15 @@ class TestHousekeeping:
         for client in clients:
             client.close()
         assert wait_until(lambda: server.active_sessions() == 0)
+
+    def test_reset_before_the_greeting_leaves_no_chat_member(self, server):
+        # the greeting's send fails on a reset connection and drops the session
+        for _ in range(50):
+            sock = socket.create_connection(("127.0.0.1", server.port))
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()
+        assert wait_until(lambda: server.active_sessions() == 0)
+        assert wait_until(lambda: not server.chat._members)
 
     def test_reactor_registrations_return_to_listener_only(self, server):
         baseline = server.reactor.registration_count()
@@ -823,6 +980,15 @@ class TestHousekeeping:
             line.split(" ", 1)[0] for lines in sent for line in lines)
         stamps = [int(m.group(1)) for m in matches]
         assert stamps == sorted(stamps)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_log_write_is_counted_not_answered(self, make_server, connect):
+        server = make_server(log_path="/dev/full")
+        client = connect(server)
+        assert client.ask("WRITE abc") == "OK 3"
+        assert client.ask("SHOW") == "OK abc"
+        pairs = dict(item.split("=") for item in client.ask("STATS")[3:].split(" "))
+        assert int(pairs["log_errors"]) >= 2
 
     def test_unopenable_log_raises_before_any_thread_starts(self, tmp_path):
         config = ConfigBuilder().port(0).log_path(str(tmp_path / "missing" / "x.log")).build()

@@ -213,6 +213,16 @@ class TestHandlerMiddleware:
         wrapped.handle(Request("PING"))
         assert logger.lines == ["handled PING"]
 
+    def test_failed_log_write_keeps_the_verdict_and_is_counted(self):
+        class FullDisk:
+            def log_message(self, message):
+                raise OSError(28, "No space left on device")
+
+        wrapped = decorate_handler(AlwaysYes(), middleware=("logging",), logger=FullDisk())
+        assert wrapped.handle(Request("PING")) == "yes:PING"
+        assert wrapped.handle(Request("SHOW")) == "yes:SHOW"
+        assert registry_instance().snapshot() == {"log_errors": 2}
+
     def test_timing_middleware_bumps_registry(self):
         wrapped = decorate_handler(AlwaysYes(), middleware=("timing",))
         wrapped.handle(Request("PING"))
