@@ -1,9 +1,32 @@
 """The arithmetic expression language used by the EVAL verb.
 
-A composite syntax tree (Number/Variable leaves, Binary branches) with a
-shunting-yard parser, an interning pool for leaves, checked 64-bit
-evaluation against a variable context, visitor passes, and a bidirectional
-pre-order cursor.
+The grammar is stated once, in one shunting-yard loop (`shunting_yard`):
+
+    expr := term (('+'|'-') term)* ; term := factor (('*'|'/') factor)* ;
+    factor := INT | IDENT | '(' expr ')'
+
+A '-' begins an integer literal only in factor position (expression head,
+after '(' or an operator) and only when a digit follows immediately;
+elsewhere it is the operator.  Both operator levels associate to the left.
+The loop alternates between factor and operator position; '(' markers and
+pending operators share one stack and operands another, so nesting depth
+costs heap, never call stack.  It reduces in post-order, as Dijkstra's
+original algorithm does, and hands each leaf and each reduction to a hook.
+Two sets of hooks use it:
+
+- `parse_expr` interns leaves in an `AtomPool` and builds `Binary` nodes:
+  the composite tree that `eval_expr`, the visitors and `iter_nodes` walk.
+- `fold_expr` looks names up in a `Context` and applies each operator with
+  checked 64-bit arithmetic where it reduces, so it computes the value in
+  the same pass, with no tree and no recursion.  The server's EVAL uses it.
+
+Errors: a ParseError (with the byte offset of the fault) anywhere in the
+line wins over every EvalError.  So `fold_expr` holds the first EvalError
+(unbound variable, division by zero, overflow) until the line has parsed;
+post-order makes it the same error the tree walk raises first.
+
+Also here: a bidirectional pre-order cursor and the catalogue's visitor and
+iterator demo fixtures.
 """
 
 from __future__ import annotations
@@ -25,6 +48,10 @@ class ParseError(ValueError):
 
 class EvalError(ValueError):
     """Unbound variable, division by zero, or 64-bit overflow."""
+
+
+def _unbound(name: str) -> EvalError:
+    return EvalError("unbound variable %r" % name)
 
 
 class Expr:
@@ -68,7 +95,7 @@ class Context:
 
     def value_of(self, name: str) -> int:
         if name not in self.bindings:
-            raise EvalError("unbound variable %r" % name)
+            raise _unbound(name)
         return self.bindings[name]
 
     def bind(self, name: str, value: int) -> Context:
@@ -256,6 +283,7 @@ def iter_nodes(e: Expr) -> BidirectionalCursor:
 
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+_STACKED = {"(": 0, **_PRECEDENCE}  # a '(' marker binds looser than any operator
 _LITERAL = re.compile(r"-?[0-9]+")
 
 
@@ -263,31 +291,20 @@ def _byte_offset(text: str, pos: int) -> int:
     return len(text[:pos].encode("utf-8"))
 
 
-def _reduce(operators: list, operands: list) -> None:
-    """Replace the top two operands with their Binary under the top operator."""
-    right = operands.pop()
-    operands.append(Binary(operators.pop(), operands.pop(), right))
+def shunting_yard(text: str, leaf, reduce):
+    """Run the grammar over one line and return its reduced value.
 
-
-def parse_expr(text: str, pool: AtomPool | None = None) -> Expr:
-    """Parse an infix expression line into a tree; leaves are interned in
-    `pool`, or in a fresh pool when none is given.
-
-    expr := term (('+'|'-') term)* ; term := factor (('*'|'/') factor)* ;
-    factor := INT | IDENT | '(' expr ')'.  A '-' begins an integer literal
-    only in factor position (expression head, after '(' or an operator) and
-    only when a digit follows immediately; elsewhere it is the operator.
-    Both operator levels associate to the left.
-
-    One shunting-yard loop alternates between factor and operator position;
-    '(' markers and pending operators share one stack and operands another,
-    so nesting depth costs heap, never call stack.
+    `leaf(token)` gives the value of a factor, `token` being an int for an
+    integer literal or a str for an identifier; `reduce(op, left, right)`
+    gives the value of one binary operation.  Leaves and reductions come in
+    post-order, left operand first, so the hooks see the line exactly as a
+    left-to-right walk of its tree would.  Any syntax fault raises
+    ParseError; the hooks should not raise.
     """
     if len(text.encode("utf-8")) > MAX_REQUEST_BYTES:
         raise ParseError("expression too long", MAX_REQUEST_BYTES)
-    pool = pool if pool is not None else AtomPool()
     operators: list[str] = []
-    operands: list[Expr] = []
+    operands: list = []
     depth = 0  # '(' markers on the operator stack
     pos, end = 0, len(text)
     want_factor = True
@@ -304,7 +321,7 @@ def parse_expr(text: str, pool: AtomPool | None = None) -> Expr:
             literal = _LITERAL.match(text, pos)
             if literal:
                 try:
-                    leaf = parse_i64(literal.group())
+                    token = parse_i64(literal.group())
                 except WireError:  # the match took only digits: the literal is out of range
                     raise ParseError("integer literal out of 64-bit range",
                                      _byte_offset(text, pos)) from None
@@ -314,19 +331,22 @@ def parse_expr(text: str, pool: AtomPool | None = None) -> Expr:
                 if pos == start:
                     raise ParseError("unexpected character %r" % ch if ch
                                      else "unexpected end of input", _byte_offset(text, pos))
-                leaf = text[start:pos]
-            operands.append(pool.intern(leaf))
+                token = text[start:pos]
+            operands.append(leaf(token))
             want_factor = False
-        elif ch in _PRECEDENCE:
-            while (operators and operators[-1] != "("
-                   and _PRECEDENCE[operators[-1]] >= _PRECEDENCE[ch]):
-                _reduce(operators, operands)
+            continue
+        # operator position: reduce every pending operator that binds at
+        # least as tightly as `ch`; ')', the end of input and a stray
+        # character reduce back to the innermost '('
+        floor = _PRECEDENCE.get(ch, 1)
+        while operators and _STACKED[operators[-1]] >= floor:
+            right = operands.pop()
+            operands.append(reduce(operators.pop(), operands.pop(), right))
+        if ch in _PRECEDENCE:
             operators.append(ch)
             pos += 1
             want_factor = True
         elif ch == ")" and depth:
-            while operators[-1] != "(":
-                _reduce(operators, operands)
             operators.pop()
             depth -= 1
             pos += 1
@@ -335,9 +355,49 @@ def parse_expr(text: str, pool: AtomPool | None = None) -> Expr:
         elif ch:
             raise ParseError("unexpected trailing input", _byte_offset(text, pos))
         else:
-            while operators:
-                _reduce(operators, operands)
             return operands[0]
+
+
+def parse_expr(text: str, pool: AtomPool | None = None) -> Expr:
+    """Parse an infix expression line into a tree; leaves are interned in
+    `pool`, or in a fresh pool when none is given."""
+    pool = pool if pool is not None else AtomPool()
+    return shunting_yard(text, pool.intern, Binary)
+
+
+def fold_expr(text: str, ctx: Context | None = None) -> int:
+    """Evaluate an expression line as it parses, building no tree.
+
+    Gives what `eval_expr(parse_expr(text), ctx)` gives: the value, the
+    ParseError, or else the first EvalError in post-order.  That error is
+    held until the whole line has parsed, because a syntax fault anywhere
+    in the line wins over it."""
+    bindings = (ctx if ctx is not None else Context()).bindings
+    error = None  # the first EvalError; reductions after it pass a placeholder on
+
+    def leaf(token):
+        nonlocal error
+        if token.__class__ is int:
+            return token
+        if token in bindings:
+            return bindings[token]
+        if error is None:
+            error = _unbound(token)
+        return 0
+
+    def reduce(op, left, right):
+        nonlocal error
+        if error is None:
+            try:
+                return _apply_binary(op, left, right)
+            except EvalError as exc:
+                error = exc
+        return 0
+
+    value = shunting_yard(text, leaf, reduce)
+    if error is not None:
+        raise error
+    return value
 
 
 # Demo fixtures: shape visitors and the book-collection iterator.

@@ -15,22 +15,25 @@ class UnknownSnapshotError(LookupError):
 
 
 class Document:
-    """UTF-8 text mutated only by commands, undo, or memento restore."""
+    """UTF-8 text mutated only by commands, undo, or memento restore, each
+    of which keeps `size`, the UTF-8 byte length, without re-encoding."""
 
     def __init__(self, content: str = ""):
         self.content = content
+        self.size = len(content.encode("utf-8"))
 
     def byte_length(self) -> int:
-        return len(self.content.encode("utf-8"))
+        return self.size
 
 
 class Memento:
-    """Opaque full snapshot; only a Document reads it back."""
+    """Opaque full snapshot, the content with its byte size; only a
+    Document reads it back."""
 
-    def __init__(self, state: str):
+    def __init__(self, state):
         self._state = state
 
-    def _reveal(self) -> str:
+    def _reveal(self):
         return self._state
 
 
@@ -45,10 +48,12 @@ class WriteCommand:
 
     def execute(self, doc: Document):
         doc.content += self.text
+        doc.size += self.undo_info
 
     def undo(self, doc: Document):
         # history is LIFO and RESTORE clears it, so the content ends in self.text
         doc.content = doc.content[:len(doc.content) - len(self.text)]
+        doc.size -= self.undo_info
 
     def summary(self) -> str:
         return "write %d bytes" % self.undo_info
@@ -82,7 +87,7 @@ def undo_last(doc: Document, caretaker: Caretaker) -> str:
 def save_memento(doc: Document, caretaker: Caretaker) -> str:
     snap_id = str(caretaker._next_snap)
     caretaker._next_snap += 1
-    caretaker.snapshots[snap_id] = Memento(doc.content)
+    caretaker.snapshots[snap_id] = Memento((doc.content, doc.size))
     return snap_id
 
 
@@ -91,7 +96,7 @@ def restore_memento(doc: Document, caretaker: Caretaker, snap_id: str) -> str:
     so nothing can be undone across a restore."""
     if snap_id not in caretaker.snapshots:
         raise UnknownSnapshotError("unknown snapshot id %r" % snap_id)
-    doc.content = caretaker.snapshots[snap_id]._reveal()
+    doc.content, doc.size = caretaker.snapshots[snap_id]._reveal()
     caretaker.history.clear()
     return doc.content
 

@@ -237,12 +237,17 @@ class FileProcessingFacade:
 
 
 class LazyStatsProxy:
-    """Virtual proxy; construction failures leave it ready to retry."""
+    """Virtual proxy; construction failures leave it ready to retry.
 
-    def __init__(self, factory):
+    `trace` records each creation and, unless `trace_forwards` is false,
+    each forwarded request; a long-lived proxy passes false so the trace
+    does not grow with every request."""
+
+    def __init__(self, factory, trace_forwards: bool = True):
         self._factory = factory
         self._real = None
         self._lock = threading.Lock()
+        self._trace_forwards = trace_forwards
         self.trace: list[str] = []
 
     @property
@@ -254,7 +259,8 @@ class LazyStatsProxy:
             if self._real is None:
                 self.trace.append("create")
                 self._real = self._factory()
-            self.trace.append("forward")
+            if self._trace_forwards:
+                self.trace.append("forward")
             real = self._real
         return real.handle_request()
 

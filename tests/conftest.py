@@ -3,9 +3,16 @@
 import socket
 
 import pytest
+from hypothesis import settings
 
 from patternkit.creational import ConfigBuilder, _reset_registry_for_tests
 from patternkit.server import PatternServer
+
+# property tests keep no example database between runs and have no
+# per-example deadline (a loaded host must not fail them); each test sets
+# its own max_examples
+settings.register_profile("patternkit", database=None, deadline=None)
+settings.load_profile("patternkit")
 
 
 @pytest.fixture(autouse=True)

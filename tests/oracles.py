@@ -24,24 +24,14 @@ class OracleEvalError(Exception):
 # Tuple trees: ("num", v) | ("var", name) | (op, left, right) with op in +-*/.
 
 
-def reference_eval(tree, env=None):
-    env = env or {}
-    kind = tree[0]
-    if kind == "num":
-        return tree[1]
-    if kind == "var":
-        if tree[1] not in env:
-            raise OracleEvalError("unbound variable %s" % tree[1])
-        return env[tree[1]]
-    left = reference_eval(tree[1], env)
-    right = reference_eval(tree[2], env)
-    if kind == "+":
+def _apply(op, left, right):
+    if op == "+":
         result = left + right
-    elif kind == "-":
+    elif op == "-":
         result = left - right
-    elif kind == "*":
+    elif op == "*":
         result = left * right
-    elif kind == "/":
+    elif op == "/":
         if right == 0:
             raise OracleEvalError("division by zero")
         # Truncation toward zero, derived from floor division.
@@ -49,21 +39,82 @@ def reference_eval(tree, env=None):
         if result < 0 and result * right != left:
             result += 1
     else:
-        raise AssertionError("bad oracle node %r" % (tree,))
+        raise AssertionError("bad oracle operator %r" % (op,))
     if not I64_MIN <= result <= I64_MAX:
         raise OracleEvalError("overflow")
     return result
 
 
-def random_tree(rng: random.Random, max_depth: int, allow_vars: bool = False):
+def reference_eval(tree, env=None):
+    """Post-order walk on an explicit stack, so a tree of any depth
+    evaluates; the first error raised is the leftmost one."""
+    env = env or {}
+    values = []
+    pending = [tree]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, str):  # an operator whose operands are ready
+            right = values.pop()
+            values.append(_apply(node, values.pop(), right))
+        elif node[0] == "num":
+            values.append(node[1])
+        elif node[0] == "var":
+            if node[1] not in env:
+                raise OracleEvalError("unbound variable %s" % node[1])
+            values.append(env[node[1]])
+        else:
+            pending += (node[0], node[2], node[1])
+    return values[0]
+
+
+def random_tree(rng: random.Random, max_depth: int, allow_vars: bool = False,
+                names=VAR_NAMES):
     """Random tuple tree, leaf values in [-20, 20], depth bounded."""
     if max_depth <= 0 or rng.random() < 0.3:
         if allow_vars and rng.random() < 0.25:
-            return ("var", rng.choice(VAR_NAMES))
+            return ("var", rng.choice(names))
         return ("num", rng.randint(-20, 20))
     op = rng.choice("+-*/")
-    return (op, random_tree(rng, max_depth - 1, allow_vars),
-            random_tree(rng, max_depth - 1, allow_vars))
+    return (op, random_tree(rng, max_depth - 1, allow_vars, names),
+            random_tree(rng, max_depth - 1, allow_vars, names))
+
+
+def random_chain(rng: random.Random, max_bytes: int, names=VAR_NAMES, ops="+-+-+-*/"):
+    """A long unparenthesized sum of products as (tree, text), the text at
+    most `max_bytes` long.  Operators are drawn from `ops` (weights by
+    repetition) and leaves are digits 0-9 or names; the tree is
+    about as deep as its number of terms, so it can pass any recursion
+    limit."""
+    tree = term = add_op = None
+    text = ""
+    while True:
+        if rng.random() < 0.2:
+            name = rng.choice(names)
+            factor, factor_text = ("var", name), name
+        else:
+            digit = rng.randint(0, 9)
+            factor, factor_text = ("num", digit), str(digit)
+        op = rng.choice(ops) if text else ""
+        if len(text) + len(op) + len(factor_text) > max_bytes:
+            break
+        text += op + factor_text
+        if op in ("*", "/"):
+            term = (op, term, factor)
+        else:  # a new term: fold the finished one into the sum
+            if term is not None:
+                tree = term if tree is None else (add_op, tree, term)
+            add_op, term = op, factor
+    return (term if tree is None else (add_op, tree, term)), text
+
+
+def tree_depth(tree) -> int:
+    depth, pending = 0, [(tree, 1)]
+    while pending:
+        node, level = pending.pop()
+        depth = max(depth, level)
+        if node[0] not in ("num", "var"):
+            pending += ((node[1], level + 1), (node[2], level + 1))
+    return depth
 
 
 def random_env(rng: random.Random):

@@ -35,6 +35,7 @@ from patternkit.expr import (
     Variable,
     _eval_on_heap,
     eval_expr,
+    fold_expr,
     parse_expr,
     preorder_nodes,
 )
@@ -115,10 +116,11 @@ class TestParser:
     @pytest.mark.parametrize("text,message,offset", PARSE_ERRORS,
                              ids=["%s-%d" % (text[:40], offset) for text, _, offset in PARSE_ERRORS])
     def test_error_byte_offsets(self, text, message, offset):
-        with pytest.raises(ParseError) as info:
-            parse_expr(text)
-        assert info.value.offset == offset
-        assert str(info.value) == "%s at offset %d" % (message, offset)
+        for parse in (parse_expr, fold_expr):
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            assert info.value.offset == offset
+            assert str(info.value) == "%s at offset %d" % (message, offset)
 
     @pytest.mark.parametrize("text,printed", [
         ("(" * 2000 + "1" + ")" * 2000, "1"),
@@ -138,7 +140,7 @@ class TestParser:
                 out.append(top.accept(PrintVisitor()))
         assert "".join(out) == printed
 
-    @settings(database=None, max_examples=400, deadline=None)
+    @settings(max_examples=400)
     @given(st.text(alphabet=EXPR_ALPHABET, max_size=24))
     def test_any_text_parses_to_a_printable_tree_or_fails_cleanly(self, text):
         try:
@@ -208,6 +210,7 @@ class TestEvaluation:
     ], ids=["2048-left-spine", "1023-right-nested-differences", "1023-left-nested-products"])
     def test_trees_deeper_than_the_call_stack_evaluate(self, text, value):
         assert eval_expr(parse_expr(text)) == value
+        assert fold_expr(text) == value
 
     def test_a_deep_tree_raises_its_leftmost_error(self):
         # the heap walk must fail where the recursive walk would: left first
@@ -252,6 +255,50 @@ def test_random_trees_match_reference_evaluator():
             continue
         assert eval_expr(node, ctx) == expected
         assert node.accept(EvalVisitor(ctx)) == expected
+
+
+def outcome(evaluate, text, ctx):
+    """The value, or the failure's type, message and parse offset."""
+    try:
+        return evaluate(text, ctx)
+    except (ParseError, EvalError) as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+def tree_walk(text, ctx):
+    return eval_expr(parse_expr(text), ctx)
+
+
+BOUND = env_context({"a": 3, "b": -7, "x": I64_MAX, "ab": 0, "z": -(2**63)})
+
+
+class TestFold:
+    """fold_expr, the server's one-pass EVAL, against the tree walk."""
+
+    @settings(max_examples=600)
+    @given(st.text(alphabet=EXPR_ALPHABET, max_size=24))
+    def test_any_text_folds_as_the_tree_walks(self, text):
+        assert outcome(fold_expr, text, BOUND) == outcome(tree_walk, text, BOUND)
+
+    @pytest.mark.parametrize("text,message,offset", [
+        ("x + (", "unexpected end of input", 5),
+        ("1 / 0 +", "unexpected end of input", 7),
+        ("9223372036854775807 * 2 )", "unexpected trailing input", 24),
+    ], ids=["unbound-then-eof", "division-by-zero-then-eof", "overflow-then-stray-paren"])
+    def test_a_parse_error_wins_over_an_earlier_eval_error(self, text, message, offset):
+        assert outcome(fold_expr, text, Context()) == (
+            ParseError, "%s at offset %d" % (message, offset), offset)
+
+    @pytest.mark.parametrize("text,message", [
+        ("nope + 1/0", "unbound variable 'nope'"),
+        ("1/0 + nope", "division by zero"),
+        ("(a + nope) * (1/0)", "unbound variable 'nope'"),
+        ("x + 1 + nope", "integer overflow in +"),
+        ("a * (x + a) - 1/0", "integer overflow in +"),
+    ])
+    def test_the_first_eval_error_in_post_order_wins(self, text, message):
+        assert outcome(fold_expr, text, BOUND) == (EvalError, message, None)
+        assert outcome(tree_walk, text, BOUND) == (EvalError, message, None)
 
 
 class TestPrinter:

@@ -14,6 +14,8 @@ import time
 import pytest
 
 from conftest import LineClient
+from oracles import (VAR_NAMES, OracleEvalError, random_chain, random_env, random_tree,
+                     reference_eval, tree_depth, tree_to_text)
 from patternkit import server as server_module
 from patternkit.creational import ConfigBuilder
 from patternkit.expr import Number
@@ -200,6 +202,13 @@ class TestStats:
         assert server.stats_proxy.created is True
         assert server.stats_proxy.trace.count("create") == 1
 
+    def test_stats_trace_does_not_grow_with_requests(self, server, connect):
+        client = connect(server)
+        client.send_raw(b"STATS\n" * 1000)
+        for _ in range(1000):
+            assert client.read_line().startswith("OK ")
+        assert len(server.stats_proxy.trace) <= 2
+
 
 class TestEval:
     def test_wire_example(self, server, connect):
@@ -242,6 +251,46 @@ class TestEval:
     ], ids=["2000-parens", "900-right-nested-sums"])
     def test_deep_nesting_within_the_line_limit(self, server, connect, expr, value):
         assert connect(server).ask("EVAL " + expr) == "OK %d" % value
+
+    def test_eval_matches_the_reference_evaluator(self, server, connect):
+        """EVAL against the independent oracle, on 1,000 random trees and
+        on chains deeper than the recursion limit, each under a random
+        environment, with a name that is never bound."""
+        rng = random.Random(20261019)
+        names = VAR_NAMES + ("nope",)
+        cases = []
+        for _ in range(1000):
+            tree = random_tree(rng, max_depth=5, allow_vars=True, names=names)
+            cases.append((tree, tree_to_text(tree)))
+        for n in range(40):
+            # most chains are kept free of '/' and unbound names, which
+            # nearly every chain of ~1,700 leaves would otherwise meet
+            tree, text = random_chain(rng, 4096 - len("EVAL "),
+                                      names if n % 4 == 1 else VAR_NAMES,
+                                      "+-+-+-*/" if n % 4 == 0 else "+-+-+-**")
+            assert tree_depth(tree) > sys.getrecursionlimit()
+            cases.append((tree, text))
+        rng.shuffle(cases)
+        client = connect(server)
+        outcomes = []
+        for start in range(0, len(cases), 50):
+            lines, expected = [], []
+            for tree, text in cases[start:start + 50]:
+                env = random_env(rng)
+                lines += ["LET %s %d" % item for item in env.items()]
+                expected += ["OK"] * len(env)
+                lines.append("EVAL " + text)
+                try:
+                    expected.append("OK %d" % reference_eval(tree, env))
+                except OracleEvalError:
+                    expected.append("ERR EVAL")
+                outcomes.append(expected[-1] == "ERR EVAL")
+            client.send_raw(("\n".join(lines) + "\n").encode())
+            replies = [client.read_line() for _ in lines]
+            # an evaluation failure, not a parse failure, which names its offset
+            assert ["ERR EVAL" if reply.startswith("ERR EVAL ") and " at offset " not in reply
+                    else reply for reply in replies] == expected
+        assert 100 < sum(outcomes) < len(outcomes) - 100
 
     @pytest.mark.parametrize("line,reply", [
         *((template % token, "ERR PARSE")
@@ -762,7 +811,9 @@ class TestLoopAndPool:
     @pytest.mark.parametrize("expr,value", [
         ("1+(" * 980 + "1" + ")" * 980, 981),
         ("+".join(["1"] * 2040), 2040),
-    ], ids=["980-right-nested-sums", "2040-left-spine"])
+        ("+".join(["1"] * 1500), 1500),
+        ("(" * 1000 + "1" + ")" * 1000, 1),
+    ], ids=["980-right-nested-sums", "2040-left-spine", "1500-term-chain", "1000-deep-parens"])
     @pytest.mark.parametrize("prefix,replies", [("", []), ("WRITE x\n", ["OK 1"])],
                              ids=["on-the-loop", "on-the-pool"])
     def test_deep_eval_answers_alike_on_either_thread(self, server, connect, expr, value,

@@ -107,6 +107,28 @@ def test_undo_is_inverse_of_random_write_sequences():
         assert doc.content == undone_content(pieces, undos)
 
 
+def test_byte_total_tracks_random_write_undo_snapshot_restore_sequences():
+    """The running byte total equals the content's UTF-8 length after
+    every verb that changes the content."""
+    rng = random.Random(1019)
+    alphabet = "ab \N{DEGREE SIGN}\N{LATIN SMALL LETTER E WITH ACUTE}\N{SNOWMAN}\N{GRINNING FACE}"
+    for _ in range(200):
+        doc, keeper = fresh_session()
+        for _ in range(rng.randrange(1, 30)):
+            action = rng.choice(("write", "write", "undo", "snapshot", "restore"))
+            if action == "write":
+                text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 8)))
+                assert execute_command(doc, keeper, WriteCommand(text)) == len(
+                    doc.content.encode("utf-8"))
+            elif action == "undo" and keeper.history:
+                undo_last(doc, keeper)
+            elif action == "snapshot":
+                save_memento(doc, keeper)
+            elif action == "restore" and keeper.snapshots:
+                restore_memento(doc, keeper, rng.choice(sorted(keeper.snapshots)))
+            assert doc.byte_length() == len(doc.content.encode("utf-8"))
+
+
 class TestSnapshots:
     def test_ids_are_sequential_strings(self):
         doc, keeper = fresh_session()
