@@ -9,7 +9,11 @@ order.  A command submitted on the loop thread runs at once.  A submitting
 thread writes one wakeup byte only when it finds the command queue empty,
 so a burst of commands costs the loop one wakeup.  Modifying the interest
 to 0 keeps the registration but waits on nothing; a modify that leaves the
-interest unchanged touches no selector.  `close` releases the selector,
+interest unchanged touches no selector.  On the loop thread,
+`call_next_round(fn, *args)` defers a call to the start of the next round,
+after this round's dispatch, and the loop does not wait in `select` while
+such a call is pending; a call deferred again before it runs runs once.
+`close` releases the selector,
 the wakeup socket pair and every registered endpoint; `run` calls it on
 exit, and a reactor that never runs must be closed by its owner.
 """
@@ -41,6 +45,7 @@ class Reactor:
         self._selector = selectors.DefaultSelector()
         self._registrations: dict = {}
         self._commands: deque = deque()
+        self._next_round: dict = {}  # (fn, args) -> None: ordered, each call once
         self._command_lock = threading.Lock()
         self._wake_recv, self._wake_send = socket.socketpair()
         self._wake_recv.setblocking(False)
@@ -80,6 +85,11 @@ class Reactor:
     def call_soon(self, fn, *args):
         """Run fn(*args) on the loop thread, in order with the other commands."""
         self._submit(fn, args)
+
+    def call_next_round(self, fn, *args):
+        """Loop thread only: run fn(*args) at the start of the next round.
+        The call is a dict key, so fn and args must be hashable."""
+        self._next_round[(fn, args)] = None
 
     def stop(self):
         self._submit(self._request_stop, ())
@@ -129,18 +139,24 @@ class Reactor:
             fn(*args)
 
     def run_once(self, max_wait: float) -> int:
-        """One round: apply queued commands, wait up to max_wait, dispatch.
+        """One round: apply queued commands, run the calls deferred to this
+        round, wait up to max_wait (not at all while a call is deferred to
+        the next round), dispatch.
 
-        Returns the number of callbacks invoked.  Readiness is
-        level-triggered, so handlers need not drain endpoints in one call.
+        Returns the number of callbacks invoked, deferred calls included.
+        Readiness is level-triggered, so handlers need not drain endpoints
+        in one call.
         """
         if self._loop_ident is None:
             self._loop_ident = threading.get_ident()
         self._apply_pending()
         if self._stop_requested:
             return 0
-        dispatched = 0
-        for key, mask in self._selector.select(max_wait):
+        deferred, self._next_round = self._next_round, {}
+        for fn, args in deferred:
+            fn(*args)
+        dispatched = len(deferred)
+        for key, mask in self._selector.select(0 if self._next_round else max_wait):
             if key.data is None:
                 try:
                     while self._wake_recv.recv(4096):

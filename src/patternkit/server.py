@@ -1,55 +1,44 @@
 """The patternd TCP service.
 
-The reactor thread owns every endpoint and frames request lines.  It
-answers a request itself when the session is idle (no pool task owns it,
-so its inbox is empty) and the verb's cost is bounded by the line limit or
-the connection cap: every verb but the document verbs (`LOOP_VERBS`).  The
-worker pool runs everything else through the verb chain, one task per
-session at a time, in arrival order: the document verbs, whose cost grows
-with the document, unknown verbs, lines that fail to parse, and every line
-that arrives while the session's task is queued or running.  One `TEMP` or
-`SAY` fans out to every watcher, so the loop stops answering once a
-callback has buffered `LOOP_REPLY_BUDGET` replies and events; the rest of
-that read joins the inbox for the pool, where the loop still gets the GIL
-between the worker's slices.  Either way a request is counted, timed and
-logged alike.  The server is the reactor's event handler for its listener
+One thread serves every connection.  A selector reactor owns the sockets;
+the server frames request lines and answers each one on the reactor's
+thread, through the verb chain, in arrival order.  The server is the reactor's event handler for its listener
 (`on_readable` accepts), and each session is the handler for its own
-connection.  One lock per session guards its inbox, output buffer, `busy`
-(a pool task owns the inbox) and `state`, which only moves forward:
+connection.  A session's `state` only moves forward:
 
-    OPEN      reading; each complete line is answered or joins the inbox
-    DRAINING  an over-long line arrived, or the peer sent EOF: reading
-              stops, earlier lines still run
+    OPEN      reading; each complete line is answered as it is framed
     CLOSING   a close reply (QUIT's, the over-long line's ERR LIMIT, or
               the silent end of a half-closed session) is buffered;
               nothing after it runs or is sent
-    CLOSED    dropped by the loop
+    CLOSED    dropped: socket closed, chat room left, observer
+              unsubscribed, connection slot free
 
 A session's first line is always its greeting: the loop buffers it before
 the session joins the chat room or can send a request, so no reply or
 event can precede it.  A framing error (invalid UTF-8, an over-long line)
-and the peer's EOF join the inbox in place of a request line, so every
-reply leaves in request order and a half-closed client still gets the
-replies to what it sent.  Only a failed `recv` drops a session at once.
+is answered in its place among the request lines, and the peer's EOF is
+read only once every line before it has been answered, so a half-closed
+client still gets the replies to what it sent.  A failed `recv` or `send`
+drops a session at once.
 
-Replies and events buffered during one reactor callback (a read, or the
-accept that buffers the greeting) are flushed once per session when the
-callback returns, so a pipelined burst answered on the loop costs one
-send.  A reply from a pool task that finds the output buffer empty
-schedules one flush on the loop (`Reactor.call_soon`), so pipelined
-replies share it; a non-empty buffer already has a flush pending, or
-write interest waiting for the socket.
-The flush sends straight from the loop and asks for write interest only
-when the socket takes less than the whole buffer.
+Replies and events buffered during one reactor callback (a read, a
+resumed read, or the accept that buffers the greeting) are flushed once
+per session when the callback returns, so a pipelined burst costs one
+send.  The flush asks for write interest only when the socket takes less
+than the whole buffer.
 
-A session holds its connection slot until it no longer owns a pool task.
-Dropping it closes the socket, leaves the chat room and marks it CLOSED;
-releasing it frees the slot (`sessions`) and unsubscribes its temperature
-observer.  The loop releases a dropped session at once unless a pool task
-is busy with it, and then that task schedules the release on its way out.
-Each session owns at most one queued or running task, so queued tasks <=
-busy sessions <= len(sessions) <= max_conns: a pool queue as long as the
-connection cap never fills, and the loop never blocks in `submit`.
+Each verb's cost is bounded by the limits in `wire.py`, and one session's
+work is bounded per loop round.  A session pauses, before it frames its
+next line, once the callback has buffered `LOOP_REPLY_BUDGET` replies and
+events (one `TEMP` or `SAY` fans out to every watcher), or once its own
+output buffer holds `OUTPUT_HIGH_WATER` bytes; one reply may cross the
+mark.  A paused session keeps the rest of its read in `in_buffer` and
+withdraws `READ`; `_flush` resumes it on the next loop round once its
+output is below `OUTPUT_LOW_WATER`, so other connections are served in
+between and a client that stops reading is no longer read.  A reply or
+event that would take a session's output past `MAX_OUTPUT_BYTES`, such
+as an event for a watcher that stopped reading, closes that session at
+once with `ERR LIMIT output buffer full`.
 """
 
 from __future__ import annotations
@@ -59,10 +48,7 @@ import itertools
 import signal
 import socket
 import sys
-import threading
-from collections import deque
 
-from .concurrency import ThreadPool
 from .creational import (HandlerFactory, ServerConfig, ConfigBuilder, build_config,
                          create_handler, create_protocol_family, registry_instance)
 from .expr import Context, EvalError, ParseError, fold_expr
@@ -76,20 +62,29 @@ from .session_commands import (Caretaker, Document, EmptyHistoryError, UnknownSn
                                undo_last)
 from .structural_kit import (MIDDLEWARE, FileLogSink, LazyStatsProxy, NullLogger, RegistryStats,
                              adapt_logger, decorate_handler)
-from .wire import (I64_MAX, MAX_BINDINGS, MAX_REQUEST_BYTES, PROTOCOL_VERSION, Err, Evt, Ok,
-                   WireError, escape_doc, format_money, is_ident, parse_i64)
+from .wire import (I64_MAX, MAX_BINDINGS, MAX_DOC_BYTES, MAX_HISTORY, MAX_OUTPUT_BYTES,
+                   MAX_REQUEST_BYTES, MAX_SNAPSHOTS, PROTOCOL_VERSION, Err, Evt, Ok, WireError,
+                   escape_doc, format_money, is_ident, parse_i64)
 
 _session_ids = itertools.count(1)
 
-OPEN, DRAINING, CLOSING, CLOSED = range(4)
+OPEN, CLOSING, CLOSED = range(3)
 
-# Framing errors and the peer's EOF join the inbox in place of a request
-# line.  `_queue_reply` closes the session on `_BYE`, `_LINE_TOO_LONG` and
+# `_queue_reply` closes the session on `_BYE`, `_LINE_TOO_LONG` and
 # `_HANG_UP`, matched by identity.
 _LINE_TOO_LONG = Err("LIMIT", "request line too long")
 _NOT_UTF8 = Err("PARSE", "request is not valid UTF-8")
 _HANG_UP = object()  # the peer's EOF; sends nothing
 _BYE = Ok("bye")  # QUIT's reply
+_OUTPUT_FULL = Err("LIMIT", "output buffer full")
+
+# replies and events one callback may buffer before the session it reads
+# pauses until the next loop round: one TEMP or SAY fans out to every watcher
+LOOP_REPLY_BUDGET = 256
+# a session stops framing lines while its unsent output is at or past the
+# high-water mark, and resumes once it drains below the low-water mark
+OUTPUT_HIGH_WATER = 64 * 1024
+OUTPUT_LOW_WATER = 32 * 1024
 
 
 def _too_long(buffer: bytearray, end: int) -> bool:
@@ -99,12 +94,7 @@ def _too_long(buffer: bytearray, end: int) -> bool:
 
 
 class Session(EventHandler):
-    """One connection's state and its reactor handler; mutated by at most
-    one request at a time.
-
-    `lock` guards inbox, out_buffer, busy and state.  The
-    loop reads `state` without it to decide what to read; `_enqueue`
-    checks it again under the lock before anything joins the inbox."""
+    """One connection's state and its reactor handler."""
 
     def __init__(self, conn, server: PatternServer):
         self.sid = "user-%d" % next(_session_ids)
@@ -115,13 +105,11 @@ class Session(EventHandler):
         self.player = STOPPED
         self.ctx = Context()
         self.temp_observer = None
-        self.in_buffer = bytearray()  # loop thread only
-        self.lock = threading.Lock()
-        self.inbox: deque = deque()  # request lines, framing-error replies, _HANG_UP
+        self.in_buffer = bytearray()
         self.out_buffer = bytearray()
-        self.busy = False  # a pool task owns the inbox
         self.state = OPEN
-        self.writing = False  # loop thread only: a short send left bytes for on_writable
+        self.writing = False  # a short send left bytes for on_writable
+        self.paused = False  # lines wait in in_buffer until `_flush` resumes it
 
     def on_readable(self, conn):
         self.server._batched(self.server._receive, self)
@@ -191,8 +179,12 @@ class DocHandler(VerbHandler):
         session = request.session
         doc, caretaker = session.document, session.caretaker
         if request.verb == "WRITE":
-            new_length = execute_command(doc, caretaker, WriteCommand(request.args))
-            return Ok(str(new_length))
+            command = WriteCommand(request.args)
+            if doc.size + command.undo_info > MAX_DOC_BYTES:  # undo_info: bytes appended
+                return Err("LIMIT", "document too large")
+            if len(caretaker.history) >= MAX_HISTORY:
+                return Err("LIMIT", "undo history full")
+            return Ok(str(execute_command(doc, caretaker, command)))
         if request.verb == "SHOW":
             _no_args(request)
             return Ok(escape_doc(doc.content))
@@ -204,6 +196,8 @@ class DocHandler(VerbHandler):
                 return Err("EMPTY", str(exc))
         if request.verb == "SNAPSHOT":
             _no_args(request)
+            if len(caretaker.snapshots) >= MAX_SNAPSHOTS:
+                return Err("LIMIT", "too many snapshots")
             return Ok(save_memento(doc, caretaker))
         try:
             return Ok(escape_doc(restore_memento(doc, caretaker, request.args.strip())))
@@ -310,14 +304,6 @@ class ServerHandlerFactory(HandlerFactory):
 
 CHAIN_ORDER = tuple(ServerHandlerFactory.KINDS)
 
-# verbs the loop answers on an idle session: each kind's cost is bounded by
-# the line limit or the connection cap, except the document's
-LOOP_VERBS = frozenset(verb for kind, cls in ServerHandlerFactory.KINDS.items()
-                       if kind != "doc" for verb in cls.verbs)
-# replies and events the loop may buffer in one callback before the rest of
-# the read goes to the pool: one TEMP or SAY fans out to every watcher
-LOOP_REPLY_BUDGET = 256
-
 
 def build_chain(server: PatternServer, logger=None):
     """Assemble the verb chain in its fixed order and wrap it in middleware."""
@@ -349,27 +335,17 @@ def handle_line(session: Session, line: str):
         return Err("INTERNAL", "unexpected failure: %s" % exc)
 
 
-class _LoopBatch(threading.local):
-    """The sessions given a reply during one reactor callback, each flushed
-    once when it returns (None on other threads and between callbacks), and
-    the number of replies and events buffered so far."""
-
-    sessions = None
-    replies = 0
-
-
 class PatternServer(EventHandler):
-    """Composition root wiring the pool, reactor, chain, and event fan-out;
-    the reactor's handler for the listener."""
+    """Composition root wiring the reactor, chain, and event fan-out; the
+    reactor's handler for the listener."""
 
     def __init__(self, config: ServerConfig):
         self.config = config
         self.family = create_protocol_family(config.family)
         # opened first: a log that cannot be opened raises OSError before
-        # any thread or socket exists
+        # any socket exists
         self.log_sink = FileLogSink(config.log_path) if config.log_path else None
         self.logger = adapt_logger(self.log_sink) if self.log_sink else NullLogger()
-        self.pool = ThreadPool(config.workers, config.max_conns)
         self.reactor = Reactor()
         self.temperature = Subject(logger=self.logger)
         self.chat = ChatRoom()
@@ -377,10 +353,11 @@ class PatternServer(EventHandler):
         self.stats_proxy = LazyStatsProxy(RegistryStats, trace_forwards=False)
         self.chain = build_chain(self, logger=self.logger)
         self.sessions: dict = {}
-        self._batch = _LoopBatch()
+        # the current callback's sessions to flush, and its replies and events
+        self._flushes: list = []
+        self._replies = 0
         self.listener = None
         self.port = None
-        self._loop_thread = None
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -402,43 +379,28 @@ class PatternServer(EventHandler):
         try:
             self.reactor.run(max_wait)
         finally:
-            self.pool.shutdown("drain")
             self.close_log()
 
     def close_log(self):
         if self.log_sink is not None:
             self.log_sink.close()
 
-    def start_background(self, max_wait: float = 0.05):
-        if self.listener is None:
-            self.bind()
-        self._loop_thread = threading.Thread(target=self.run, args=(max_wait,), daemon=True)
-        self._loop_thread.start()
-
-    def stop(self):
-        self.reactor.stop()
-        if self._loop_thread is not None:
-            self._loop_thread.join(timeout=10)
-
     def active_sessions(self) -> int:
         return len(self.sessions)
 
-    # -- connection plumbing (loop thread) ----------------------------------
+    # -- connection plumbing ------------------------------------------------
 
     def on_readable(self, listener):
         self._batched(self._accept, listener)
 
     def _batched(self, callback, endpoint):
-        """Loop thread: run one reactor callback, then flush once each
-        session that it gave a reply or an event."""
-        batch = self._batch
-        batch.sessions, batch.replies = [], 0
-        try:
-            callback(endpoint)
-        finally:
-            flushes, batch.sessions = batch.sessions, None
-            for session in flushes:
-                self._flush(session)
+        """Run one reactor callback, then flush once each session that it
+        gave a reply or an event."""
+        self._replies = 0
+        callback(endpoint)
+        flushes, self._flushes = self._flushes, []  # holds no session between callbacks
+        for session in flushes:
+            self._flush(session)
 
     def _accept(self, listener):
         try:
@@ -466,23 +428,14 @@ class PatternServer(EventHandler):
         self.chat.join(session.sid, lambda line: self._queue_reply(session, Evt("chat " + line)))
 
     def _drop(self, session: Session):
-        with session.lock:
-            if session.state == CLOSED:
-                return
-            session.state = CLOSED
-            busy = session.busy
+        """Close the session's socket and free everything it holds."""
+        session.state = CLOSED
         self.chat.leave(session.sid)
         self.reactor.deregister(session.conn)
         try:
             session.conn.close()
         except OSError:
             pass
-        if not busy:
-            self._release(session)  # else the busy task schedules it on its way out
-
-    def _release(self, session: Session):
-        """Loop thread: free a dropped session's connection slot once no
-        pool task owns it."""
         del self.sessions[session.conn]
         if session.temp_observer is not None:
             self.temperature.unsubscribe(session.temp_observer)
@@ -500,131 +453,111 @@ class PatternServer(EventHandler):
             session.in_buffer += data
             self._pump_lines(session)
             return
-        # EOF: a half-closed peer still gets the replies to what it sent
-        self._enqueue(session, _HANG_UP)
+        # EOF: a paused session is not read, so every line before it is answered
+        self._queue_reply(session, _HANG_UP)
         self._update_interest(session)
 
     def _update_interest(self, session: Session):
         interest = WRITE if session.writing else 0
-        if session.state == OPEN:
+        if session.state == OPEN and not session.paused:
             interest |= READ
         self.reactor.modify(session.conn, interest)
 
     def _pump_lines(self, session: Session):
+        buffer = session.in_buffer
         while session.state == OPEN:
-            index = session.in_buffer.find(b"\n")
-            if _too_long(session.in_buffer, len(session.in_buffer) if index < 0 else index):
-                self._enqueue(session, _LINE_TOO_LONG)
+            index = buffer.find(b"\n")
+            if _too_long(buffer, len(buffer) if index < 0 else index):
+                self._queue_reply(session, _LINE_TOO_LONG)
                 break
             if index < 0:
                 return
-            raw = bytes(session.in_buffer[:index])
-            del session.in_buffer[:index + 1]
+            if self._replies >= LOOP_REPLY_BUDGET or len(session.out_buffer) >= OUTPUT_HIGH_WATER:
+                session.paused = True
+                self._update_interest(session)
+                return
+            raw = bytes(buffer[:index])
+            del buffer[:index + 1]
             if raw.endswith(b"\r"):
                 raw = raw[:-1]
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError:
-                self._enqueue(session, _NOT_UTF8)
+                self._queue_reply(session, _NOT_UTF8)
                 continue
             self._enqueue_request(session, line)
         # past OPEN: nothing more is read
-        session.in_buffer.clear()
+        buffer.clear()
         if session.state != CLOSED:
             self._update_interest(session)
 
+    def _resume(self, session: Session):
+        """Next-round callback: frame the rest of a paused session's read,
+        then read again unless it paused once more."""
+        session.paused = False
+        self._pump_lines(session)
+        if session.state == OPEN and not session.paused:
+            self._update_interest(session)
+
     def _enqueue_request(self, session: Session, line: str):
-        """Loop thread: answer one decoded request line here when its verb
-        is a loop verb and the session is idle, else queue it for the pool.
-        Framing errors take `_enqueue` directly, so every call here is a
-        request."""
-        if (line.partition(" ")[0] in LOOP_VERBS
-                and self._batch.replies < LOOP_REPLY_BUDGET):
-            with session.lock:
-                # a task clears `busy` only once the inbox is empty
-                idle = session.state == OPEN and not session.busy
-            if idle:
-                self._queue_reply(session, handle_line(session, line))
-                return
-        self._enqueue(session, line)
-
-    def _enqueue(self, session: Session, item):
-        """Loop thread: add a request line or a ready framing-error reply to
-        the inbox, and hand the session to the pool unless a task owns it."""
-        with session.lock:
-            if session.state != OPEN:
-                return
-            if item is _LINE_TOO_LONG or item is _HANG_UP:
-                session.state = DRAINING
-            session.inbox.append(item)
-            if session.busy:
-                return
-            session.busy = True
-        self.pool.submit(self._run_session_requests, session)  # never blocks: see the module docstring
-
-    # -- request execution (worker threads) ---------------------------------
-
-    def _run_session_requests(self, session: Session):
-        while True:
-            with session.lock:
-                if not session.inbox or session.state >= CLOSING:
-                    session.busy = False
-                    closed = session.state == CLOSED
-                    break
-                item = session.inbox.popleft()
-            reply = handle_line(session, item) if isinstance(item, str) else item
-            self._queue_reply(session, reply)
-        if closed:
-            self.reactor.call_soon(self._release, session)
+        """Answer one decoded request line.  Framing errors are answered
+        without it, so every call here is a request."""
+        self._queue_reply(session, handle_line(session, line))
 
     # -- reply / event completion --------------------------------------------
 
     def _queue_reply(self, session: Session, reply):
-        """Any thread: buffer one reply; one that finds the buffer empty
-        schedules the next flush, at the end of the loop's current callback
-        or through the reactor.  `_BYE`, `_LINE_TOO_LONG` and `_HANG_UP` close
-        the session, and nothing is buffered after them."""
+        """Buffer one reply or event for the flush at the end of the current
+        callback.  `_BYE`, `_LINE_TOO_LONG` and `_HANG_UP` close the session,
+        and nothing is buffered after them."""
+        if session.state != OPEN:
+            return
         data = b"" if reply is _HANG_UP else (self.family.render_reply(reply) + "\n").encode()
-        with session.lock:
-            if session.state >= CLOSING:
-                return
-            schedule = not session.out_buffer  # else a flush or write interest is pending
-            session.out_buffer += data
-            if reply is _BYE or reply is _LINE_TOO_LONG or reply is _HANG_UP:
-                session.state = CLOSING
-        batch = self._batch
-        if batch.sessions is not None:
-            batch.replies += 1
-            if schedule:
-                batch.sessions.append(session)
-        elif schedule:
-            self.reactor.call_soon(self._flush, session)
+        out = session.out_buffer
+        if len(out) + len(data) > MAX_OUTPUT_BYTES:
+            self._overflow(session)
+            return
+        if not out:  # else this callback's flush or write interest is pending
+            self._flushes.append(session)
+        out += data
+        self._replies += 1
+        if reply is _BYE or reply is _LINE_TOO_LONG or reply is _HANG_UP:
+            session.state = CLOSING
+
+    def _overflow(self, session: Session):
+        """Close a session whose output would pass MAX_OUTPUT_BYTES, the way
+        Redis closes a pubsub client past its hard limit: a peer that far
+        behind is not waited for.  The error line reaches it only if the
+        socket takes the whole backlog at once."""
+        session.out_buffer += (self.family.render_reply(_OUTPUT_FULL) + "\n").encode()
+        try:
+            session.conn.send(session.out_buffer)
+        except OSError:
+            pass
+        self._drop(session)
 
     def _flush(self, session: Session):
-        """Loop thread: send what is buffered, keeping write interest only
-        while a short send leaves bytes behind."""
-        with session.lock:
-            if session.state == CLOSED:
-                return
-            # send without the lock, so workers keep buffering replies meanwhile
-            data, session.out_buffer = session.out_buffer, bytearray()
-        failed = False
-        if data:
+        """Send what is buffered, keeping write interest only while a short
+        send leaves bytes behind, and resume a paused session on the next
+        round once its output is below the low-water mark."""
+        if session.state == CLOSED:
+            return
+        out = session.out_buffer
+        if out:
             try:
-                del data[:session.conn.send(data)]
+                del out[:session.conn.send(out)]
             except BlockingIOError:
                 pass
             except OSError:
-                failed = True
-        with session.lock:
-            data += session.out_buffer  # replies buffered during the send
-            session.out_buffer = data
-            backlog = bool(session.out_buffer)
-            finished = failed or (session.state == CLOSING and not backlog)
-        if finished:
+                self._drop(session)
+                return
+        if session.state == CLOSING and not out:
             self._drop(session)
-        elif backlog != session.writing:
-            session.writing = backlog
+            return
+        if session.paused and len(out) < OUTPUT_LOW_WATER:
+            self.reactor.call_next_round(self._batched, self._resume, session)
+        if bool(out) != session.writing:
+            session.writing = bool(out)
             self._update_interest(session)
 
 
@@ -640,7 +573,6 @@ def serve(config: ServerConfig) -> int:
         server.bind()
     except OSError as exc:
         server.reactor.close()
-        server.pool.shutdown("now")
         server.close_log()
         print("patternd: cannot bind port %d: %s" % (config.port, exc), file=sys.stderr)
         return 1
@@ -655,7 +587,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="patternd",
                                      description="pattern demonstration TCP service")
     parser.add_argument("--port", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--workers", type=int, default=None,
+                        help="accepted and validated, but ignored: one thread "
+                             "answers every request")
     parser.add_argument("--family", choices=("text", "json"), default=None)
     parser.add_argument("--max-conns", type=int, default=None)
     parser.add_argument("--log", default=None, metavar="PATH", dest="log_path")

@@ -15,7 +15,15 @@ from dataclasses import dataclass
 
 ERROR_CODES = frozenset({"EVAL", "EMPTY", "UNKNOWN", "PARSE", "STATE", "LIMIT", "INTERNAL"})
 MAX_REQUEST_BYTES = 4096
-MAX_BINDINGS = 1024  # variable names one session may bind with LET
+# per-session limits; a request past one answers ERR LIMIT
+MAX_BINDINGS = 1024  # variable names bound with LET
+MAX_DOC_BYTES = 128 * 1024  # document size, in UTF-8 bytes
+MAX_HISTORY = 1024  # undoable WRITEs (an empty WRITE adds one and no bytes)
+MAX_SNAPSHOTS = 16
+# unsent replies and events; above the largest reply, a capped document
+# SHOWn in the JSON family (up to six bytes per document byte), plus the
+# 64 KiB at which the server stops reading a session
+MAX_OUTPUT_BYTES = 1024 * 1024
 PROTOCOL_VERSION = 1
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1

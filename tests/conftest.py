@@ -1,6 +1,7 @@
 """Shared fixtures: a fresh counter registry per test and live servers."""
 
 import socket
+import threading
 
 import pytest
 from hypothesis import settings
@@ -20,6 +21,19 @@ def fresh_registry():
     _reset_registry_for_tests()
     yield
     _reset_registry_for_tests()
+
+
+class ThreadedServer(PatternServer):
+    """A PatternServer whose loop runs on a background thread."""
+
+    def start_background(self, max_wait: float = 0.05):
+        self._loop_thread = threading.Thread(target=self.run, args=(max_wait,), daemon=True)
+        self._loop_thread.start()
+
+    def stop(self):
+        self.reactor.stop()
+        self._loop_thread.join(timeout=10)
+        assert not self._loop_thread.is_alive()
 
 
 class LineClient:
@@ -68,10 +82,9 @@ def make_server():
 
     def build(**overrides) -> PatternServer:
         builder = ConfigBuilder().port(0)
-        builder.workers(overrides.pop("workers", 2))
         for name, value in overrides.items():
             getattr(builder, name)(value)
-        srv = PatternServer(builder.build())
+        srv = ThreadedServer(builder.build())
         srv.bind()
         srv.start_background()
         servers.append(srv)

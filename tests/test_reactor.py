@@ -427,3 +427,44 @@ class TestHandoff:
         finally:
             client.close()
             conn.close()
+
+    def test_call_next_round_runs_after_this_rounds_dispatch(self, reactor):
+        client, conn = tcp_pair()
+        seen = []
+
+        class Deferring(EventHandler):
+            def on_readable(self, endpoint):
+                seen.append(("read", endpoint.recv(4096)))
+                reactor.call_next_round(seen.append, "deferred")
+                reactor.call_next_round(seen.append, "deferred")  # queued twice, runs once
+                reactor.call_next_round(seen.append, "later")
+
+        try:
+            conn.setblocking(False)
+            reactor.register(conn, READ, Deferring())
+            client.sendall(b"x")
+            assert reactor.run_once(max_wait=2) == 1
+            assert seen == [("read", b"x")]
+            assert reactor.run_once(max_wait=0.05) == 2
+            assert seen == [("read", b"x"), "deferred", "later"]
+        finally:
+            client.close()
+            conn.close()
+
+    def test_a_call_deferred_from_a_deferred_call_waits_a_round(self, reactor):
+        seen = []
+
+        def again(n):
+            seen.append(n)
+            if n < 3:
+                reactor.call_next_round(again, n + 1)
+
+        reactor.call_next_round(again, 1)
+        started = time.monotonic()
+        for rounds in (1, 2):
+            # a call is pending after this round's deferred calls: no wait
+            assert reactor.run_once(max_wait=5) == 1
+            assert seen == list(range(1, rounds + 1))
+        assert time.monotonic() - started < 1
+        assert reactor.run_once(max_wait=0) == 1
+        assert seen == [1, 2, 3]

@@ -19,13 +19,21 @@ from oracles import (VAR_NAMES, OracleEvalError, random_chain, random_env, rando
 from patternkit import server as server_module
 from patternkit.creational import ConfigBuilder
 from patternkit.expr import Number
-from patternkit.server import CHAIN_ORDER, CLOSED, OPEN, PatternServer, Session, main
-from patternkit.wire import MAX_BINDINGS, Err, Evt, JsonFamily, Ok, TextFamily
+from patternkit.server import (CHAIN_ORDER, CLOSED, LOOP_REPLY_BUDGET, OPEN, OUTPUT_HIGH_WATER,
+                               PatternServer, Session, main)
+from patternkit.wire import (MAX_BINDINGS, MAX_DOC_BYTES, MAX_HISTORY, MAX_OUTPUT_BYTES,
+                             MAX_SNAPSHOTS, Err, Evt, JsonFamily, Ok, TextFamily, escape_doc)
 
 
-# a document verb, which the pool runs, then a request slow enough that the
-# loop frames the next line before either is answered
-SLOW_POOLED = b"WRITE x\nEVAL " + b"+".join([b"1"] * 700) + b"\n"
+# more replies than LOOP_REPLY_BUDGET, so the session pauses and resumes
+# over several loop rounds before the line after the burst is framed
+LONG_BURST = b"WRITE x\n" + b"PING\n" * 600
+LONG_BURST_REPLIES = ["OK 1"] + ["OK pong"] * 600
+assert len(LONG_BURST_REPLIES) > 2 * LOOP_REPLY_BUDGET
+
+# 32 WRITEs of it make a 64 KiB document, whose SHOW reply alone passes
+# OUTPUT_HIGH_WATER
+DOC_CHUNK = "x" * 2048
 
 
 def wait_until(predicate, timeout=5.0):
@@ -37,41 +45,37 @@ def wait_until(predicate, timeout=5.0):
     return predicate()
 
 
+def session_of(server, client):
+    sid = client.greeting.rsplit(" ", 1)[-1]
+    return next(s for s in server.sessions.values() if s.sid == sid)
+
+
+def stall(server, client, shows=20):
+    """Give the client's session a 64 KiB document and `shows` SHOWs whose
+    replies the client does not read, until the session's read is paused
+    on its unsent output; returns the session."""
+    session = session_of(server, client)
+    # a fixed small send buffer: autotuning could absorb megabytes
+    session.conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    client.send_raw(("WRITE %s\n" % DOC_CHUNK).encode() * 32)
+    assert [client.read_line() for _ in range(32)][-1] == "OK 65536"
+    client.send_raw(b"SHOW\n" * shows)
+    assert wait_until(lambda: session.paused and session.writing)
+    return session
+
+
 @pytest.fixture
-def submits(monkeypatch):
-    """`track(server)` returns the list of tasks its pool is given from then on."""
-
-    def track(server):
-        tasks = []
-        submit = server.pool.submit
-
-        def counting(fn, *args):
-            tasks.append(fn)
-            return submit(fn, *args)
-
-        monkeypatch.setattr(server.pool, "submit", counting)
-        return tasks
-
-    return track
-
-
-@pytest.fixture
-def hold(monkeypatch):
-    """A `HOLD` request occupies its worker until `release` is set."""
-    entered = threading.Event()
-    release = threading.Event()
+def handled(monkeypatch):
+    """The (session id, line) of every request line, in the order answered."""
+    seen = []
     handle_line = server_module.handle_line
 
-    def held(session, line):
-        if line == "HOLD":
-            entered.set()
-            release.wait(10)
-            return Ok("held")
+    def recording(session, line):
+        seen.append((session.sid, line))
         return handle_line(session, line)
 
-    monkeypatch.setattr(server_module, "handle_line", held)
-    yield entered, release
-    release.set()
+    monkeypatch.setattr(server_module, "handle_line", recording)
+    return seen
 
 
 class TestGreetingAndAdmin:
@@ -113,21 +117,17 @@ class TestGreetingAndAdmin:
         assert client.read_line() == "OK bye"
         assert client.read_eof() == b""
 
-    @pytest.mark.parametrize("payload", [b"WRITE a\nQUIT\nSAY x\nTEMP 5\n",
-                                         b"QUIT\nSAY x\nTEMP 5\n"],
-                             ids=["after-pool-quit", "after-bare-quit"])
-    def test_nothing_runs_after_quit(self, make_server, connect, payload):
-        # WRITE puts the quitter's lines on the only worker's task; a bare
-        # QUIT is answered on the loop.  The watcher's SHOW is a document
-        # verb, so its task runs after the quitter's, and a stray event
-        # would arrive ahead of its reply.
-        server = make_server(workers=1)
+    @pytest.mark.parametrize("before,replies", [(b"WRITE a\n", ["OK 1"]), (b"", []),
+                                                (LONG_BURST, LONG_BURST_REPLIES)],
+                             ids=["after-pool-quit", "after-bare-quit", "after-a-paused-burst"])
+    def test_nothing_runs_after_quit(self, server, connect, before, replies):
+        # the lines after QUIT arrive in the same read; a stray TEMP or SAY
+        # would put an event ahead of the watcher's SHOW reply
         watcher = connect(server)
         assert watcher.ask("WATCH temp") == "OK"
         quitter = connect(server)
-        quitter.send_raw(payload)
-        if payload.startswith(b"WRITE"):
-            assert quitter.read_line() == "OK 1"
+        quitter.send_raw(before + b"QUIT\nSAY x\nTEMP 5\n")
+        assert [quitter.read_line() for _ in replies] == replies
         assert quitter.read_line() == "OK bye"
         assert quitter.read_eof() == b""
         assert watcher.ask("SHOW") == "OK"
@@ -377,6 +377,50 @@ class TestDocumentVerbs:
         other = connect(server)
         assert other.ask("SNAPSHOT") == "OK 1"
 
+    def test_document_bytes_are_capped(self, server, connect):
+        client = connect(server)
+        chunk = "\N{LATIN SMALL LETTER E WITH ACUTE}" * 2045  # 4090 bytes, a full line
+        full, rest = divmod(MAX_DOC_BYTES, 4090)
+        client.send_raw(("WRITE %s\n" % chunk).encode() * full)
+        assert [client.read_line() for _ in range(full)][-1] == "OK %d" % (full * 4090)
+        assert client.ask("WRITE " + "a" * (rest + 1)) == "ERR LIMIT document too large"
+        assert client.ask("WRITE " + "a" * rest) == "OK %d" % MAX_DOC_BYTES
+        assert client.ask("WRITE a") == "ERR LIMIT document too large"
+        assert client.ask("WRITE") == "OK %d" % MAX_DOC_BYTES  # adds no bytes
+        assert client.ask("SHOW") == "OK " + chunk * full + "a" * rest
+        client.ask("UNDO")
+        assert client.ask("UNDO") == "OK " + chunk * full
+        assert client.ask("WRITE a") == "OK %d" % (full * 4090 + 1)
+
+    def test_undo_history_is_capped(self, server, connect):
+        client = connect(server)
+        client.send_raw(b"WRITE\n" * MAX_HISTORY)  # empty: history without bytes
+        assert [client.read_line() for _ in range(MAX_HISTORY)] == ["OK 0"] * MAX_HISTORY
+        assert client.ask("WRITE x") == "ERR LIMIT undo history full"
+        assert client.ask("UNDO") == "OK"
+        assert client.ask("WRITE x") == "OK 1"
+        assert client.ask("SNAPSHOT") == "OK 1"
+        assert client.ask("RESTORE 1") == "OK x"  # clears the history
+        assert client.ask("WRITE y") == "OK 2"
+
+    def test_snapshots_are_capped(self, server, connect):
+        client = connect(server)
+        client.send_raw(b"SNAPSHOT\n" * MAX_SNAPSHOTS)
+        assert [client.read_line() for _ in range(MAX_SNAPSHOTS)] == [
+            "OK %d" % n for n in range(1, MAX_SNAPSHOTS + 1)]
+        assert client.ask("SNAPSHOT") == "ERR LIMIT too many snapshots"
+        assert client.ask("RESTORE %d" % MAX_SNAPSHOTS) == "OK"
+
+    @pytest.mark.parametrize("char", ["\x01", "\\", "\N{LATIN SMALL LETTER E WITH ACUTE}",
+                                      "\N{GRINNING FACE}"])
+    def test_the_largest_reply_fits_under_the_output_limit(self, char):
+        # one reply may cross the high-water mark, but must not pass the limit
+        # that closes a session
+        document = char * (MAX_DOC_BYTES // len(char.encode()))
+        for family in (TextFamily(), JsonFamily()):
+            reply = (family.render_reply(Ok(escape_doc(document))) + "\n").encode()
+            assert OUTPUT_HIGH_WATER + len(reply) < MAX_OUTPUT_BYTES
+
 
 class TestPrice:
     @pytest.mark.parametrize(
@@ -532,13 +576,13 @@ class TestFraming:
             conn = next(iter(server.sessions))
             conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
             chunk = "x" * 4000
-            sock.sendall(("WRITE %s\n" % chunk).encode() * 50)
-            for _ in range(50):
+            sock.sendall(("WRITE %s\n" % chunk).encode() * 32)  # 128,000 bytes, under the cap
+            for _ in range(32):
                 assert reader.readline().startswith(b"OK ")
             sock.sendall(b"SHOW\n" * 3)
             # the client is not reading, so the loop's send comes up short
             assert wait_until(lambda: any(s.writing for s in server.sessions.values()))
-            expected = ("OK " + chunk * 50 + "\n").encode()
+            expected = ("OK " + chunk * 32 + "\n").encode()
             for _ in range(3):
                 assert reader.readline() == expected
             sock.sendall(b"PING\n")
@@ -578,19 +622,18 @@ class TestFraming:
 
     def test_oversized_tail_is_refused_after_earlier_replies(self, server, connect):
         client = connect(server)
-        client.send_raw(SLOW_POOLED + b"a" * 5000)
-        assert client.read_line() == "OK 1"
-        assert client.read_line() == "OK 700"
+        client.send_raw(LONG_BURST + b"a" * 5000)
+        assert [client.read_line() for _ in LONG_BURST_REPLIES] == LONG_BURST_REPLIES
         assert client.read_line() == "ERR LIMIT request line too long"
         assert client.read_eof() == b""
 
     def test_half_closed_client_gets_its_pending_replies(self, server, connect):
-        # the EOF arrives while the pool still runs them (nc -N, shutdown(SHUT_WR))
+        # the EOF arrives behind lines still waiting for a loop round (nc -N,
+        # shutdown(SHUT_WR))
         client = connect(server)
-        client.send_raw(SLOW_POOLED)
+        client.send_raw(LONG_BURST)
         client.sock.shutdown(socket.SHUT_WR)
-        assert client.read_line() == "OK 1"
-        assert client.read_line() == "OK 700"
+        assert [client.read_line() for _ in LONG_BURST_REPLIES] == LONG_BURST_REPLIES
         assert client.read_eof() == b""
 
     def test_invalid_utf8_is_a_parse_error(self, server, connect):
@@ -601,9 +644,8 @@ class TestFraming:
 
     def test_invalid_utf8_is_answered_in_request_order(self, server, connect):
         client = connect(server)
-        client.send_raw(SLOW_POOLED + b"\xff\n")
-        assert client.read_line() == "OK 1"
-        assert client.read_line() == "OK 700"
+        client.send_raw(LONG_BURST + b"\xff\n")
+        assert [client.read_line() for _ in LONG_BURST_REPLIES] == LONG_BURST_REPLIES
         assert client.read_line() == "ERR PARSE request is not valid UTF-8"
 
     def test_empty_line_is_a_parse_error(self, server, connect):
@@ -638,39 +680,30 @@ class TestConnectionLimit:
 
 
 class TestBackpressure:
-    def test_busy_pool_does_not_block_the_loop(self, make_server, connect, hold):
-        entered, release = hold
-        server = make_server(workers=1)
-        first, second, third = connect(server), connect(server), connect(server)
-        first.send_line("HOLD")
-        assert entered.wait(5), "the only worker is busy"
-        second.send_line("HOLD")
-        third.send_line("PING")
+    def test_a_paused_burst_does_not_block_other_sessions(self, server, connect, handled):
+        stalled = connect(server)
+        stall(server, stalled)  # paused until it reads
+        burst, other = connect(server), connect(server)
+        burst.send_raw(b"EVAL 1+1\n" * 3000)  # paused after each LOOP_REPLY_BUDGET replies
+        assert other.ask("PING") == "OK pong"
         late = connect(server, timeout=2)
-        assert late.greeting.startswith("OK patternd")  # the loop greets while the worker is held
-        late.send_raw(b"SHOW\nQUIT\n")  # a document verb needs the pool; QUIT waits behind it
-        sid = late.greeting.rsplit(" ", 1)[-1]
-        session = next(s for s in server.sessions.values() if s.sid == sid)
-        assert wait_until(lambda: list(session.inbox) == ["SHOW", "QUIT"])  # queued, not answered
-        release.set()
-        assert first.read_line() == "OK held"
-        assert second.read_line() == "OK held"
-        assert third.read_line() == "OK pong"
-        assert late.read_line() == "OK"
-        assert late.read_line() == "OK bye"
-        assert late.read_eof() == b""
-        assert third.ask("PING") == "OK pong"
+        assert late.ask("PING") == "OK pong"
+        assert [burst.read_line() for _ in range(3000)] == ["OK 2"] * 3000
+        sids = {session_of(server, client).sid for client in (burst, other)}
+        lines = [line for sid, line in handled if sid in sids]
+        assert 0 < lines.index("PING") < 3000, "answered between two rounds of the burst"
+        reply = "OK " + DOC_CHUNK * 32
+        assert [stalled.read_line() for _ in range(20)] == [reply] * 20
+        assert stalled.ask("PING") == "OK pong"
 
-    def test_pipelining_into_a_saturated_pool_loses_no_reply(self, make_server):
-        # a lost flush or a lost hand-off to the pool leaves a client waiting forever
-        server = make_server(workers=4)
+    def test_pipelining_into_a_saturated_pool_loses_no_reply(self, server):
+        # six clients pipeline at once; a lost flush or a lost resume leaves
+        # a client waiting forever
         clients = [LineClient(server.port, timeout=10) for _ in range(6)]
         errors = []
 
         def drive(client, base):
             try:
-                # each WRITE goes to the pool and each EVAL to the loop unless
-                # it arrives while the session's pool task still runs
                 for batch in range(4):
                     start = base + batch * 50
                     client.send_raw(b"".join(b"WRITE x\nEVAL %d\n" % n
@@ -681,8 +714,6 @@ class TestBackpressure:
             except Exception as exc:  # reported below, from the test thread
                 errors.append(exc)
 
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
         try:
             threads = [threading.Thread(target=drive, args=(client, k * 1000))
                        for k, client in enumerate(clients)]
@@ -692,89 +723,134 @@ class TestBackpressure:
                 thread.join(timeout=30)
             assert not any(thread.is_alive() for thread in threads)
         finally:
-            sys.setswitchinterval(previous)
             for client in clients:
                 client.close()
         assert errors == []
 
+    def test_unread_replies_pause_the_read(self, server):
+        # the client never reads while it sends 200 SHOWs of a 64 KiB document
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.connect(("127.0.0.1", server.port))
+        sock.settimeout(10)
+        reader = sock.makefile("rb")
+        try:
+            assert reader.readline().startswith(b"OK patternd")
+            conn, session = next(iter(server.sessions.items()))
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            sock.sendall(("WRITE %s\n" % DOC_CHUNK).encode() * 32)
+            assert [reader.readline() for _ in range(32)][-1] == b"OK 65536\n"
+            largest = [0]
+            flush = server._flush
+
+            def measured(flushed):
+                # the buffer only grows between two flushes of it
+                if flushed is session:
+                    largest[0] = max(largest[0], len(flushed.out_buffer))
+                flush(flushed)
+
+            server._flush = measured
+            sock.sendall(b"SHOW\n" * 200)
+            assert wait_until(lambda: session.paused and session.writing)
+            assert session.in_buffer.count(b"\n") > 100  # the rest of the read waits
+            reply = ("OK " + DOC_CHUNK * 32 + "\n").encode()
+            for _ in range(200):
+                assert reader.readline() == reply
+            sock.sendall(b"PING\n")
+            assert reader.readline() == b"OK pong\n"
+            assert largest[0] <= OUTPUT_HIGH_WATER + len(reply)
+        finally:
+            reader.close()
+            sock.close()
+
+    def test_a_watcher_that_stops_reading_is_closed(self, server, connect):
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.connect(("127.0.0.1", server.port))
+        sock.settimeout(10)
+        reader = sock.makefile("rb")
+        try:
+            assert reader.readline().startswith(b"OK patternd")
+            conn, watcher = next(iter(server.sessions.items()))
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            sock.sendall(b"WATCH temp\n")
+            assert reader.readline() == b"OK\n"
+            flooder = connect(server)
+            # about 19,000 events fill MAX_OUTPUT_BYTES
+            sent = 0
+            while watcher.state != CLOSED and sent < 60_000:
+                flooder.send_raw(b"".join(b"TEMP %d\n" % n for n in range(sent, sent + 1000)))
+                assert [flooder.read_line() for _ in range(1000)] == ["OK"] * 1000
+                sent += 1000
+            assert watcher.state == CLOSED
+            assert sent > MAX_OUTPUT_BYTES // 100  # events are shorter: it filled first
+            assert flooder.ask("PING") == "OK pong"
+            assert server.active_sessions() == 1
+            assert not server.temperature._observers
+            # the watcher reads what its socket holds, then the end of the stream
+            lines = reader.read().split(b"\n")
+            assert lines[-1] == b"" or not lines[-1].endswith(b"C")  # a cut-off line
+            assert all(line.startswith(b"EVT temp ") or line == b"ERR LIMIT output buffer full"
+                       for line in lines[:-1])
+            assert flooder.ask("QUIT") == "OK bye"
+            assert wait_until(lambda: server.active_sessions() == 0)
+        finally:
+            reader.close()
+            sock.close()
+
 
 class TestConnectionSlots:
-    """A session holds its connection slot until its last pool task ends."""
+    """A session holds its connection slot until it is dropped."""
 
-    def test_reset_session_keeps_its_slot_until_its_task_ends(self, make_server, connect,
-                                                                hold):
-        entered, release = hold
-        server = make_server(workers=1, max_conns=1)
+    def test_reset_session_frees_its_slot_at_once(self, make_server, connect):
+        server = make_server(max_conns=1)
         holder = connect(server)
-        session = next(iter(server.sessions.values()))
-        holder.send_line("HOLD")
-        assert entered.wait(5)
+        session = stall(server, holder)
         holder.sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
-        holder.close()  # a reset, not a FIN: the loop drops the session at once
-        assert wait_until(lambda: session.state == CLOSED)
-        for _ in range(2):
-            refused = connect(server)
-            assert refused.greeting == "ERR LIMIT too many connections"
-            assert refused.read_eof() == b""
-        release.set()
+        holder.close()  # a reset, not a FIN, while its read is paused
         assert wait_until(lambda: server.active_sessions() == 0)
+        assert session.state == CLOSED
         assert connect(server).greeting.startswith("OK patternd")
 
     def test_queued_sessions_fill_the_cap_without_blocking_the_loop(self, make_server,
-                                                                     connect, hold):
-        entered, release = hold
-        server = make_server(workers=1, max_conns=4)
-        holder = connect(server)
-        holder.send_line("HOLD")
-        assert entered.wait(5)
-        queued = [connect(server) for _ in range(3)]
+                                                                     connect):
+        server = make_server(max_conns=4)
+        queued = [connect(server) for _ in range(4)]
         for client in queued:
-            client.send_raw(b"SHOW\nQUIT\n")  # a document verb needs the pool; QUIT waits behind it
-        assert wait_until(lambda: len(server.pool._queue) == 3)
+            stall(server, client)  # lines wait in its in_buffer
         started = time.monotonic()
         refused = connect(server, timeout=2)
         assert refused.greeting == "ERR LIMIT too many connections"
         assert time.monotonic() - started < 1
-        release.set()
-        assert holder.read_line() == "OK held"
-        assert [[client.read_line(), client.read_line()] for client in queued] == [
-            ["OK", "OK bye"]] * 3
+        reply = "OK " + DOC_CHUNK * 32
+        for client in queued:
+            assert [client.read_line() for _ in range(20)] == [reply] * 20
+            assert client.ask("QUIT") == "OK bye"
 
 
 class TestLoopAndPool:
-    """The loop answers loop verbs on an idle session; the pool runs the rest."""
+    """Every request is answered on the loop thread, in request order, at
+    most LOOP_REPLY_BUDGET replies and events (plus the last request's
+    fan-out) per callback."""
 
-    def test_loop_verbs_are_answered_while_the_only_worker_is_held(self, make_server,
-                                                                    connect, hold):
-        entered, release = hold
-        server = make_server(workers=1)
-        holder = connect(server)
-        holder.send_line("HOLD")
-        assert entered.wait(5)
-        other = connect(server, timeout=1)
-        for line, reply in [("PING", "OK pong"), ("EVAL 1+2", "OK 3"),
-                            ("PRICE 100 none", "OK 100.0")]:
-            started = time.monotonic()
-            assert other.ask(line) == reply
-            assert time.monotonic() - started < 1
-        release.set()
-        assert holder.read_line() == "OK held"
+    def test_every_request_is_answered_on_the_loop_thread(self, server, connect,
+                                                          monkeypatch):
+        threads = set()
+        handle_line = server_module.handle_line
 
-    def test_loop_verbs_submit_nothing_to_the_pool(self, server, connect, submits):
-        tasks = submits(server)
+        def recording(session, line):
+            threads.add(threading.get_ident())
+            return handle_line(session, line)
+
+        monkeypatch.setattr(server_module, "handle_line", recording)
         client = connect(server)
-        cycle = [("PING", "OK pong"), ("EVAL 1+2", "OK 3"), ("LET x 5", "OK"),
-                 ("PRICE 100 none", "OK 100.0"), ("PLAY", "OK Starting playback."),
-                 ("STOP", "OK Stopping the player.")]
-        # bursts of 60 stay inside the loop's per-read budget
-        lines = [cycle[n % len(cycle)] for n in range(60)]
-        for _ in range(8):
-            client.send_raw("".join(line + "\n" for line, _ in lines).encode())
-            assert [client.read_line() for _ in lines] == [reply for _, reply in lines]
-        assert tasks == []
-        client.send_raw(b"PING\nWRITE ab\nPING\n")
-        assert [client.read_line() for _ in range(3)] == ["OK pong", "OK 2", "OK pong"]
-        assert len(tasks) == 1
+        burst = (b"PING\nWRITE ab\nSHOW\nSNAPSHOT\nUNDO\nRESTORE 1\nEVAL 2*3\nLET x 1\n"
+                 b"PRICE 100 none\nPLAY\nWATCH temp\nTEMP 1\nSAY hi\nSTATS\nBOGUS\n")
+        client.send_raw(burst * 40)
+        replies = 0
+        while replies < 15 * 40:
+            replies += not client.read_line().startswith("EVT ")
+        assert threads == {server._loop_thread.ident}
 
     def test_replies_cross_loop_and_pool_in_request_order(self, server, connect):
         client = connect(server)
@@ -783,14 +859,14 @@ class TestLoopAndPool:
         for _ in range(20):
             client.send_raw(burst)
             assert [client.read_line() for _ in expected] == expected
+        client.send_raw(burst * 100)  # past the budget: answered over several rounds
+        assert [client.read_line() for _ in expected * 100] == expected * 100
 
-    def test_temp_on_the_loop_sends_each_watcher_one_event(self, server, connect, submits):
+    def test_temp_on_the_loop_sends_each_watcher_one_event(self, server, connect):
         watchers = [connect(server) for _ in range(3)]
         for watcher in watchers:
             assert watcher.ask("WATCH temp") == "OK"
-        tasks = submits(server)
         assert connect(server).ask("TEMP 19") == "OK"
-        assert tasks == []
         for watcher in watchers:
             sid = watcher.greeting.rsplit(" ", 1)[-1]
             assert watcher.read_line() == (
@@ -818,31 +894,35 @@ class TestLoopAndPool:
                              ids=["on-the-loop", "on-the-pool"])
     def test_deep_eval_answers_alike_on_either_thread(self, server, connect, expr, value,
                                                       prefix, replies):
-        # the loop's call stack is deeper than a worker's; the answer is not
+        # alone, or behind a document verb in the same read
         client = connect(server)
         client.send_raw((prefix + "EVAL " + expr + "\n").encode())
         assert [client.read_line() for _ in range(len(replies) + 1)] == (
             replies + ["OK %d" % value])
 
-    def test_fan_out_past_the_budget_goes_to_the_pool(self, server, connect, submits,
-                                                      monkeypatch):
+    def test_fan_out_past_the_budget_pauses_the_read(self, server, connect, monkeypatch):
         watchers = [connect(server) for _ in range(20)]
         for watcher in watchers:
             assert watcher.ask("WATCH temp") == "OK"
-        tasks = submits(server)
         batched, largest = server._batched, []
+        resume, resumed = server._resume, []
 
         def measured(callback, endpoint):
             batched(callback, endpoint)
-            largest.append(server._batch.replies)
+            largest.append(server._replies)
+
+        def counted(session):
+            resumed.append(session)
+            resume(session)
 
         monkeypatch.setattr(server, "_batched", measured)
+        monkeypatch.setattr(server, "_resume", counted)
         flooder = connect(server)
         flooder.send_raw(b"".join(b"TEMP %d\n" % n for n in range(100)))
         assert [flooder.read_line() for _ in range(100)] == ["OK"] * 100
         # one callback buffers at most the budget plus one TEMP's reply and events
-        assert max(largest) < server_module.LOOP_REPLY_BUDGET + 1 + len(watchers)
-        assert tasks
+        assert max(largest) < LOOP_REPLY_BUDGET + 1 + len(watchers)
+        assert resumed
         for watcher in watchers:
             sid = watcher.greeting.rsplit(" ", 1)[-1]
             assert [watcher.read_line() for _ in range(100)] == [
@@ -938,12 +1018,12 @@ class TestHousekeeping:
         assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
 
     def test_watch_then_close_leaves_no_observer(self, server):
-        # the loop may drop the session while a worker still runs its WATCH
         for _ in range(300):
             with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
                 sock.sendall(b"WATCH temp\n")
         assert wait_until(lambda: server.active_sessions() == 0)
-        assert wait_until(lambda: server.temperature.publish(0) == 0)
+        # read, not published from this thread: only the loop may queue events
+        assert wait_until(lambda: not server.temperature._observers)
 
     def test_chain_order_matches_routing_contract(self):
         assert CHAIN_ORDER == ("admin", "eval", "doc", "price", "player", "events")
@@ -1007,7 +1087,7 @@ class TestHousekeeping:
 
     def test_request_log_has_one_record_per_pipelined_request(self, make_server, tmp_path):
         log_path = tmp_path / "patternd.log"
-        server = make_server(log_path=str(log_path), workers=4)
+        server = make_server(log_path=str(log_path))
         rng = random.Random(11)
         requests = ["PING", "EVAL 1+2", "LET x 3", "WRITE a", "SHOW", "UNDO", "SNAPSHOT",
                     "PRICE 100 none", "PLAY", "PAUSE", "STOP", "STATS", "SAY hi"]
