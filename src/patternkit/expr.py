@@ -149,41 +149,27 @@ def _apply_binary(op: str, left: int, right: int) -> int:
 def eval_expr(e: Expr, ctx: Context | None = None) -> int:
     """Checked evaluation; division truncates toward zero.
 
-    A tree too deep for the caller's remaining call stack is walked again
-    with an explicit stack, so the answer never depends on the thread or
-    on how deep the caller already is."""
+    A post-order walk on an explicit stack (left subtree, right subtree,
+    then the operator), so depth costs heap, never call stack, and the
+    first error raised is the one `EvalVisitor` raises.  A Binary pushes
+    its operator string as the marker that applies it."""
     ctx = ctx if ctx is not None else Context()
-    try:
-        return _eval(e, ctx)
-    except RecursionError:
-        return _eval_on_heap(e, ctx)
-
-
-def _eval(e: Expr, ctx: Context) -> int:
-    """Direct recursive interpretation."""
-    if isinstance(e, Number):
-        return e.value
-    if isinstance(e, Variable):
-        return ctx.value_of(e.name)
-    if isinstance(e, Binary):
-        return _apply_binary(e.op, _eval(e.left, ctx), _eval(e.right, ctx))
-    raise EvalError("not an expression node: %r" % (e,))
-
-
-def _eval_on_heap(e: Expr, ctx: Context) -> int:
-    """Post-order walk on an explicit stack: left subtree, right subtree,
-    then the operator, so the first error raised is `_eval`'s."""
     values: list[int] = []
-    pending = [(e, False)]
+    pending: list = [e]
     while pending:
-        node, operands_ready = pending.pop()
-        if operands_ready:
+        node = pending.pop()
+        kind = type(node)  # nothing subclasses the node classes; `is` beats isinstance
+        if kind is str:
             right = values.pop()
-            values.append(_apply_binary(node.op, values.pop(), right))
-        elif isinstance(node, Binary):
-            pending += ((node, True), (node.right, False), (node.left, False))
+            values.append(_apply_binary(node, values.pop(), right))
+        elif kind is Binary:
+            pending += (node.op, node.right, node.left)
+        elif kind is Number:
+            values.append(node.value)
+        elif kind is Variable:
+            values.append(ctx.value_of(node.name))
         else:
-            values.append(_eval(node, ctx))
+            raise EvalError("not an expression node: %r" % (node,))
     return values[0]
 
 
@@ -270,10 +256,12 @@ class BidirectionalCursor:
 
 
 def preorder_nodes(e: Expr) -> list:
-    nodes = [e]
-    if isinstance(e, Binary):
-        nodes.extend(preorder_nodes(e.left))
-        nodes.extend(preorder_nodes(e.right))
+    nodes, pending = [], [e]
+    while pending:
+        node = pending.pop()
+        nodes.append(node)
+        if isinstance(node, Binary):
+            pending += (node.right, node.left)
     return nodes
 
 

@@ -576,9 +576,10 @@ def serve(config: ServerConfig) -> int:
         server.close_log()
         print("patternd: cannot bind port %d: %s" % (config.port, exc), file=sys.stderr)
         return 1
-    print("patternd listening on 127.0.0.1:%d" % server.port, file=sys.stderr)
+    # before the "listening" line, so a signal sent on seeing it stops the loop
     signal.signal(signal.SIGINT, lambda *_: server.reactor.stop())
     signal.signal(signal.SIGTERM, lambda *_: server.reactor.stop())
+    print("patternd listening on 127.0.0.1:%d" % server.port, file=sys.stderr)
     server.run()
     return 0
 

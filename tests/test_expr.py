@@ -33,9 +33,9 @@ from patternkit.expr import (
     PrintVisitor,
     Rectangle,
     Variable,
-    _eval_on_heap,
     eval_expr,
     fold_expr,
+    iter_nodes,
     parse_expr,
     preorder_nodes,
 )
@@ -213,7 +213,7 @@ class TestEvaluation:
         assert fold_expr(text) == value
 
     def test_a_deep_tree_raises_its_leftmost_error(self):
-        # the heap walk must fail where the recursive walk would: left first
+        # the walk fails where the recursive visitor would: left first
         deep = "+".join(["1"] * 2000)
         with pytest.raises(EvalError, match="unbound variable 'nope'"):
             eval_expr(parse_expr("nope + 1/0 + " + deep))
@@ -221,17 +221,18 @@ class TestEvaluation:
             eval_expr(parse_expr("1/0 + nope + " + deep))
 
     def test_the_heap_walk_agrees_with_the_recursive_walk(self):
+        # eval_expr walks on an explicit stack; EvalVisitor recurses
         rng = random.Random(20261018)
         for _ in range(500):
             node = parse_expr(tree_to_text(random_tree(rng, max_depth=5)))
             ctx = env_context(random_env(rng))
             try:
-                expected = eval_expr(node, ctx)
+                expected = node.accept(EvalVisitor(ctx))
             except EvalError as exc:
                 with pytest.raises(EvalError, match="^%s$" % re.escape(str(exc))):
-                    _eval_on_heap(node, ctx)
+                    eval_expr(node, ctx)
                 continue
-            assert _eval_on_heap(node, ctx) == expected
+            assert eval_expr(node, ctx) == expected
 
 
 def test_random_trees_match_reference_evaluator():
@@ -329,6 +330,17 @@ class TestVisitors:
         node = parse_expr("1 + 2 * 3")
         kinds = [type(n).__name__ for n in preorder_nodes(node)]
         assert kinds == ["Binary", "Number", "Binary", "Number", "Number"]
+
+    def test_iter_nodes_walks_a_tree_deeper_than_the_call_stack(self):
+        node = parse_expr("+".join(["1"] * 2048))  # a left spine 2047 deep
+        nodes = list(iter_nodes(node))
+        assert len(nodes) == 4095
+        spine = [node]
+        while isinstance(spine[-1], Binary):
+            spine.append(spine[-1].left)
+        # pre-order: down the left spine, then each right leaf on the way up
+        assert nodes[:2048] == spine
+        assert nodes[2048:] == [Number(1)] * 2047
 
     def test_shape_visitors_double_dispatch(self):
         shapes = [Circle(), Rectangle()]

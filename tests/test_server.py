@@ -5,8 +5,10 @@ import json
 import os
 import random
 import re
+import signal
 import socket
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -90,7 +92,7 @@ class TestGreetingAndAdmin:
 
         def join_then_say(name, deliver):
             join(name, deliver)
-            server.chat.send(sid, "hi")  # a worker's SAY landing right after the join
+            server.chat.send(sid, "hi")  # another session's SAY landing right after the join
 
         server.chat.join = join_then_say
         newcomer = connect(server)
@@ -696,7 +698,7 @@ class TestBackpressure:
         assert [stalled.read_line() for _ in range(20)] == [reply] * 20
         assert stalled.ask("PING") == "OK pong"
 
-    def test_pipelining_into_a_saturated_pool_loses_no_reply(self, server):
+    def test_pipelining_past_the_reply_budget_loses_no_reply(self, server):
         # six clients pipeline at once; a lost flush or a lost resume leaves
         # a client waiting forever
         clients = [LineClient(server.port, timeout=10) for _ in range(6)]
@@ -852,7 +854,7 @@ class TestLoopAndPool:
             replies += not client.read_line().startswith("EVT ")
         assert threads == {server._loop_thread.ident}
 
-    def test_replies_cross_loop_and_pool_in_request_order(self, server, connect):
+    def test_replies_keep_request_order_across_rounds(self, server, connect):
         client = connect(server)
         burst = b"PING\nWRITE ab\nPING\nSHOW\nEVAL 2*3\nUNDO\nLET x 1\nEVAL x+1\n"
         expected = ["OK pong", "OK 2", "OK pong", "OK ab", "OK 6", "OK", "OK", "OK 2"]
@@ -1177,3 +1179,40 @@ class TestEntryPoint:
         bad = str(tmp_path / "missing" / "x.log")
         assert main(["--port", str(server.port), "--log", bad]) == 1
         assert bad in capsys.readouterr().err
+
+    def test_sigterm_exits_0_promptly(self):
+        with subprocess.Popen([sys.executable, "-m", "patternkit.server", "--port", "0"],
+                              stderr=subprocess.PIPE, text=True) as proc:
+            try:
+                listening = proc.stderr.readline()
+                port = int(re.search(r"listening on 127\.0\.0\.1:(\d+)", listening).group(1))
+                # a greeted session: the loop is in select, and the exit closes it
+                client = LineClient(port)
+                try:
+                    started = time.perf_counter()
+                    proc.send_signal(signal.SIGTERM)
+                    status = proc.wait(timeout=5)
+                    elapsed = time.perf_counter() - started
+                    assert client.read_eof() == b"", "every connection is closed"
+                finally:
+                    client.close()
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+        assert status == 0
+        assert elapsed < 0.3, "patternd took %.2f s to exit on SIGTERM" % elapsed
+
+    def test_sigterm_on_the_listening_line_exits_0(self):
+        # the handlers are installed before the line is printed
+        for _ in range(5):
+            with subprocess.Popen([sys.executable, "-m", "patternkit.server", "--port", "0"],
+                                  stderr=subprocess.PIPE) as proc:
+                try:
+                    assert b"listening" in proc.stderr.readline()
+                    proc.send_signal(signal.SIGTERM)
+                    assert proc.wait(timeout=5) == 0
+                finally:
+                    if proc.poll() is None:
+                        proc.kill()
+                        proc.wait()
