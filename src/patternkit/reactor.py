@@ -1,20 +1,17 @@
 """Single-threaded readiness event loop over the selectors module.
 
 One thread owns the loop and every registered endpoint.  `register`,
-`modify`, `deregister` and `call_next_round` act at once and may be called
-only on that thread (from a callback), or before `run` starts.  `stop()`
-alone may be called from any thread or from a signal handler: it sets a
-flag and writes one byte to a wakeup socket pair, so a blocked `select`
-returns at once and `run` exits at the end of that round.
+`modify` and `deregister` act at once and may be called only on that
+thread (from a callback), or before `run` starts.  `stop()` alone may be
+called from any thread or from a signal handler: it sets a flag and writes
+one byte to a wakeup socket pair, so a blocked `select` returns at once
+and `run` exits at the end of that round.
 
-Modifying the interest to 0 keeps the registration but waits on nothing;
-a modify that leaves the interest unchanged touches no selector.
-`call_next_round(fn, *args)` defers a call to the start of the next round,
-after this round's dispatch, and the loop does not wait in `select` while
-such a call is pending; a call deferred again before it runs runs once.
-`close` releases the selector, the wakeup socket pair and every registered
-endpoint; `run` calls it on exit, and a reactor that never runs must be
-closed by its owner.
+An endpoint always waits on `READ`, `WRITE` or both: any other interest
+raises `ValueError` and changes nothing, and a modify that leaves the
+interest unchanged touches no selector.  `close` releases the selector,
+the wakeup pair and every registered endpoint; `run` calls it on exit,
+and a reactor that never runs must be closed by its owner.
 """
 
 from __future__ import annotations
@@ -26,9 +23,14 @@ READ = selectors.EVENT_READ
 WRITE = selectors.EVENT_WRITE
 
 
+def _check_interest(interest: int):
+    if interest not in (READ, WRITE, READ | WRITE):
+        raise ValueError("interest must be READ, WRITE or both, not %r" % (interest,))
+
+
 class EventHandler:
-    """Callbacks run on the loop thread only; they may register, modify,
-    deregister, or defer a call to the next round."""
+    """Callbacks run on the loop thread only; they may register, modify or
+    deregister endpoints."""
 
     def on_readable(self, endpoint):
         raise NotImplementedError
@@ -40,8 +42,8 @@ class EventHandler:
 class Reactor:
     def __init__(self):
         self._selector = selectors.DefaultSelector()
+        # read on each dispatch: the selector's own map is slower and raises for a closed socket
         self._registrations: dict = {}
-        self._next_round: dict = {}  # (fn, args) -> None: ordered, each call once
         self._wake_recv, self._wake_send = socket.socketpair()
         self._wake_recv.setblocking(False)
         self._wake_send.setblocking(False)
@@ -51,36 +53,26 @@ class Reactor:
     # -- loop thread only ----------------------------------------------------
 
     def register(self, endpoint, interest: int, handler: EventHandler):
+        _check_interest(interest)
         if endpoint in self._registrations:
             raise ValueError("endpoint already registered")
         if endpoint.fileno() < 0:
             raise ValueError("endpoint is closed")
-        self._registrations[endpoint] = (interest, handler)
         self._selector.register(endpoint, interest, data=handler)
+        self._registrations[endpoint] = (interest, handler)
 
     def modify(self, endpoint, interest: int):
         """Change the interest; an unknown endpoint is a no-op."""
+        _check_interest(interest)
         entry = self._registrations.get(endpoint)
         if entry is None or entry[0] == interest:
             return
-        old, handler = entry
-        self._registrations[endpoint] = (interest, handler)
-        if not old:
-            self._selector.register(endpoint, interest, data=handler)
-        elif not interest:
-            self._selector.unregister(endpoint)
-        else:
-            self._selector.modify(endpoint, interest, data=handler)
+        self._selector.modify(endpoint, interest, data=entry[1])
+        self._registrations[endpoint] = (interest, entry[1])
 
     def deregister(self, endpoint):
-        entry = self._registrations.pop(endpoint, None)
-        if entry is not None and entry[0]:
+        if self._registrations.pop(endpoint, None) is not None:
             self._selector.unregister(endpoint)
-
-    def call_next_round(self, fn, *args):
-        """Run fn(*args) at the start of the next round.  The call is a
-        dict key, so fn and args must be hashable."""
-        self._next_round[(fn, args)] = None
 
     def registration_count(self) -> int:
         return len(self._registrations)
@@ -99,19 +91,11 @@ class Reactor:
     # -- the loop --------------------------------------------------------------
 
     def run_once(self, max_wait: float) -> int:
-        """One round: run the calls deferred to this round, wait up to
-        max_wait (not at all while a call is deferred to the next round),
-        dispatch.
-
-        Returns the number of callbacks invoked, deferred calls included.
-        Readiness is level-triggered, so handlers need not drain endpoints
-        in one call.
-        """
-        deferred, self._next_round = self._next_round, {}
-        for fn, args in deferred:
-            fn(*args)
-        dispatched = len(deferred)
-        for key, mask in self._selector.select(0 if self._next_round else max_wait):
+        """One round: wait up to max_wait, then dispatch.  Returns the number
+        of callbacks invoked.  Readiness is level-triggered, so a handler
+        need not drain its endpoint in one call."""
+        dispatched = 0
+        for key, mask in self._selector.select(max_wait):
             if key.data is None:
                 try:
                     while self._wake_recv.recv(4096):

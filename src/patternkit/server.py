@@ -7,9 +7,9 @@ thread, through the verb chain, in arrival order.  The server is the reactor's e
 connection.  A session's `state` only moves forward:
 
     OPEN      reading; each complete line is answered as it is framed
-    CLOSING   a close reply (QUIT's, the over-long line's ERR LIMIT, or
-              the silent end of a half-closed session) is buffered;
-              nothing after it runs or is sent
+    CLOSING   QUIT's reply, the over-long line's ERR LIMIT or the peer's
+              EOF ended the session; nothing after it runs or is sent, and
+              the session is dropped once its output is sent
     CLOSED    dropped: socket closed, chat room left, observer
               unsubscribed, connection slot free
 
@@ -22,10 +22,11 @@ client still gets the replies to what it sent.  A failed `recv` or `send`
 drops a session at once.
 
 Replies and events buffered during one reactor callback (a read, a
-resumed read, or the accept that buffers the greeting) are flushed once
-per session when the callback returns, so a pipelined burst costs one
-send.  The flush asks for write interest only when the socket takes less
-than the whole buffer.
+write-ready callback that resumes a read, or the accept that buffers the
+greeting) are flushed once per session when the callback returns, so a
+pipelined burst costs one send.  A session that reads waits on `READ`,
+plus `WRITE` while a short send left bytes behind; a session that does
+not read (paused or `CLOSING`) waits on `WRITE` alone.
 
 Each verb's cost is bounded by the limits in `wire.py`, and one session's
 work is bounded per loop round.  A session pauses, before it frames its
@@ -33,9 +34,9 @@ next line, once the callback has buffered `LOOP_REPLY_BUDGET` replies and
 events (one `TEMP` or `SAY` fans out to every watcher), or once its own
 output buffer holds `OUTPUT_HIGH_WATER` bytes; one reply may cross the
 mark.  A paused session keeps the rest of its read in `in_buffer` and
-withdraws `READ`; `_flush` resumes it on the next loop round once its
-output is below `OUTPUT_LOW_WATER`, so other connections are served in
-between and a client that stops reading is no longer read.  A reply or
+waits on `WRITE`: once its socket is writable and its output is below
+`OUTPUT_LOW_WATER` it resumes.  That is the next loop round, after other
+connections are served, unless the client stopped reading.  A reply or
 event that would take a session's output past `MAX_OUTPUT_BYTES`, such
 as an event for a watcher that stopped reading, closes that session at
 once with `ERR LIMIT output buffer full`.
@@ -70,16 +71,15 @@ _session_ids = itertools.count(1)
 
 OPEN, CLOSING, CLOSED = range(3)
 
-# `_queue_reply` closes the session on `_BYE`, `_LINE_TOO_LONG` and
-# `_HANG_UP`, matched by identity.
+# `_queue_reply` closes the session on `_BYE` and `_LINE_TOO_LONG`, matched
+# by identity.
 _LINE_TOO_LONG = Err("LIMIT", "request line too long")
 _NOT_UTF8 = Err("PARSE", "request is not valid UTF-8")
-_HANG_UP = object()  # the peer's EOF; sends nothing
 _BYE = Ok("bye")  # QUIT's reply
 _OUTPUT_FULL = Err("LIMIT", "output buffer full")
 
 # replies and events one callback may buffer before the session it reads
-# pauses until the next loop round: one TEMP or SAY fans out to every watcher
+# pauses until its socket is writable: one TEMP or SAY fans out to every watcher
 LOOP_REPLY_BUDGET = 256
 # a session stops framing lines while its unsent output is at or past the
 # high-water mark, and resumes once it drains below the low-water mark
@@ -109,13 +109,13 @@ class Session(EventHandler):
         self.out_buffer = bytearray()
         self.state = OPEN
         self.writing = False  # a short send left bytes for on_writable
-        self.paused = False  # lines wait in in_buffer until `_flush` resumes it
+        self.paused = False  # lines wait in in_buffer until on_writable resumes it
 
     def on_readable(self, conn):
         self.server._batched(self.server._receive, self)
 
     def on_writable(self, conn):
-        self.server._flush(self)
+        self.server._batched(self.server._writable, self)
 
 
 class VerbHandler(Handler):
@@ -453,15 +453,16 @@ class PatternServer(EventHandler):
             session.in_buffer += data
             self._pump_lines(session)
             return
-        # EOF: a paused session is not read, so every line before it is answered
-        self._queue_reply(session, _HANG_UP)
+        # EOF: a paused session is not read, so every line before it is
+        # answered; the WRITE callback drops the session once its replies are sent
+        session.state = CLOSING
         self._update_interest(session)
 
     def _update_interest(self, session: Session):
-        interest = WRITE if session.writing else 0
         if session.state == OPEN and not session.paused:
-            interest |= READ
-        self.reactor.modify(session.conn, interest)
+            self.reactor.modify(session.conn, READ | WRITE if session.writing else READ)
+        else:
+            self.reactor.modify(session.conn, WRITE)
 
     def _pump_lines(self, session: Session):
         buffer = session.in_buffer
@@ -492,8 +493,8 @@ class PatternServer(EventHandler):
             self._update_interest(session)
 
     def _resume(self, session: Session):
-        """Next-round callback: frame the rest of a paused session's read,
-        then read again unless it paused once more."""
+        """Frame the rest of a paused session's read, then read again unless
+        it paused once more."""
         session.paused = False
         self._pump_lines(session)
         if session.state == OPEN and not session.paused:
@@ -508,11 +509,11 @@ class PatternServer(EventHandler):
 
     def _queue_reply(self, session: Session, reply):
         """Buffer one reply or event for the flush at the end of the current
-        callback.  `_BYE`, `_LINE_TOO_LONG` and `_HANG_UP` close the session,
-        and nothing is buffered after them."""
+        callback.  `_BYE` and `_LINE_TOO_LONG` close the session, and nothing
+        is buffered after them."""
         if session.state != OPEN:
             return
-        data = b"" if reply is _HANG_UP else (self.family.render_reply(reply) + "\n").encode()
+        data = (self.family.render_reply(reply) + "\n").encode()
         out = session.out_buffer
         if len(out) + len(data) > MAX_OUTPUT_BYTES:
             self._overflow(session)
@@ -521,7 +522,7 @@ class PatternServer(EventHandler):
             self._flushes.append(session)
         out += data
         self._replies += 1
-        if reply is _BYE or reply is _LINE_TOO_LONG or reply is _HANG_UP:
+        if reply is _BYE or reply is _LINE_TOO_LONG:
             session.state = CLOSING
 
     def _overflow(self, session: Session):
@@ -536,10 +537,16 @@ class PatternServer(EventHandler):
             pass
         self._drop(session)
 
+    def _writable(self, session: Session):
+        """WRITE callback: send the rest of the output, then resume a paused
+        session once its output is below the low-water mark."""
+        self._flush(session)
+        if session.state == OPEN and session.paused and len(session.out_buffer) < OUTPUT_LOW_WATER:
+            self._resume(session)
+
     def _flush(self, session: Session):
-        """Send what is buffered, keeping write interest only while a short
-        send leaves bytes behind, and resume a paused session on the next
-        round once its output is below the low-water mark."""
+        """Send what is buffered, and drop a CLOSING session once all of it
+        is sent; a short send leaves `writing` set for the WRITE callback."""
         if session.state == CLOSED:
             return
         out = session.out_buffer
@@ -553,10 +560,7 @@ class PatternServer(EventHandler):
                 return
         if session.state == CLOSING and not out:
             self._drop(session)
-            return
-        if session.paused and len(out) < OUTPUT_LOW_WATER:
-            self.reactor.call_next_round(self._batched, self._resume, session)
-        if bool(out) != session.writing:
+        elif bool(out) != session.writing:
             session.writing = bool(out)
             self._update_interest(session)
 

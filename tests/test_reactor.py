@@ -1,5 +1,5 @@
-"""Event loop: readiness dispatch, loop-thread commands, deferred calls,
-a stop from another thread or a signal handler, echo service."""
+"""Event loop: readiness dispatch, loop-thread commands and the interests
+they accept, a stop from another thread or a signal handler, echo service."""
 
 import random
 import signal
@@ -224,6 +224,44 @@ class TestCommands:
             client.close()
             conn.close()
 
+    def test_register_rejects_an_interest_other_than_read_or_write(self, reactor):
+        client, conn = tcp_pair()
+        other_client, other = tcp_pair()
+        try:
+            conn.setblocking(False)
+            collector = Collector()
+            reactor.register(conn, READ, collector)
+            for interest in (0, 4, READ | WRITE | 4):
+                with pytest.raises(ValueError):
+                    reactor.register(other, interest, Collector())
+                assert reactor.registration_count() == 1
+            client.sendall(b"still")
+            assert reactor.run_once(max_wait=2) == 1
+            assert bytes(collector.received) == b"still"
+            reactor.close()
+            assert other.fileno() >= 0, "close() closed an endpoint it never registered"
+        finally:
+            for sock in (client, conn, other_client, other):
+                sock.close()
+
+    def test_modify_rejects_an_interest_other_than_read_or_write(self, reactor):
+        client, conn = tcp_pair()
+        try:
+            conn.setblocking(False)
+            collector = Collector()
+            reactor.register(conn, READ, collector)
+            for interest in (0, 4, READ | WRITE | 4):
+                with pytest.raises(ValueError):
+                    reactor.modify(conn, interest)
+            assert reactor.registration_count() == 1
+            client.sendall(b"still")
+            assert reactor.run_once(max_wait=2) == 1, "dispatched on its old interest"
+            assert bytes(collector.received) == b"still"
+        finally:
+            client.close()
+            conn.close()
+
+
 class TestRunAndStop:
     def test_stop_interrupts_long_select_quickly(self, reactor):
         thread = threading.Thread(target=reactor.run, kwargs={"max_wait": 5})
@@ -338,64 +376,3 @@ class TestHandoff:
         finally:
             client.close()
             conn.close()
-
-    def test_zero_interest_keeps_the_registration_but_dispatches_nothing(self, reactor):
-        client, conn = tcp_pair()
-        try:
-            conn.setblocking(False)
-            collector = Collector()
-            reactor.register(conn, READ, collector)
-            reactor.modify(conn, 0)
-            client.sendall(b"held")
-            assert reactor.run_once(max_wait=0.05) == 0
-            assert reactor.registration_count() == 1
-            reactor.modify(conn, READ)
-            assert reactor.run_once(max_wait=2) == 1
-            assert bytes(collector.received) == b"held"
-            reactor.modify(conn, 0)
-            reactor.deregister(conn)
-            assert reactor.registration_count() == 0
-        finally:
-            client.close()
-            conn.close()
-
-    def test_call_next_round_runs_after_this_rounds_dispatch(self, reactor):
-        client, conn = tcp_pair()
-        seen = []
-
-        class Deferring(EventHandler):
-            def on_readable(self, endpoint):
-                seen.append(("read", endpoint.recv(4096)))
-                reactor.call_next_round(seen.append, "deferred")
-                reactor.call_next_round(seen.append, "deferred")  # queued twice, runs once
-                reactor.call_next_round(seen.append, "later")
-
-        try:
-            conn.setblocking(False)
-            reactor.register(conn, READ, Deferring())
-            client.sendall(b"x")
-            assert reactor.run_once(max_wait=2) == 1
-            assert seen == [("read", b"x")]
-            assert reactor.run_once(max_wait=0.05) == 2
-            assert seen == [("read", b"x"), "deferred", "later"]
-        finally:
-            client.close()
-            conn.close()
-
-    def test_a_call_deferred_from_a_deferred_call_waits_a_round(self, reactor):
-        seen = []
-
-        def again(n):
-            seen.append(n)
-            if n < 3:
-                reactor.call_next_round(again, n + 1)
-
-        reactor.call_next_round(again, 1)
-        started = time.monotonic()
-        for rounds in (1, 2):
-            # a call is pending after this round's deferred calls: no wait
-            assert reactor.run_once(max_wait=5) == 1
-            assert seen == list(range(1, rounds + 1))
-        assert time.monotonic() - started < 1
-        assert reactor.run_once(max_wait=0) == 1
-        assert seen == [1, 2, 3]

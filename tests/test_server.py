@@ -15,14 +15,14 @@ import time
 
 import pytest
 
-from conftest import LineClient
+from conftest import LineClient, ThreadedServer
 from oracles import (VAR_NAMES, OracleEvalError, random_chain, random_env, random_tree,
                      reference_eval, tree_depth, tree_to_text)
 from patternkit import server as server_module
 from patternkit.creational import ConfigBuilder
 from patternkit.expr import Number
-from patternkit.server import (CHAIN_ORDER, CLOSED, LOOP_REPLY_BUDGET, OPEN, OUTPUT_HIGH_WATER,
-                               PatternServer, Session, main)
+from patternkit.server import (CHAIN_ORDER, CLOSED, CLOSING, LOOP_REPLY_BUDGET, OPEN,
+                               OUTPUT_HIGH_WATER, PatternServer, Session, main)
 from patternkit.wire import (MAX_BINDINGS, MAX_DOC_BYTES, MAX_HISTORY, MAX_OUTPUT_BYTES,
                              MAX_SNAPSHOTS, Err, Evt, JsonFamily, Ok, TextFamily, escape_doc)
 
@@ -638,6 +638,32 @@ class TestFraming:
         assert [client.read_line() for _ in LONG_BURST_REPLIES] == LONG_BURST_REPLIES
         assert client.read_eof() == b""
 
+    def test_eof_behind_unsent_replies_closes_once_they_are_sent(self, server):
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.connect(("127.0.0.1", server.port))
+        sock.settimeout(10)
+        reader = sock.makefile("rb")
+        try:
+            assert reader.readline().startswith(b"OK patternd")
+            conn, session = next(iter(server.sessions.items()))
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            sock.sendall(("WRITE %s\n" % DOC_CHUNK).encode() * 4)
+            assert [reader.readline() for _ in range(4)][-1] == b"OK 8192\n"
+            # 48 KiB of replies: under the high-water mark, more than the sockets hold
+            sock.sendall(b"SHOW\n" * 6 + b"PING\n")
+            sock.shutdown(socket.SHUT_WR)
+            assert wait_until(lambda: session.state == CLOSING)
+            assert session.writing, "the EOF was read while replies were unsent"
+            reply = ("OK " + DOC_CHUNK * 4 + "\n").encode()
+            assert [reader.readline() for _ in range(6)] == [reply] * 6
+            assert reader.readline() == b"OK pong\n"
+            assert reader.read() == b""
+            assert wait_until(lambda: server.active_sessions() == 0)
+        finally:
+            reader.close()
+            sock.close()
+
     def test_invalid_utf8_is_a_parse_error(self, server, connect):
         client = connect(server)
         client.send_raw(b"EVAL \xff\xfe\n")
@@ -697,6 +723,37 @@ class TestBackpressure:
         reply = "OK " + DOC_CHUNK * 32
         assert [stalled.read_line() for _ in range(20)] == [reply] * 20
         assert stalled.ask("PING") == "OK pong"
+
+    def test_a_paused_session_resumes_without_waiting_out_max_wait(self):
+        # the fixture's 50 ms max_wait would hide a resume that waits for
+        # the select timeout instead of the socket's write readiness
+        srv = ThreadedServer(ConfigBuilder().port(0).build())
+        srv.bind()
+        srv.start_background(max_wait=2)
+        client = LineClient(srv.port)
+        try:
+            started = time.monotonic()
+            client.send_raw(b"EVAL 1+1\n" * 3000)  # paused after each LOOP_REPLY_BUDGET replies
+            assert [client.read_line() for _ in range(3000)] == ["OK 2"] * 3000
+            assert time.monotonic() - started < 1
+        finally:
+            client.close()
+            srv.stop()
+
+    def test_half_close_behind_a_stall_gets_every_reply_then_eof(self, server, connect):
+        # the EOF is read only after the paused session has resumed, while
+        # replies may still wait for the socket's write readiness
+        baseline = server.reactor.registration_count()
+        client = connect(server)
+        stall(server, client)
+        client.send_raw(b"PING\n")
+        client.sock.shutdown(socket.SHUT_WR)
+        reply = "OK " + DOC_CHUNK * 32
+        assert [client.read_line() for _ in range(20)] == [reply] * 20
+        assert client.read_line() == "OK pong"
+        assert client.read_eof() == b""
+        assert wait_until(lambda: server.active_sessions() == 0)
+        assert server.reactor.registration_count() == baseline
 
     def test_pipelining_past_the_reply_budget_loses_no_reply(self, server):
         # six clients pipeline at once; a lost flush or a lost resume leaves
