@@ -2,14 +2,15 @@
 
 One thread serves every connection.  A selector reactor owns the sockets;
 the server frames request lines and answers each one on the reactor's
-thread, through the verb chain, in arrival order.  The server is the reactor's event handler for its listener
-(`on_readable` accepts), and each session is the handler for its own
-connection.  A session's `state` only moves forward:
+thread, through the verb chain, in arrival order.  The server is the
+reactor's event handler for its listener (`on_readable` accepts), and each
+session is the handler for its own connection.  A session's one variable
+is its `state`, which only moves forward but for PAUSED's return to OPEN:
 
     OPEN      reading; each complete line is answered as it is framed
+    PAUSED    not read: the rest of its read waits in `in_buffer`
     CLOSING   QUIT's reply, the over-long line's ERR LIMIT or the peer's
-              EOF ended the session; nothing after it runs or is sent, and
-              the session is dropped once its output is sent
+              EOF ended the session; nothing after it runs or is sent
     CLOSED    dropped: socket closed, chat room left, observer
               unsubscribed, connection slot free
 
@@ -21,25 +22,24 @@ read only once every line before it has been answered, so a half-closed
 client still gets the replies to what it sent.  A failed `recv` or `send`
 drops a session at once.
 
-Replies and events buffered during one reactor callback (a read, a
-write-ready callback that resumes a read, or the accept that buffers the
-greeting) are flushed once per session when the callback returns, so a
-pipelined burst costs one send.  A session that reads waits on `READ`,
-plus `WRITE` while a short send left bytes behind; a session that does
-not read (paused or `CLOSING`) waits on `WRITE` alone.
+Every reactor callback (a read, a write-ready callback, or the accept that
+buffers the greeting) ends with one flush of each session it touched, so
+a pipelined burst costs one send.  `_flush` decides the interest: after
+sending what it can, an OPEN session waits on `READ`, plus `WRITE` while
+output is unsent; a PAUSED session, or a CLOSING one with unsent output,
+waits on `WRITE`; a CLOSING session whose output is all sent is dropped.
 
 Each verb's cost is bounded by the limits in `wire.py`, and one session's
 work is bounded per loop round.  A session pauses, before it frames its
 next line, once the callback has buffered `LOOP_REPLY_BUDGET` replies and
 events (one `TEMP` or `SAY` fans out to every watcher), or once its own
 output buffer holds `OUTPUT_HIGH_WATER` bytes; one reply may cross the
-mark.  A paused session keeps the rest of its read in `in_buffer` and
-waits on `WRITE`: once its socket is writable and its output is below
-`OUTPUT_LOW_WATER` it resumes.  That is the next loop round, after other
-connections are served, unless the client stopped reading.  A reply or
-event that would take a session's output past `MAX_OUTPUT_BYTES`, such
-as an event for a watcher that stopped reading, closes that session at
-once with `ERR LIMIT output buffer full`.
+mark.  It still takes events, and once its socket is writable and its
+output is below `OUTPUT_LOW_WATER` it resumes.  That is the next loop
+round, after other connections are served, unless the client stopped
+reading.  A reply or event that would take a session's output past
+`MAX_OUTPUT_BYTES`, such as an event for a watcher that stopped reading,
+closes that session at once with `ERR LIMIT output buffer full`.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from .wire import (I64_MAX, MAX_BINDINGS, MAX_DOC_BYTES, MAX_HISTORY, MAX_OUTPUT
 
 _session_ids = itertools.count(1)
 
-OPEN, CLOSING, CLOSED = range(3)
+OPEN, PAUSED, CLOSING, CLOSED = range(4)
 
 # `_queue_reply` closes the session on `_BYE` and `_LINE_TOO_LONG`, matched
 # by identity.
@@ -108,8 +108,6 @@ class Session(EventHandler):
         self.in_buffer = bytearray()
         self.out_buffer = bytearray()
         self.state = OPEN
-        self.writing = False  # a short send left bytes for on_writable
-        self.paused = False  # lines wait in in_buffer until on_writable resumes it
 
     def on_readable(self, conn):
         self.server._batched(self.server._receive, self)
@@ -353,8 +351,8 @@ class PatternServer(EventHandler):
         self.stats_proxy = LazyStatsProxy(RegistryStats, trace_forwards=False)
         self.chain = build_chain(self, logger=self.logger)
         self.sessions: dict = {}
-        # the current callback's sessions to flush, and its replies and events
-        self._flushes: list = []
+        # the current callback's sessions to flush, each once, and its replies and events
+        self._flushes: dict = {}
         self._replies = 0
         self.listener = None
         self.port = None
@@ -395,10 +393,10 @@ class PatternServer(EventHandler):
 
     def _batched(self, callback, endpoint):
         """Run one reactor callback, then flush once each session that it
-        gave a reply or an event."""
+        touched."""
         self._replies = 0
         callback(endpoint)
-        flushes, self._flushes = self._flushes, []  # holds no session between callbacks
+        flushes, self._flushes = self._flushes, {}  # holds no session between callbacks
         for session in flushes:
             self._flush(session)
 
@@ -442,6 +440,7 @@ class PatternServer(EventHandler):
             session.temp_observer = None
 
     def _receive(self, session: Session):
+        self._flushes[session] = None
         try:
             data = session.conn.recv(4096)
         except BlockingIOError:
@@ -452,17 +451,10 @@ class PatternServer(EventHandler):
         if data:
             session.in_buffer += data
             self._pump_lines(session)
-            return
-        # EOF: a paused session is not read, so every line before it is
-        # answered; the WRITE callback drops the session once its replies are sent
-        session.state = CLOSING
-        self._update_interest(session)
-
-    def _update_interest(self, session: Session):
-        if session.state == OPEN and not session.paused:
-            self.reactor.modify(session.conn, READ | WRITE if session.writing else READ)
         else:
-            self.reactor.modify(session.conn, WRITE)
+            # EOF: a PAUSED session is not read, so every line before it is
+            # answered; the flush drops the session once its replies are sent
+            session.state = CLOSING
 
     def _pump_lines(self, session: Session):
         buffer = session.in_buffer
@@ -474,8 +466,7 @@ class PatternServer(EventHandler):
             if index < 0:
                 return
             if self._replies >= LOOP_REPLY_BUDGET or len(session.out_buffer) >= OUTPUT_HIGH_WATER:
-                session.paused = True
-                self._update_interest(session)
+                session.state = PAUSED
                 return
             raw = bytes(buffer[:index])
             del buffer[:index + 1]
@@ -487,18 +478,15 @@ class PatternServer(EventHandler):
                 self._queue_reply(session, _NOT_UTF8)
                 continue
             self._enqueue_request(session, line)
-        # past OPEN: nothing more is read
+        # CLOSING or CLOSED: nothing more is read
         buffer.clear()
-        if session.state != CLOSED:
-            self._update_interest(session)
 
     def _resume(self, session: Session):
-        """Frame the rest of a paused session's read, then read again unless
-        it paused once more."""
-        session.paused = False
+        """Frame the rest of a PAUSED session's read; the callback's flush
+        reads again unless it pauses once more."""
+        session.state = OPEN
+        self._flushes[session] = None
         self._pump_lines(session)
-        if session.state == OPEN and not session.paused:
-            self._update_interest(session)
 
     def _enqueue_request(self, session: Session, line: str):
         """Answer one decoded request line.  Framing errors are answered
@@ -510,8 +498,8 @@ class PatternServer(EventHandler):
     def _queue_reply(self, session: Session, reply):
         """Buffer one reply or event for the flush at the end of the current
         callback.  `_BYE` and `_LINE_TOO_LONG` close the session, and nothing
-        is buffered after them."""
-        if session.state != OPEN:
+        is buffered after them; a PAUSED watcher still takes events."""
+        if session.state >= CLOSING:
             return
         data = (self.family.render_reply(reply) + "\n").encode()
         out = session.out_buffer
@@ -519,7 +507,7 @@ class PatternServer(EventHandler):
             self._overflow(session)
             return
         if not out:  # else this callback's flush or write interest is pending
-            self._flushes.append(session)
+            self._flushes[session] = None
         out += data
         self._replies += 1
         if reply is _BYE or reply is _LINE_TOO_LONG:
@@ -538,16 +526,17 @@ class PatternServer(EventHandler):
         self._drop(session)
 
     def _writable(self, session: Session):
-        """WRITE callback: send the rest of the output, then resume a paused
+        """WRITE callback: send the rest of the output, then resume a PAUSED
         session once its output is below the low-water mark."""
         self._flush(session)
-        if session.state == OPEN and session.paused and len(session.out_buffer) < OUTPUT_LOW_WATER:
+        if session.state == PAUSED and len(session.out_buffer) < OUTPUT_LOW_WATER:
             self._resume(session)
 
     def _flush(self, session: Session):
-        """Send what is buffered, and drop a CLOSING session once all of it
-        is sent; a short send leaves `writing` set for the WRITE callback."""
-        if session.state == CLOSED:
+        """Send what is buffered, then set what the session waits on, or
+        drop a CLOSING session whose output is all sent."""
+        state = session.state
+        if state == CLOSED:
             return
         out = session.out_buffer
         if out:
@@ -558,11 +547,12 @@ class PatternServer(EventHandler):
             except OSError:
                 self._drop(session)
                 return
-        if session.state == CLOSING and not out:
+        if state == OPEN:
+            self.reactor.modify(session.conn, READ | WRITE if out else READ)
+        elif out or state == PAUSED:
+            self.reactor.modify(session.conn, WRITE)
+        else:
             self._drop(session)
-        elif bool(out) != session.writing:
-            session.writing = bool(out)
-            self._update_interest(session)
 
 
 def serve(config: ServerConfig) -> int:
@@ -570,8 +560,11 @@ def serve(config: ServerConfig) -> int:
     try:
         server = PatternServer(config)
     except OSError as exc:
-        print("patternd: cannot open log %s: %s" % (config.log_path, exc.strerror),
-              file=sys.stderr)
+        if config.log_path and exc.filename == config.log_path:
+            print("patternd: cannot open log %s: %s" % (config.log_path, exc.strerror),
+                  file=sys.stderr)
+        else:  # the reactor's epoll or wakeup pair
+            print("patternd: cannot start: %s" % exc.strerror, file=sys.stderr)
         return 1
     try:
         server.bind()

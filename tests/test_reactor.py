@@ -359,7 +359,7 @@ def test_stop_tolerates_a_full_or_closed_wakeup_pair(reactor):
     reactor.stop()
 
 
-class TestHandoff:
+class TestModify:
     def test_unchanged_interest_makes_no_selector_call(self, reactor, monkeypatch):
         client, conn = tcp_pair()
         calls = []

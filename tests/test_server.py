@@ -21,8 +21,9 @@ from oracles import (VAR_NAMES, OracleEvalError, random_chain, random_env, rando
 from patternkit import server as server_module
 from patternkit.creational import ConfigBuilder
 from patternkit.expr import Number
+from patternkit.reactor import READ, WRITE
 from patternkit.server import (CHAIN_ORDER, CLOSED, CLOSING, LOOP_REPLY_BUDGET, OPEN,
-                               OUTPUT_HIGH_WATER, PatternServer, Session, main)
+                               OUTPUT_HIGH_WATER, PAUSED, PatternServer, Session, main)
 from patternkit.wire import (MAX_BINDINGS, MAX_DOC_BYTES, MAX_HISTORY, MAX_OUTPUT_BYTES,
                              MAX_SNAPSHOTS, Err, Evt, JsonFamily, Ok, TextFamily, escape_doc)
 
@@ -62,7 +63,7 @@ def stall(server, client, shows=20):
     client.send_raw(("WRITE %s\n" % DOC_CHUNK).encode() * 32)
     assert [client.read_line() for _ in range(32)][-1] == "OK 65536"
     client.send_raw(b"SHOW\n" * shows)
-    assert wait_until(lambda: session.paused and session.writing)
+    assert wait_until(lambda: session.state == PAUSED and session.out_buffer)
     return session
 
 
@@ -121,7 +122,7 @@ class TestGreetingAndAdmin:
 
     @pytest.mark.parametrize("before,replies", [(b"WRITE a\n", ["OK 1"]), (b"", []),
                                                 (LONG_BURST, LONG_BURST_REPLIES)],
-                             ids=["after-pool-quit", "after-bare-quit", "after-a-paused-burst"])
+                             ids=["after-a-write", "after-bare-quit", "after-a-paused-burst"])
     def test_nothing_runs_after_quit(self, server, connect, before, replies):
         # the lines after QUIT arrive in the same read; a stray TEMP or SAY
         # would put an event ahead of the watcher's SHOW reply
@@ -583,13 +584,13 @@ class TestFraming:
                 assert reader.readline().startswith(b"OK ")
             sock.sendall(b"SHOW\n" * 3)
             # the client is not reading, so the loop's send comes up short
-            assert wait_until(lambda: any(s.writing for s in server.sessions.values()))
+            assert wait_until(lambda: any(s.out_buffer for s in server.sessions.values()))
             expected = ("OK " + chunk * 32 + "\n").encode()
             for _ in range(3):
                 assert reader.readline() == expected
             sock.sendall(b"PING\n")
             assert reader.readline() == b"OK pong\n"
-            assert wait_until(lambda: not any(s.writing for s in server.sessions.values()))
+            assert wait_until(lambda: not any(s.out_buffer for s in server.sessions.values()))
         finally:
             reader.close()
             sock.close()
@@ -654,7 +655,7 @@ class TestFraming:
             sock.sendall(b"SHOW\n" * 6 + b"PING\n")
             sock.shutdown(socket.SHUT_WR)
             assert wait_until(lambda: session.state == CLOSING)
-            assert session.writing, "the EOF was read while replies were unsent"
+            assert session.out_buffer, "the EOF was read while replies were unsent"
             reply = ("OK " + DOC_CHUNK * 4 + "\n").encode()
             assert [reader.readline() for _ in range(6)] == [reply] * 6
             assert reader.readline() == b"OK pong\n"
@@ -810,7 +811,7 @@ class TestBackpressure:
 
             server._flush = measured
             sock.sendall(b"SHOW\n" * 200)
-            assert wait_until(lambda: session.paused and session.writing)
+            assert wait_until(lambda: session.state == PAUSED and session.out_buffer)
             assert session.in_buffer.count(b"\n") > 100  # the rest of the read waits
             reply = ("OK " + DOC_CHUNK * 32 + "\n").encode()
             for _ in range(200):
@@ -887,7 +888,102 @@ class TestConnectionSlots:
             assert client.ask("QUIT") == "OK bye"
 
 
-class TestLoopAndPool:
+def interest_faults(server):
+    """Each session whose registered interest breaks `_flush`'s rule, and
+    each CLOSING session left with nothing to send."""
+    faults = []
+    for conn, session in server.sessions.items():
+        interest = server.reactor._registrations[conn][0]
+        out = bool(session.out_buffer)
+        if session.state == OPEN:
+            expected = READ | WRITE if out else READ
+        elif session.state == PAUSED or (session.state == CLOSING and out):
+            expected = WRITE
+        else:
+            expected = None  # CLOSING with nothing unsent is dropped; CLOSED has left
+        if interest != expected:
+            faults.append((session.sid, session.state, interest, len(session.out_buffer)))
+    return faults
+
+
+class TestSessionStates:
+    """`_flush` alone sets what a session waits on, at the end of every
+    callback that touched it."""
+
+    def test_an_idle_eof_drops_the_session_in_the_round_that_reads_it(self):
+        srv = PatternServer(ConfigBuilder().port(0).build())
+        srv.bind()
+        client = socket.create_connection(("127.0.0.1", srv.port), timeout=5)
+        try:
+            srv.reactor.run_once(1)  # accepts and sends the greeting
+            assert client.makefile("rb").readline().startswith(b"OK patternd")
+            client.shutdown(socket.SHUT_WR)
+            srv.reactor.run_once(1)
+            assert srv.active_sessions() == 0
+            assert srv.reactor.registration_count() == 1  # the listener
+            assert client.recv(1) == b""
+        finally:
+            client.close()
+            srv.reactor.close()
+
+    def _drive_burst(self, server, connect):
+        client = connect(server)
+        client.send_raw(LONG_BURST)
+        assert [client.read_line() for _ in LONG_BURST_REPLIES] == LONG_BURST_REPLIES
+        assert client.ask("QUIT") == "OK bye"
+
+    def _drive_stall_then_half_close(self, server, connect):
+        client = connect(server)
+        stall(server, client)
+        client.sock.shutdown(socket.SHUT_WR)
+        reply = "OK " + DOC_CHUNK * 32
+        assert [client.read_line() for _ in range(20)] == [reply] * 20
+        assert client.read_eof() == b""
+
+    def _drive_quit_mid_pipeline(self, server, connect):
+        client = connect(server)
+        client.send_raw(b"PING\n" * 300 + b"QUIT\nPING\n")
+        assert [client.read_line() for _ in range(300)] == ["OK pong"] * 300
+        assert client.read_line() == "OK bye"
+        assert client.read_eof() == b""
+
+    def _drive_temp_flood(self, server, connect):
+        watchers = [connect(server) for _ in range(20)]
+        for watcher in watchers:
+            assert watcher.ask("WATCH temp") == "OK"
+        flooder = connect(server)
+        flooder.send_raw(b"".join(b"TEMP %d\n" % n for n in range(100)))
+        assert [flooder.read_line() for _ in range(100)] == ["OK"] * 100
+        for watcher in watchers:
+            assert len([watcher.read_line() for _ in range(100)]) == 100
+            assert watcher.ask("QUIT") == "OK bye"
+        assert flooder.ask("QUIT") == "OK bye"
+
+    def _drive_idle_eof(self, server, connect):
+        client = connect(server)
+        client.sock.shutdown(socket.SHUT_WR)
+        assert client.read_eof() == b""
+
+    @pytest.mark.parametrize("case", ["burst", "stall_then_half_close", "quit_mid_pipeline",
+                                      "temp_flood", "idle_eof"])
+    def test_every_callback_leaves_each_session_on_its_interest(self, server, connect,
+                                                                 monkeypatch, case):
+        batched, faults, callbacks = server._batched, [], []
+
+        def checked(callback, endpoint):
+            batched(callback, endpoint)
+            callbacks.append(callback.__name__)
+            faults.extend(interest_faults(server))
+
+        monkeypatch.setattr(server, "_batched", checked)
+        getattr(self, "_drive_" + case)(server, connect)
+        assert wait_until(lambda: server.active_sessions() == 0)
+        assert callbacks
+        assert faults == []
+        assert server.reactor.registration_count() == 1
+
+
+class TestBudget:
     """Every request is answered on the loop thread, in request order, at
     most LOOP_REPLY_BUDGET replies and events (plus the last request's
     fan-out) per callback."""
@@ -950,9 +1046,9 @@ class TestLoopAndPool:
         ("(" * 1000 + "1" + ")" * 1000, 1),
     ], ids=["980-right-nested-sums", "2040-left-spine", "1500-term-chain", "1000-deep-parens"])
     @pytest.mark.parametrize("prefix,replies", [("", []), ("WRITE x\n", ["OK 1"])],
-                             ids=["on-the-loop", "on-the-pool"])
-    def test_deep_eval_answers_alike_on_either_thread(self, server, connect, expr, value,
-                                                      prefix, replies):
+                             ids=["alone", "behind-a-write"])
+    def test_deep_eval_answers_alike_alone_or_behind_a_write(self, server, connect, expr, value,
+                                                             prefix, replies):
         # alone, or behind a document verb in the same read
         client = connect(server)
         client.send_raw((prefix + "EVAL " + expr + "\n").encode())
@@ -1236,6 +1332,23 @@ class TestEntryPoint:
         bad = str(tmp_path / "missing" / "x.log")
         assert main(["--port", str(server.port), "--log", bad]) == 1
         assert bad in capsys.readouterr().err
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_NOFILE and epoll")
+    def test_startup_failure_without_a_log_does_not_name_one(self):
+        # the limit leaves no free descriptor, so the reactor's epoll fails
+        script = (
+            "import os, resource, sys\n"
+            "from patternkit.server import main\n"
+            "free = os.open(os.devnull, os.O_RDONLY)\n"
+            "os.close(free)\n"
+            "resource.setrlimit(resource.RLIMIT_NOFILE,\n"
+            "                   (free, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))\n"
+            "sys.exit(main(['--port', '0']))\n")
+        result = subprocess.run([sys.executable, "-c", script],
+                                capture_output=True, text=True, timeout=30)
+        assert result.returncode == 1
+        assert result.stderr.startswith("patternd: cannot start: "), result.stderr
+        assert result.stderr.count("\n") == 1
 
     def test_sigterm_exits_0_promptly(self):
         with subprocess.Popen([sys.executable, "-m", "patternkit.server", "--port", "0"],
