@@ -49,9 +49,10 @@ import itertools
 import signal
 import socket
 import sys
+from time import perf_counter_ns
 
 from .creational import (HandlerFactory, ServerConfig, ConfigBuilder, build_config,
-                         create_handler, create_protocol_family, registry_instance)
+                         create_handler, create_protocol_family)
 from .expr import Context, EvalError, ParseError, fold_expr
 # not called here: bench/traced_server.py wraps these names on this module
 from .expr import eval_expr, parse_expr  # noqa: F401
@@ -61,8 +62,7 @@ from .reactor import READ, WRITE, EventHandler, Reactor
 from .session_commands import (Caretaker, Document, EmptyHistoryError, UnknownSnapshotError,
                                WriteCommand, execute_command, restore_memento, save_memento,
                                undo_last)
-from .structural_kit import (MIDDLEWARE, FileLogSink, LazyStatsProxy, NullLogger, RegistryStats,
-                             adapt_logger, decorate_handler)
+from .structural_kit import FileLogSink, LazyStatsProxy, adapt_logger
 from .wire import (I64_MAX, MAX_BINDINGS, MAX_DOC_BYTES, MAX_HISTORY, MAX_OUTPUT_BYTES,
                    MAX_REQUEST_BYTES, MAX_SNAPSHOTS, PROTOCOL_VERSION, Err, Evt, Ok, WireError,
                    escape_doc, format_money, is_ident, parse_i64)
@@ -303,34 +303,45 @@ class ServerHandlerFactory(HandlerFactory):
 CHAIN_ORDER = tuple(ServerHandlerFactory.KINDS)
 
 
-def build_chain(server: PatternServer, logger=None):
-    """Assemble the verb chain in its fixed order and wrap it in middleware."""
+def build_chain(server: PatternServer):
+    """Assemble the verb chain in its fixed order; returns its head."""
     factory = ServerHandlerFactory(server)
     nodes = [create_handler(factory, kind) for kind in CHAIN_ORDER]
     for node, successor in zip(nodes, nodes[1:]):
         node.set_successor(successor)
-    return decorate_handler(nodes[0], MIDDLEWARE, logger)
+    return nodes[0]
 
 
-_FALLBACK = FallbackHandler()  # outside the middleware: unknown verbs leave no timing key
+_FALLBACK = FallbackHandler()  # not in the chain: unknown verbs are neither timed nor logged
 
 
 def handle_line(session: Session, line: str):
-    """Dispatch one LF-stripped request line to a Reply."""
+    """Dispatch one LF-stripped request line to a Reply.  Every parsed line
+    is counted; a verb the chain answers is timed and, with a log, logged."""
     server = session.server
     try:
         verb, args = server.family.parse_request(line)
         request = Request(verb, args, session)
     except (WireError, ValueError) as exc:
         return Err("PARSE", str(exc))
-    registry_instance().bump("requests")
+    server.requests += 1
+    started = perf_counter_ns()
     try:
         verdict = chain_handle(server.chain, request)
-        return _FALLBACK.answer(request) if verdict is None else verdict
     except WireError as exc:
         return Err("PARSE", str(exc))
     except Exception as exc:
         return Err("INTERNAL", "unexpected failure: %s" % exc)
+    if verdict is None:
+        return _FALLBACK.answer(request)
+    elapsed = server.elapsed_ns
+    elapsed[verb] = elapsed.get(verb, 0) + perf_counter_ns() - started
+    if server.logger is not None:
+        try:  # the request is applied: a failed record is counted, not answered
+            server.logger.log_message("handled " + verb)
+        except OSError:
+            server.log_errors += 1
+    return verdict
 
 
 class PatternServer(EventHandler):
@@ -343,13 +354,17 @@ class PatternServer(EventHandler):
         # opened first: a log that cannot be opened raises OSError before
         # any socket exists
         self.log_sink = FileLogSink(config.log_path) if config.log_path else None
-        self.logger = adapt_logger(self.log_sink) if self.log_sink else NullLogger()
+        self.logger = adapt_logger(self.log_sink) if self.log_sink else None
         self.reactor = Reactor()
         self.temperature = Subject(logger=self.logger)
         self.chat = ChatRoom()
+        # the STATS counters, kept by `handle_line`
+        self.requests = 0
+        self.elapsed_ns: dict = {}  # verb -> total ns spent answering it
+        self.log_errors = 0
         # it lives as long as the server: trace the creation, not each STATS
-        self.stats_proxy = LazyStatsProxy(RegistryStats, trace_forwards=False)
-        self.chain = build_chain(self, logger=self.logger)
+        self.stats_proxy = LazyStatsProxy(lambda: self, trace_forwards=False)
+        self.chain = build_chain(self)
         self.sessions: dict = {}
         # the current callback's sessions to flush, each once, and its replies and events
         self._flushes: dict = {}
@@ -385,6 +400,14 @@ class PatternServer(EventHandler):
 
     def active_sessions(self) -> int:
         return len(self.sessions)
+
+    def handle_request(self) -> dict:
+        """The STATS subject behind `stats_proxy`; times floor to whole ms."""
+        counters = {"elapsed_ms." + verb: ns // 1_000_000 for verb, ns in self.elapsed_ns.items()}
+        counters["requests"] = self.requests
+        if self.log_errors:
+            counters["log_errors"] = self.log_errors
+        return counters
 
     # -- connection plumbing ------------------------------------------------
 

@@ -1,6 +1,11 @@
 """Structural pieces: the legacy-log adapter, cost and middleware
 decorators, the process-and-notify facade, the lazy stats proxy, and the
-bridge renderers."""
+bridge renderers.
+
+The middleware decorators (`LoggingHandler`, `TimingHandler`,
+`decorate_handler`) and `RegistryStats` are catalogue pieces: `patternd`
+no longer wraps its chain in them, and counts, times and logs each
+request in `server.handle_line` instead."""
 
 from __future__ import annotations
 
@@ -158,9 +163,6 @@ class TimingHandler(Handler):
 
 def _describe(request) -> str:
     return getattr(request, "verb", None) or str(request)
-
-
-MIDDLEWARE = ("logging", "timing")
 
 
 def decorate_handler(handler, middleware=(), logger=None):

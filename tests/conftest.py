@@ -1,4 +1,8 @@
-"""Shared fixtures: a fresh counter registry per test and live servers."""
+"""Shared fixtures: live servers and their clients, and `fresh_registry`.
+
+`fresh_registry` drops the process-wide counter registry before and after a
+test. Only the tests that use the registry ask for it (`test_creational.py`,
+`test_structural_kit.py` and c07); a server keeps its own counters."""
 
 import socket
 import threading
@@ -16,7 +20,7 @@ settings.register_profile("patternkit", database=None, deadline=None)
 settings.load_profile("patternkit")
 
 
-@pytest.fixture(autouse=True)
+@pytest.fixture
 def fresh_registry():
     _reset_registry_for_tests()
     yield

@@ -139,6 +139,7 @@ def test_c06_observer_four_notifications_in_subscription_order():
     ]
 
 
+@pytest.mark.usefixtures("fresh_registry")
 def test_c07_singleton_constructor_runs_once_under_64_thread_race():
     _reset_registry_for_tests()
     started = time.perf_counter()

@@ -26,6 +26,8 @@ from patternkit.creational import (
 )
 from patternkit.wire import JsonFamily, TextFamily
 
+pytestmark = pytest.mark.usefixtures("fresh_registry")
+
 
 class TestServerConfig:
     def test_defaults(self):

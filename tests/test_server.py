@@ -1,6 +1,7 @@
 """End-to-end tests of the command server over real sockets."""
 
 import gc
+import itertools
 import json
 import os
 import random
@@ -19,11 +20,12 @@ from conftest import LineClient, ThreadedServer
 from oracles import (VAR_NAMES, OracleEvalError, random_chain, random_env, random_tree,
                      reference_eval, tree_depth, tree_to_text)
 from patternkit import server as server_module
-from patternkit.creational import ConfigBuilder
+from patternkit.creational import ConfigBuilder, Registry
 from patternkit.expr import Number
 from patternkit.reactor import READ, WRITE
 from patternkit.server import (CHAIN_ORDER, CLOSED, CLOSING, LOOP_REPLY_BUDGET, OPEN,
                                OUTPUT_HIGH_WATER, PAUSED, PatternServer, Session, main)
+from patternkit.structural_kit import LoggingHandler, TimingHandler
 from patternkit.wire import (MAX_BINDINGS, MAX_DOC_BYTES, MAX_HISTORY, MAX_OUTPUT_BYTES,
                              MAX_SNAPSHOTS, Err, Evt, JsonFamily, Ok, TextFamily, escape_doc)
 
@@ -46,6 +48,10 @@ def wait_until(predicate, timeout=5.0):
             return True
         time.sleep(0.01)
     return predicate()
+
+
+def ask_stats(client) -> dict:
+    return dict(item.split("=") for item in client.ask("STATS")[3:].split(" "))
 
 
 def session_of(server, client):
@@ -211,6 +217,56 @@ class TestStats:
         for _ in range(1000):
             assert client.read_line().startswith("OK ")
         assert len(server.stats_proxy.trace) <= 2
+
+    def test_elapsed_ms_sums_nanoseconds_before_flooring(self, server, connect, monkeypatch):
+        # on this clock each request takes 0.4 ms, so three PINGs take 1.2 ms
+        ticks = itertools.count(0, 400_000)
+        monkeypatch.setattr(server_module, "perf_counter_ns", lambda: next(ticks))
+        client = connect(server)
+        client.send_raw(b"PING\n" * 3)
+        assert [client.read_line() for _ in range(3)] == ["OK pong"] * 3
+        assert ask_stats(client)["elapsed_ms.PING"] == "1"
+
+    def test_counters_belong_to_each_server(self, make_server, connect):
+        first, second = make_server(), make_server()
+        pinger, evaluator = connect(first), connect(second)
+        pinger.send_raw(b"PING\n" * 3)
+        assert [pinger.read_line() for _ in range(3)] == ["OK pong"] * 3
+        assert evaluator.ask("EVAL 1 + 2") == "OK 3"
+        pinged, evaluated = ask_stats(pinger), ask_stats(evaluator)
+        assert pinged["requests"] == "4"
+        assert evaluated["requests"] == "2"
+        assert "elapsed_ms.PING" in pinged and "elapsed_ms.EVAL" not in pinged
+        assert "elapsed_ms.EVAL" in evaluated and "elapsed_ms.PING" not in evaluated
+
+    @pytest.mark.parametrize("logged", [False, True], ids=["no-log", "log"])
+    def test_requests_pass_no_middleware_and_bump_no_registry(self, make_server, connect,
+                                                              tmp_path, monkeypatch, logged):
+        calls = []
+        for owner, name in ((Registry, "bump"), (LoggingHandler, "handle"),
+                            (TimingHandler, "handle")):
+            def record(self, *args, _name=owner.__name__ + "." + name,
+                       _original=getattr(owner, name)):
+                calls.append(_name)
+                return _original(self, *args)
+            monkeypatch.setattr(owner, name, record)
+        log_path = tmp_path / "patternd.log"
+        server = make_server(log_path=str(log_path)) if logged else make_server()
+        lines = ["PING", "STATS", "EVAL 1 + 2", "LET x 3", "WRITE a", "SHOW", "SNAPSHOT", "UNDO",
+                 "RESTORE 1", "PRICE 100 none", "PLAY", "PAUSE", "STOP", "WATCH temp", "TEMP 5",
+                 "UNWATCH temp", "SAY hi", "BOGUS", "QUIT"]
+        verbs = [line.split(" ", 1)[0] for line in lines]
+        assert set(verbs) >= {verb for kind in server_module.ServerHandlerFactory.KINDS.values()
+                              for verb in kind.verbs}
+        client = connect(server)
+        client.send_raw("".join(line + "\n" for line in lines).encode())
+        replies = client.read_eof().decode().splitlines()
+        assert replies[-1] == "OK bye"
+        assert "ERR UNKNOWN no handler for BOGUS" in replies
+        assert calls == []
+        if logged:
+            records = [record.split(" ", 2)[2] for record in log_path.read_text().splitlines()]
+            assert records == ["handled " + verb for verb in verbs if verb != "BOGUS"]
 
 
 class TestEval:

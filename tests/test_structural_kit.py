@@ -35,6 +35,8 @@ from patternkit.structural_kit import (
 )
 from patternkit.wire import format_money
 
+pytestmark = pytest.mark.usefixtures("fresh_registry")
+
 
 class TestAdapter:
     def test_legacy_sink_receives_every_message_once(self):
