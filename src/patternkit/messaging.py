@@ -1,5 +1,5 @@
-"""Observer subject, mediator chat room, and the chain-of-responsibility
-dispatcher the server routes verbs through."""
+"""Observer subject, mediator chat room, and a chain-of-responsibility
+dispatcher with its staffing fixture."""
 
 from __future__ import annotations
 

@@ -2,7 +2,7 @@
 
 One thread serves every connection.  A selector reactor owns the sockets;
 the server frames request lines and answers each one on the reactor's
-thread, through the verb chain, in arrival order.  The server is the
+thread, in arrival order, by one verb-table lookup.  The server is the
 reactor's event handler for its listener (`on_readable` accepts), and each
 session is the handler for its own connection.  A session's one variable
 is its `state`, which only moves forward but for PAUSED's return to OPEN:
@@ -56,7 +56,8 @@ from .creational import (HandlerFactory, ServerConfig, ConfigBuilder, build_conf
 from .expr import Context, EvalError, ParseError, fold_expr
 # not called here: bench/traced_server.py wraps these names on this module
 from .expr import eval_expr, parse_expr  # noqa: F401
-from .messaging import ChatRoom, Handler, Request, Subject, chain_handle, temperature_line
+from .messaging import chain_handle  # noqa: F401
+from .messaging import ChatRoom, Subject, temperature_line
 from .policies import STOPPED, apply_discount, parse_strategy, player_press
 from .reactor import READ, WRITE, EventHandler, Reactor
 from .session_commands import (Caretaker, Document, EmptyHistoryError, UnknownSnapshotError,
@@ -76,6 +77,7 @@ OPEN, PAUSED, CLOSING, CLOSED = range(4)
 _LINE_TOO_LONG = Err("LIMIT", "request line too long")
 _NOT_UTF8 = Err("PARSE", "request is not valid UTF-8")
 _BYE = Ok("bye")  # QUIT's reply
+_OK, _PONG = Ok(), Ok("pong")  # shared: a constant reply is built once
 _OUTPUT_FULL = Err("LIMIT", "output buffer full")
 
 # replies and events one callback may buffer before the session it reads
@@ -87,10 +89,11 @@ OUTPUT_HIGH_WATER = 64 * 1024
 OUTPUT_LOW_WATER = 32 * 1024
 
 
-def _too_long(buffer: bytearray, end: int) -> bool:
-    """The line limit, for a framed line and an unterminated tail alike:
-    the bytes before `end`, less one trailing CR, pass MAX_REQUEST_BYTES."""
-    return end > MAX_REQUEST_BYTES and end - (buffer[end - 1] == 0x0D) > MAX_REQUEST_BYTES
+def _too_long(buffer: bytearray, start: int, end: int) -> bool:
+    """The line limit, for a framed line and an unterminated tail alike: the
+    bytes from `start` to `end`, less one trailing CR, pass MAX_REQUEST_BYTES."""
+    length = end - start
+    return length > MAX_REQUEST_BYTES and length - (buffer[end - 1] == 0x0D) > MAX_REQUEST_BYTES
 
 
 class Session(EventHandler):
@@ -116,30 +119,28 @@ class Session(EventHandler):
         self.server._batched(self.server._writable, self)
 
 
-class VerbHandler(Handler):
+class VerbHandler:
+    """Answers the verbs it names; `build_routes` maps each to one instance."""
+
     verbs: tuple = ()
 
     def __init__(self, server: PatternServer):
-        super().__init__()
         self.server = server
 
-    def accepts(self, request) -> bool:
-        return request.verb in self.verbs
 
-
-def _no_args(request):
-    if request.args:
-        raise WireError("%s takes no arguments" % request.verb)
+def _no_args(verb, args):
+    if args:
+        raise WireError("%s takes no arguments" % verb)
 
 
 class AdminHandler(VerbHandler):
     verbs = ("STATS", "PING", "QUIT")
 
-    def answer(self, request):
-        _no_args(request)
-        if request.verb == "PING":
-            return Ok("pong")
-        if request.verb == "QUIT":
+    def answer(self, session, verb, args):
+        _no_args(verb, args)
+        if verb == "PING":
+            return _PONG
+        if verb == "QUIT":
             return _BYE
         counters = self.server.stats_proxy.request()
         payload = " ".join("%s=%d" % kv for kv in sorted(counters.items()))
@@ -149,14 +150,13 @@ class AdminHandler(VerbHandler):
 class EvalHandler(VerbHandler):
     verbs = ("EVAL", "LET")
 
-    def answer(self, request):
-        session = request.session
-        if request.verb == "EVAL":
+    def answer(self, session, verb, args):
+        if verb == "EVAL":
             try:
-                return Ok(str(fold_expr(request.args, session.ctx)))
+                return Ok(str(fold_expr(args, session.ctx)))
             except (ParseError, EvalError) as exc:
                 return Err("EVAL", str(exc))
-        tokens = request.args.split()
+        tokens = args.split()
         if len(tokens) != 2:
             raise WireError("LET takes a name and an integer")
         name, raw = tokens
@@ -167,38 +167,37 @@ class EvalHandler(VerbHandler):
         if name not in bindings and len(bindings) >= MAX_BINDINGS:
             return Err("LIMIT", "too many variables")
         session.ctx = session.ctx.bind(name, value)
-        return Ok()
+        return _OK
 
 
 class DocHandler(VerbHandler):
     verbs = ("WRITE", "SHOW", "UNDO", "SNAPSHOT", "RESTORE")
 
-    def answer(self, request):
-        session = request.session
+    def answer(self, session, verb, args):
         doc, caretaker = session.document, session.caretaker
-        if request.verb == "WRITE":
-            command = WriteCommand(request.args)
+        if verb == "WRITE":
+            command = WriteCommand(args)
             if doc.size + command.undo_info > MAX_DOC_BYTES:  # undo_info: bytes appended
                 return Err("LIMIT", "document too large")
             if len(caretaker.history) >= MAX_HISTORY:
                 return Err("LIMIT", "undo history full")
             return Ok(str(execute_command(doc, caretaker, command)))
-        if request.verb == "SHOW":
-            _no_args(request)
+        if verb == "SHOW":
+            _no_args(verb, args)
             return Ok(escape_doc(doc.content))
-        if request.verb == "UNDO":
-            _no_args(request)
+        if verb == "UNDO":
+            _no_args(verb, args)
             try:
                 return Ok(escape_doc(undo_last(doc, caretaker)))
             except EmptyHistoryError as exc:
                 return Err("EMPTY", str(exc))
-        if request.verb == "SNAPSHOT":
-            _no_args(request)
+        if verb == "SNAPSHOT":
+            _no_args(verb, args)
             if len(caretaker.snapshots) >= MAX_SNAPSHOTS:
                 return Err("LIMIT", "too many snapshots")
             return Ok(save_memento(doc, caretaker))
         try:
-            return Ok(escape_doc(restore_memento(doc, caretaker, request.args.strip())))
+            return Ok(escape_doc(restore_memento(doc, caretaker, args.strip())))
         except UnknownSnapshotError as exc:
             return Err("STATE", str(exc))
 
@@ -209,8 +208,8 @@ class PriceHandler(VerbHandler):
     # wire amounts are major units; all arithmetic runs in minor units
     MAX_MAJOR = I64_MAX // 100
 
-    def answer(self, request):
-        tokens = request.args.split()
+    def answer(self, session, verb, args):
+        tokens = args.split()
         if len(tokens) != 2:
             raise WireError("PRICE takes an amount and a strategy")
         amount = parse_i64(tokens[0])
@@ -226,10 +225,9 @@ class PriceHandler(VerbHandler):
 class PlayerHandler(VerbHandler):
     verbs = ("PLAY", "PAUSE", "STOP")
 
-    def answer(self, request):
-        _no_args(request)
-        session = request.session
-        message, session.player = player_press(session.player, request.verb.lower())
+    def answer(self, session, verb, args):
+        _no_args(verb, args)
+        message, session.player = player_press(session.player, verb.lower())
         return Ok(message)
 
 
@@ -245,42 +243,38 @@ class SessionTempObserver:
 class EventsHandler(VerbHandler):
     verbs = ("WATCH", "UNWATCH", "TEMP", "SAY")
 
-    def answer(self, request):
-        session = request.session
+    def answer(self, session, verb, args):
         server = self.server
-        if request.verb in ("WATCH", "UNWATCH") and request.args != "temp":
-            raise WireError("unknown topic %r" % request.args)
-        if request.verb == "WATCH":
+        if verb in ("WATCH", "UNWATCH") and args != "temp":
+            raise WireError("unknown topic %r" % args)
+        if verb == "WATCH":
             if session.temp_observer is not None:
                 return Err("STATE", "already watching temp")
             observer = SessionTempObserver(session)
             server.temperature.subscribe(observer)
             session.temp_observer = observer
-            return Ok()
-        if request.verb == "UNWATCH":
+            return _OK
+        if verb == "UNWATCH":
             if session.temp_observer is None:
                 return Err("STATE", "not watching temp")
             server.temperature.unsubscribe(session.temp_observer)
             session.temp_observer = None
-            return Ok()
-        if request.verb == "TEMP":
-            token = request.args.strip()
+            return _OK
+        if verb == "TEMP":
+            token = args.strip()
             if not token:
                 raise WireError("TEMP takes an integer")
             server.temperature.publish(parse_i64(token))
-            return Ok()
-        server.chat.send(session.sid, request.args)
-        return Ok()
+            return _OK
+        server.chat.send(session.sid, args)
+        return _OK
 
 
-class FallbackHandler(Handler):
-    """Answers every verb the chain leaves over with UNKNOWN."""
+class FallbackHandler:
+    """Answers every verb the table lacks with UNKNOWN."""
 
-    def accepts(self, request) -> bool:
-        return True
-
-    def answer(self, request):
-        return Err("UNKNOWN", "no handler for %s" % request.verb)
+    def answer(self, session, verb, args):
+        return Err("UNKNOWN", "no handler for %s" % verb)
 
 
 class ServerHandlerFactory(HandlerFactory):
@@ -303,37 +297,42 @@ class ServerHandlerFactory(HandlerFactory):
 CHAIN_ORDER = tuple(ServerHandlerFactory.KINDS)
 
 
-def build_chain(server: PatternServer):
-    """Assemble the verb chain in its fixed order; returns its head."""
+def build_routes(server: PatternServer) -> dict:
+    """The verb table: each verb to the one handler, made by the factory in
+    CHAIN_ORDER, that answers it.  A verb two kinds name raises ValueError."""
     factory = ServerHandlerFactory(server)
-    nodes = [create_handler(factory, kind) for kind in CHAIN_ORDER]
-    for node, successor in zip(nodes, nodes[1:]):
-        node.set_successor(successor)
-    return nodes[0]
+    routes: dict = {}
+    for kind in CHAIN_ORDER:
+        handler = create_handler(factory, kind)
+        for verb in handler.verbs:
+            if verb in routes:
+                raise ValueError("verb %s is named by two handler kinds" % verb)
+            routes[verb] = handler
+    return routes
 
 
-_FALLBACK = FallbackHandler()  # not in the chain: unknown verbs are neither timed nor logged
+_FALLBACK = FallbackHandler()  # not in the table: unknown verbs are neither timed nor logged
 
 
 def handle_line(session: Session, line: str):
     """Dispatch one LF-stripped request line to a Reply.  Every parsed line
-    is counted; a verb the chain answers is timed and, with a log, logged."""
+    is counted; a verb in the table is timed and, with a log, logged."""
     server = session.server
     try:
         verb, args = server.family.parse_request(line)
-        request = Request(verb, args, session)
-    except (WireError, ValueError) as exc:
+    except WireError as exc:
         return Err("PARSE", str(exc))
     server.requests += 1
+    handler = server.routes.get(verb)
+    if handler is None:
+        return _FALLBACK.answer(session, verb, args)
     started = perf_counter_ns()
     try:
-        verdict = chain_handle(server.chain, request)
+        reply = handler.answer(session, verb, args)
     except WireError as exc:
         return Err("PARSE", str(exc))
     except Exception as exc:
         return Err("INTERNAL", "unexpected failure: %s" % exc)
-    if verdict is None:
-        return _FALLBACK.answer(request)
     elapsed = server.elapsed_ns
     elapsed[verb] = elapsed.get(verb, 0) + perf_counter_ns() - started
     if server.logger is not None:
@@ -341,17 +340,19 @@ def handle_line(session: Session, line: str):
             server.logger.log_message("handled " + verb)
         except OSError:
             server.log_errors += 1
-    return verdict
+    return reply
 
 
 class PatternServer(EventHandler):
-    """Composition root wiring the reactor, chain, and event fan-out; the
-    reactor's handler for the listener."""
+    """Composition root wiring the reactor, verb table, and event fan-out;
+    the reactor's handler for the listener."""
 
     def __init__(self, config: ServerConfig):
         self.config = config
         self.family = create_protocol_family(config.family)
-        # opened first: a log that cannot be opened raises OSError before
+        # before any descriptor is opened: a verb two handler kinds name raises ValueError
+        self.routes = build_routes(self)
+        # opened next: a log that cannot be opened raises OSError before
         # any socket exists
         self.log_sink = FileLogSink(config.log_path) if config.log_path else None
         self.logger = adapt_logger(self.log_sink) if self.log_sink else None
@@ -364,7 +365,6 @@ class PatternServer(EventHandler):
         self.log_errors = 0
         # it lives as long as the server: trace the creation, not each STATS
         self.stats_proxy = LazyStatsProxy(lambda: self, trace_forwards=False)
-        self.chain = build_chain(self)
         self.sessions: dict = {}
         # the current callback's sessions to flush, each once, and its replies and events
         self._flushes: dict = {}
@@ -480,29 +480,29 @@ class PatternServer(EventHandler):
             session.state = CLOSING
 
     def _pump_lines(self, session: Session):
-        buffer = session.in_buffer
+        """Answer each complete line of `in_buffer`, walking it by offset."""
+        buffer, out = session.in_buffer, session.out_buffer
+        start = 0
         while session.state == OPEN:
-            index = buffer.find(b"\n")
-            if _too_long(buffer, len(buffer) if index < 0 else index):
+            index = buffer.find(b"\n", start)
+            if _too_long(buffer, start, len(buffer) if index < 0 else index):
                 self._queue_reply(session, _LINE_TOO_LONG)
                 break
             if index < 0:
-                return
-            if self._replies >= LOOP_REPLY_BUDGET or len(session.out_buffer) >= OUTPUT_HIGH_WATER:
+                break
+            if self._replies >= LOOP_REPLY_BUDGET or len(out) >= OUTPUT_HIGH_WATER:
                 session.state = PAUSED
-                return
-            raw = bytes(buffer[:index])
-            del buffer[:index + 1]
-            if raw.endswith(b"\r"):
-                raw = raw[:-1]
+                break
+            end = index - 1 if index > start and buffer[index - 1] == 0x0D else index
+            raw, start = buffer[start:end], index + 1
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError:
                 self._queue_reply(session, _NOT_UTF8)
                 continue
             self._enqueue_request(session, line)
-        # CLOSING or CLOSED: nothing more is read
-        buffer.clear()
+        # what is not framed stays, unless CLOSING or CLOSED reads nothing more
+        del buffer[:start if session.state < CLOSING else len(buffer)]
 
     def _resume(self, session: Session):
         """Frame the rest of a PAUSED session's read; the callback's flush

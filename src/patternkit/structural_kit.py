@@ -4,8 +4,8 @@ bridge renderers.
 
 The middleware decorators (`LoggingHandler`, `TimingHandler`,
 `decorate_handler`) and `RegistryStats` are catalogue pieces: `patternd`
-no longer wraps its chain in them, and counts, times and logs each
-request in `server.handle_line` instead."""
+wraps no handler in them, and counts, times and logs each request in
+`server.handle_line` instead."""
 
 from __future__ import annotations
 

@@ -15,10 +15,13 @@ import threading
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import LineClient, ThreadedServer
 from oracles import (VAR_NAMES, OracleEvalError, random_chain, random_env, random_tree,
                      reference_eval, tree_depth, tree_to_text)
+from patternkit import messaging
 from patternkit import server as server_module
 from patternkit.creational import ConfigBuilder, Registry
 from patternkit.expr import Number
@@ -27,7 +30,8 @@ from patternkit.server import (CHAIN_ORDER, CLOSED, CLOSING, LOOP_REPLY_BUDGET, 
                                OUTPUT_HIGH_WATER, PAUSED, PatternServer, Session, main)
 from patternkit.structural_kit import LoggingHandler, TimingHandler
 from patternkit.wire import (MAX_BINDINGS, MAX_DOC_BYTES, MAX_HISTORY, MAX_OUTPUT_BYTES,
-                             MAX_SNAPSHOTS, Err, Evt, JsonFamily, Ok, TextFamily, escape_doc)
+                             MAX_REQUEST_BYTES, MAX_SNAPSHOTS, Err, Evt, JsonFamily, Ok,
+                             TextFamily, escape_doc)
 
 
 # more replies than LOOP_REPLY_BUDGET, so the session pauses and resumes
@@ -39,6 +43,11 @@ assert len(LONG_BURST_REPLIES) > 2 * LOOP_REPLY_BUDGET
 # 32 WRITEs of it make a 64 KiB document, whose SHOW reply alone passes
 # OUTPUT_HIGH_WATER
 DOC_CHUNK = "x" * 2048
+
+# one line of every verb, and one the table lacks, ending in QUIT
+EVERY_VERB = ["PING", "STATS", "EVAL 1 + 2", "LET x 3", "WRITE a", "SHOW", "SNAPSHOT", "UNDO",
+              "RESTORE 1", "PRICE 100 none", "PLAY", "PAUSE", "STOP", "WATCH temp", "TEMP 5",
+              "UNWATCH temp", "SAY hi", "BOGUS", "QUIT"]
 
 
 def wait_until(predicate, timeout=5.0):
@@ -252,14 +261,11 @@ class TestStats:
             monkeypatch.setattr(owner, name, record)
         log_path = tmp_path / "patternd.log"
         server = make_server(log_path=str(log_path)) if logged else make_server()
-        lines = ["PING", "STATS", "EVAL 1 + 2", "LET x 3", "WRITE a", "SHOW", "SNAPSHOT", "UNDO",
-                 "RESTORE 1", "PRICE 100 none", "PLAY", "PAUSE", "STOP", "WATCH temp", "TEMP 5",
-                 "UNWATCH temp", "SAY hi", "BOGUS", "QUIT"]
-        verbs = [line.split(" ", 1)[0] for line in lines]
+        verbs = [line.split(" ", 1)[0] for line in EVERY_VERB]
         assert set(verbs) >= {verb for kind in server_module.ServerHandlerFactory.KINDS.values()
                               for verb in kind.verbs}
         client = connect(server)
-        client.send_raw("".join(line + "\n" for line in lines).encode())
+        client.send_raw("".join(line + "\n" for line in EVERY_VERB).encode())
         replies = client.read_eof().decode().splitlines()
         assert replies[-1] == "OK bye"
         assert "ERR UNKNOWN no handler for BOGUS" in replies
@@ -267,6 +273,33 @@ class TestStats:
         if logged:
             records = [record.split(" ", 2)[2] for record in log_path.read_text().splitlines()]
             assert records == ["handled " + verb for verb in verbs if verb != "BOGUS"]
+
+    def test_each_verb_is_answered_by_one_table_lookup(self, make_server, connect, monkeypatch):
+        calls = []
+        for owner, name in ((messaging.Request, "__init__"), (messaging.Handler, "handle")):
+            def record(self, *args, _name=owner.__name__ + "." + name,
+                       _original=getattr(owner, name)):
+                calls.append(_name)
+                return _original(self, *args)
+            monkeypatch.setattr(owner, name, record)
+        server = make_server()
+        kinds = server_module.ServerHandlerFactory.KINDS
+        assert {verb: type(handler) for verb, handler in server.routes.items()} == {
+            verb: kind for kind in kinds.values() for verb in kind.verbs}
+        client = connect(server)
+        client.send_raw("".join(line + "\n" for line in EVERY_VERB).encode())
+        replies = client.read_eof().decode().splitlines()
+        assert replies[-1] == "OK bye"
+        assert len(replies) == len(EVERY_VERB) + 2  # and TEMP's and SAY's events to this session
+        assert calls == []
+
+        class Duplicate(server_module.VerbHandler):
+            verbs = ("PLAY", "PING")
+
+        monkeypatch.setattr(server_module.ServerHandlerFactory, "KINDS",
+                            {**kinds, "player": Duplicate})
+        with pytest.raises(ValueError, match="PING"):
+            PatternServer(ConfigBuilder().port(0).build())
 
 
 class TestEval:
@@ -737,6 +770,104 @@ class TestFraming:
         client = connect(server)
         client.send_raw(b"\n")
         assert client.read_line().startswith("ERR PARSE")
+
+
+# request lines of known replies for the framing property: none ends in CR
+FRAMED_LINES = {
+    b"PING": "OK pong",
+    b"": "ERR PARSE empty request line",
+    b"EVAL 1 + 2": "OK 3",
+    b"BOGUS a\rb": "ERR UNKNOWN no handler for BOGUS",  # a lone CR is part of the line
+    b"PING \xff": "ERR PARSE request is not valid UTF-8",
+    b"BOGUS " + b"a" * (MAX_REQUEST_BYTES - 6): "ERR UNKNOWN no handler for BOGUS",
+    b"BOGUS " + b"a" * (MAX_REQUEST_BYTES - 5): "ERR LIMIT request line too long",
+}
+
+
+def reference_framing(stream: bytes):
+    """The replies to a stream, framed by the protocol's rules: split on LF,
+    drop one trailing CR, and refuse a line (or the unterminated tail) whose
+    bytes before that CR pass MAX_REQUEST_BYTES, closing the session.
+    Returns the replies and the unterminated tail left waiting."""
+    replies = []
+    segments = stream.split(b"\n")
+    for number, raw in enumerate(segments, 1):
+        body = raw[:-1] if raw.endswith(b"\r") else raw
+        if len(body) > MAX_REQUEST_BYTES:
+            return replies + ["ERR LIMIT request line too long"], None
+        if number == len(segments):
+            return replies, raw
+        try:
+            body.decode("utf-8")
+        except UnicodeDecodeError:
+            replies.append("ERR PARSE request is not valid UTF-8")
+        else:
+            replies.append(FRAMED_LINES[body])
+
+
+def pump_in_process(chunks):
+    """Feed `chunks` to one session through `_pump_lines`, one callback per
+    chunk, and drain each paused read through `_writable` as the loop would;
+    returns the replies and what is left in `in_buffer`."""
+    srv = PatternServer(ConfigBuilder().port(0).build())
+    conn, peer = socket.socketpair()
+    conn.setblocking(False)
+    peer.setblocking(False)
+    session = Session(conn, srv)
+    srv.sessions[conn] = session
+    srv.reactor.register(conn, READ, session)
+    received = bytearray()
+
+    def drain():
+        try:
+            while data := peer.recv(65536):
+                received.extend(data)
+        except BlockingIOError:
+            pass
+
+    try:
+        for chunk in chunks:
+            if session.state != OPEN:
+                break
+            session.in_buffer += chunk
+            srv._batched(srv._pump_lines, session)
+            while session.state == PAUSED:
+                drain()
+                srv._batched(srv._writable, session)
+        drain()
+        left = bytes(session.in_buffer) if session.state == OPEN else None
+    finally:
+        srv.reactor.close()
+        peer.close()
+    return received.decode("utf-8").splitlines(), left
+
+
+@st.composite
+def framed_streams(draw):
+    """A stream of known lines, each ended by LF or CRLF, with an optional
+    PING burst past LOOP_REPLY_BUDGET and an unterminated tail; and the
+    stream cut at random offsets."""
+    lines = draw(st.lists(st.sampled_from(sorted(FRAMED_LINES)), max_size=12))
+    enders = draw(st.lists(st.sampled_from([b"\n", b"\r\n"]), min_size=len(lines),
+                           max_size=len(lines)))
+    parts = [line + ender for line, ender in zip(lines, enders)]
+    if draw(st.booleans()):
+        parts.insert(draw(st.integers(0, len(parts))), b"PING\n" * (LOOP_REPLY_BUDGET + 40))
+    stream = b"".join(parts) + draw(st.sampled_from([b"", b"PI", b"PING\r"]))
+    cuts = sorted(draw(st.sets(st.integers(1, max(1, len(stream) - 1)), max_size=6)))
+    return stream, [stream[a:b] for a, b in zip([0] + cuts, cuts + [len(stream)])]
+
+
+class TestFramingProperty:
+    @settings(max_examples=150)
+    @given(framed_streams())
+    @example((b"PING\n" * 300 + b"EVAL 1 + 2\r\nPI",
+              [b"PING\n" * 300 + b"EVAL 1 + 2\r\nPI"]))
+    def test_any_split_frames_like_the_reference(self, case):
+        stream, chunks = case
+        expected, tail = reference_framing(stream)
+        assert pump_in_process(chunks) == (expected, tail)
+        assert pump_in_process([stream]) == (expected, tail)
 
 
 class TestConnectionLimit:
