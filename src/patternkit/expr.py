@@ -1,29 +1,36 @@
 """The arithmetic expression language used by the EVAL verb.
 
-The grammar is stated once, in one shunting-yard loop (`shunting_yard`):
+The grammar is stated once, in one walker (`walk`) over one token scan:
 
     expr := term (('+'|'-') term)* ; term := factor (('*'|'/') factor)* ;
     factor := INT | IDENT | '(' expr ')'
 
-A '-' begins an integer literal only in factor position (expression head,
-after '(' or an operator) and only when a digit follows immediately;
-elsewhere it is the operator.  Both operator levels associate to the left.
-The loop alternates between factor and operator position; '(' markers and
-pending operators share one stack and operands another, so nesting depth
-costs heap, never call stack.  It reduces in post-order, as Dijkstra's
-original algorithm does, and hands each leaf and each reduction to a hook.
-Two sets of hooks use it:
+One regex `findall` splits the line into tokens: an integer literal (a '-'
+joins the digits right after it), an identifier, or any other non-blank
+character on its own; blanks are space and tab only.  A '-' begins a literal
+only in factor position (expression head, after '(' or an operator); in
+operator position a '-<digits>' token is the operator '-' and then the
+literal <digits>.  Both operator levels associate to the left.
+
+The walker keeps the open sum and the open product, each with its pending
+operator, and saves them in a frame at each '(', so nesting depth costs
+heap, never call stack.  It reduces each operator as soon as its right
+operand is complete: a product's as each factor ends, a sum's as each term
+ends.  That is post-order, and it hands each leaf and each reduction to a
+hook.  Two sets of hooks use it:
 
 - `parse_expr` interns leaves in an `AtomPool` and builds `Binary` nodes:
   the composite tree that `eval_expr`, the visitors and `iter_nodes` walk.
-- `fold_expr` looks names up in a `Context` and applies each operator with
-  checked 64-bit arithmetic where it reduces, so it computes the value in
-  the same pass, with no tree and no recursion.  The server's EVAL uses it.
+- `fold_expr` looks names up in a `Context` and applies `_apply_binary`
+  (checked 64-bit arithmetic) where it reduces, so it computes the value
+  in the same pass, with no tree and no recursion.  The server's EVAL
+  uses it.
 
 Errors: a ParseError (with the byte offset of the fault) anywhere in the
-line wins over every EvalError.  So `fold_expr` holds the first EvalError
-(unbound variable, division by zero, overflow) until the line has parsed;
-post-order makes it the same error the tree walk raises first.
+line wins over every EvalError.  So the walker holds the first EvalError
+a hook raises (unbound variable, division by zero, overflow) until the
+whole line has parsed; post-order makes it the same error the tree walk
+raises first.  Byte offsets are worked out only when a line fails.
 
 Also here: a bidirectional pre-order cursor and the catalogue's visitor and
 iterator demo fixtures.
@@ -34,8 +41,10 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import length_hint
 
-from .wire import I64_MAX, I64_MIN, MAX_REQUEST_BYTES, WireError, ident_end, parse_i64
+from .wire import I64_MAX, I64_MIN, IDENT_PATTERN, MAX_REQUEST_BYTES, is_ident
 
 
 class ParseError(ValueError):
@@ -270,122 +279,121 @@ def iter_nodes(e: Expr) -> BidirectionalCursor:
     return BidirectionalCursor(preorder_nodes(e))
 
 
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
-_STACKED = {"(": 0, **_PRECEDENCE}  # a '(' marker binds looser than any operator
-_LITERAL = re.compile(r"-?[0-9]+")
+# One token per integer literal (a '-' joins the digits right after it, and
+# a lone '-' is a token too), per identifier, and per other non-blank
+# character; the blanks before a token, space and tab only, are skipped.
+_TOKEN = re.compile(r"[ \t]*([-0-9][0-9]*|%s|[^ \t])" % IDENT_PATTERN)
+_DIGITS = "0123456789"
+# the characters that begin an identifier: those that are one on their own
+_IDENT_START = frozenset(ch for ch in map(chr, range(128)) if is_ident(ch))
 
 
-def _byte_offset(text: str, pos: int) -> int:
-    return len(text[:pos].encode("utf-8"))
+def _inert(*_):
+    return 0
 
 
-def shunting_yard(text: str, leaf, reduce):
+def walk(text: str, number, name, reduce):
     """Run the grammar over one line and return its reduced value.
 
-    `leaf(token)` gives the value of a factor, `token` being an int for an
-    integer literal or a str for an identifier; `reduce(op, left, right)`
-    gives the value of one binary operation.  Leaves and reductions come in
-    post-order, left operand first, so the hooks see the line exactly as a
-    left-to-right walk of its tree would.  Any syntax fault raises
-    ParseError; the hooks should not raise.
+    `number(value)` gives the value of an integer literal (None takes the
+    int as it is), `name(identifier)` the value of a name, and
+    `reduce(op, left, right)` the value of one binary operation.  Leaves
+    and reductions come in post-order, left operand first, so the hooks see
+    the line as a left-to-right walk of its tree would.  A syntax fault
+    raises ParseError.  The first EvalError a hook raises is held while the
+    line is walked again with hooks that cannot fail, so that a ParseError
+    anywhere in the line wins over it.
     """
     if len(text.encode("utf-8")) > MAX_REQUEST_BYTES:
         raise ParseError("expression too long", MAX_REQUEST_BYTES)
-    operators: list[str] = []
-    operands: list = []
-    depth = 0  # '(' markers on the operator stack
-    pos, end = 0, len(text)
+    tokens = _TOKEN.findall(text)
+    try:
+        return _walk(text, tokens, number, name, reduce)
+    except EvalError as exc:
+        error = exc
+    _walk(text, tokens, None, _inert, _inert)  # raises the line's ParseError, if any
+    raise error
+
+
+def _walk(text, tokens, number, name, reduce):
+    # The open sum and product: `total total_op product product_op`, where
+    # an operator of None means that level holds no pending operation yet.
+    # Each '(' saves them in a frame and starts afresh; its ')' restores
+    # them and takes the finished sum as a factor.
+    frames = []
+    total = total_op = product = product_op = None
     want_factor = True
-    while True:
-        while pos < end and text[pos] in " \t":
-            pos += 1
-        ch = text[pos] if pos < end else ""
+    pending = iter(tokens)
+    for token in pending:
         if want_factor:
-            if ch == "(":
-                operators.append(ch)
-                depth += 1
-                pos += 1
+            first = token[0]
+            if first in _DIGITS or first == "-" and token != "-":
+                value = int(token)
+                if not I64_MIN <= value <= I64_MAX:
+                    raise _fault("integer literal out of 64-bit range", text, tokens, pending)
+                if number is not None:
+                    value = number(value)
+            elif first in _IDENT_START:
+                value = name(token)
+            elif token == "(":
+                frames.append((total, total_op, product, product_op))
+                total_op = product_op = None
                 continue
-            literal = _LITERAL.match(text, pos)
-            if literal:
-                try:
-                    token = parse_i64(literal.group())
-                except WireError:  # the match took only digits: the literal is out of range
-                    raise ParseError("integer literal out of 64-bit range",
-                                     _byte_offset(text, pos)) from None
-                pos = literal.end()
             else:
-                start, pos = pos, ident_end(text, pos)
-                if pos == start:
-                    raise ParseError("unexpected character %r" % ch if ch
-                                     else "unexpected end of input", _byte_offset(text, pos))
-                token = text[start:pos]
-            operands.append(leaf(token))
+                raise _fault("unexpected character %r" % token, text, tokens, pending)
             want_factor = False
-            continue
-        # operator position: reduce every pending operator that binds at
-        # least as tightly as `ch`; ')', the end of input and a stray
-        # character reduce back to the innermost '('
-        floor = _PRECEDENCE.get(ch, 1)
-        while operators and _STACKED[operators[-1]] >= floor:
-            right = operands.pop()
-            operands.append(reduce(operators.pop(), operands.pop(), right))
-        if ch in _PRECEDENCE:
-            operators.append(ch)
-            pos += 1
+        elif token == "*" or token == "/":
+            product_op = token
             want_factor = True
-        elif ch == ")" and depth:
-            operators.pop()
-            depth -= 1
-            pos += 1
-        elif depth:
-            raise ParseError("expected ')'", _byte_offset(text, pos))
-        elif ch:
-            raise ParseError("unexpected trailing input", _byte_offset(text, pos))
+            continue
+        elif token == "+" or token == "-":
+            total = product if total_op is None else reduce(total_op, total, product)
+            total_op, product_op = token, None
+            want_factor = True
+            continue
+        elif token == ")" and frames:
+            value = product if total_op is None else reduce(total_op, total, product)
+            total, total_op, product, product_op = frames.pop()
+        elif token[0] == "-":  # "1-2": the operator '-', then the literal 2
+            total = product if total_op is None else reduce(total_op, total, product)
+            total_op, product_op = "-", None
+            value = -int(token)
+            if value > I64_MAX:
+                raise _fault("integer literal out of 64-bit range", text, tokens, pending, 1)
+            if number is not None:
+                value = number(value)
         else:
-            return operands[0]
+            raise _fault("expected ')'" if frames else "unexpected trailing input",
+                         text, tokens, pending)
+        product = value if product_op is None else reduce(product_op, product, value)
+    if want_factor:
+        raise ParseError("unexpected end of input", len(text.encode("utf-8")))
+    if frames:
+        raise ParseError("expected ')'", len(text.encode("utf-8")))
+    return product if total_op is None else reduce(total_op, total, product)
+
+
+def _fault(message: str, text: str, tokens: list, pending, skip: int = 0) -> ParseError:
+    """A ParseError at the token that `pending` handed out last, `skip`
+    characters into it; the scan runs again to find where that token starts."""
+    index = len(tokens) - length_hint(pending) - 1
+    start = next(islice(_TOKEN.finditer(text), index, None)).start(1) + skip
+    return ParseError(message, len(text[:start].encode("utf-8")))
 
 
 def parse_expr(text: str, pool: AtomPool | None = None) -> Expr:
     """Parse an infix expression line into a tree; leaves are interned in
     `pool`, or in a fresh pool when none is given."""
     pool = pool if pool is not None else AtomPool()
-    return shunting_yard(text, pool.intern, Binary)
+    return walk(text, pool.intern, pool.intern, Binary)
 
 
 def fold_expr(text: str, ctx: Context | None = None) -> int:
     """Evaluate an expression line as it parses, building no tree.
 
     Gives what `eval_expr(parse_expr(text), ctx)` gives: the value, the
-    ParseError, or else the first EvalError in post-order.  That error is
-    held until the whole line has parsed, because a syntax fault anywhere
-    in the line wins over it."""
-    bindings = (ctx if ctx is not None else Context()).bindings
-    error = None  # the first EvalError; reductions after it pass a placeholder on
-
-    def leaf(token):
-        nonlocal error
-        if token.__class__ is int:
-            return token
-        if token in bindings:
-            return bindings[token]
-        if error is None:
-            error = _unbound(token)
-        return 0
-
-    def reduce(op, left, right):
-        nonlocal error
-        if error is None:
-            try:
-                return _apply_binary(op, left, right)
-            except EvalError as exc:
-                error = exc
-        return 0
-
-    value = shunting_yard(text, leaf, reduce)
-    if error is not None:
-        raise error
-    return value
+    ParseError, or else the first EvalError in post-order."""
+    return walk(text, None, (ctx if ctx is not None else Context()).value_of, _apply_binary)
 
 
 # Demo fixtures: shape visitors and the book-collection iterator.

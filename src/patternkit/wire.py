@@ -27,7 +27,10 @@ MAX_OUTPUT_BYTES = 1024 * 1024
 PROTOCOL_VERSION = 1
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
-_IDENT = re.compile(r"[a-z][a-z0-9_]*")
+# an identifier: a lowercase ASCII letter, then lowercase ASCII letters,
+# digits and '_'
+IDENT_PATTERN = r"[a-z][a-z0-9_]*"
+_IDENT = re.compile(IDENT_PATTERN)
 
 
 class WireError(ValueError):
@@ -73,14 +76,6 @@ def parse_i64(token: str) -> int:
     if not I64_MIN <= value <= I64_MAX:
         raise WireError("integer out of range: %r" % token)
     return value
-
-
-def ident_end(text: str, pos: int = 0) -> int:
-    """An identifier is a lowercase ASCII letter, then lowercase ASCII
-    letters, digits and '_'.  Returns the end of the identifier that starts
-    at `pos`, or `pos` when none does."""
-    match = _IDENT.match(text, pos)
-    return match.end() if match else pos
 
 
 def is_ident(token: str) -> bool:

@@ -4,6 +4,7 @@
 test. Only the tests that use the registry ask for it (`test_creational.py`,
 `test_structural_kit.py` and c07); a server keeps its own counters."""
 
+import os
 import socket
 import threading
 
@@ -14,10 +15,13 @@ from patternkit.creational import ConfigBuilder, _reset_registry_for_tests
 from patternkit.server import PatternServer
 
 # property tests keep no example database between runs and have no
-# per-example deadline (a loaded host must not fail them); each test sets
-# its own max_examples
-settings.register_profile("patternkit", database=None, deadline=None)
-settings.load_profile("patternkit")
+# per-example deadline (a loaded host must not fail them).  Each test asks
+# for a multiple of the loaded profile's max_examples; under CI (GitHub
+# Actions sets it) the "patternkit-ci" profile makes that five times as many.
+settings.register_profile("patternkit", database=None, deadline=None, max_examples=100)
+settings.register_profile("patternkit-ci", parent=settings.get_profile("patternkit"),
+                          max_examples=500)
+settings.load_profile("patternkit-ci" if os.environ.get("CI") else "patternkit")
 
 
 @pytest.fixture

@@ -41,7 +41,7 @@ def _apply(op, left, right):
     else:
         raise AssertionError("bad oracle operator %r" % (op,))
     if not I64_MIN <= result <= I64_MAX:
-        raise OracleEvalError("overflow")
+        raise OracleEvalError("integer overflow in %s" % op)
     return result
 
 
@@ -60,11 +60,101 @@ def reference_eval(tree, env=None):
             values.append(node[1])
         elif node[0] == "var":
             if node[1] not in env:
-                raise OracleEvalError("unbound variable %s" % node[1])
+                raise OracleEvalError("unbound variable %r" % node[1])
             values.append(env[node[1]])
         else:
             pending += (node[0], node[2], node[1])
     return values[0]
+
+
+_DIGITS = frozenset("0123456789")
+_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyz")
+_IDENT_REST = _IDENT_START | _DIGITS | {"_"}
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+_STACKED = {"(": 0, **_PRECEDENCE}  # a '(' marker binds looser than any operator
+
+
+def reference_fold(text: str, env=None):
+    """EVAL of one line of text, by a shunting-yard that reads it one
+    character at a time: the value, or ("parse", message, byte offset) for
+    a syntax fault anywhere in the line, or else ("eval", message, None)
+    for the first evaluation error in post-order.
+
+    A '-' begins a literal only in factor position and right before a
+    digit.  Blanks are space and tab; a line of more than 4096 UTF-8 bytes
+    is too long."""
+    env = env or {}
+
+    def at(pos):
+        return len(text[:pos].encode("utf-8"))
+
+    if at(len(text)) > 4096:
+        return ("parse", "expression too long", 4096)
+    errors = []  # evaluation errors in post-order; a 0 stands in for a failed value
+    operators, operands = [], []
+    depth = 0  # '(' markers on the operator stack
+    pos, end = 0, len(text)
+    want_factor = True
+    while True:
+        while pos < end and text[pos] in " \t":
+            pos += 1
+        ch = text[pos] if pos < end else ""
+        if want_factor:
+            if ch == "(":
+                operators.append(ch)
+                depth += 1
+                pos += 1
+                continue
+            start = pos
+            if ch == "-" and text[pos + 1:pos + 2] in _DIGITS:
+                pos += 1
+            if text[pos:pos + 1] in _DIGITS:
+                while pos < end and text[pos] in _DIGITS:
+                    pos += 1
+                value = int(text[start:pos])
+                if not I64_MIN <= value <= I64_MAX:
+                    return ("parse", "integer literal out of 64-bit range", at(start))
+            elif ch in _IDENT_START:
+                while pos < end and text[pos] in _IDENT_REST:
+                    pos += 1
+                name = text[start:pos]
+                if name not in env:
+                    errors.append("unbound variable %r" % name)
+                value = env.get(name, 0)
+            elif ch:
+                return ("parse", "unexpected character %r" % ch, at(pos))
+            else:
+                return ("parse", "unexpected end of input", at(pos))
+            operands.append(value)
+            want_factor = False
+            continue
+        # operator position: reduce every pending operator that binds at
+        # least as tightly as `ch`; ')', the end and a stray character
+        # reduce back to the innermost '('
+        floor = _PRECEDENCE.get(ch, 1)
+        while operators and _STACKED[operators[-1]] >= floor:
+            right, left = operands.pop(), operands.pop()
+            try:
+                operands.append(_apply(operators.pop(), left, right))
+            except OracleEvalError as exc:
+                errors.append(str(exc))
+                operands.append(0)
+        if ch in _PRECEDENCE:
+            operators.append(ch)
+            pos += 1
+            want_factor = True
+        elif ch == ")" and depth:
+            operators.pop()
+            depth -= 1
+            pos += 1
+        elif depth:
+            return ("parse", "expected ')'", at(pos))
+        elif ch:
+            return ("parse", "unexpected trailing input", at(pos))
+        elif errors:
+            return ("eval", errors[0], None)
+        else:
+            return operands[0]
 
 
 def random_tree(rng: random.Random, max_depth: int, allow_vars: bool = False,
@@ -143,6 +233,13 @@ FROZEN_EVAL_CASES = [
     ("7 - -2", 9),
     ("0 * 12345", 0),
     ("((5 + 3) - 2)", 6),
+    ("1-2-3", -4),  # each '-' is an operator: (1 - 2) - 3
+]
+
+# The same, under variable bindings: (text, bindings, value).
+FROZEN_BOUND_EVAL_CASES = [
+    ("x-1", {"x": 5}, 4),
+    ("x - -1", {"x": 5}, 6),
 ]
 
 

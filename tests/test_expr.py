@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    FROZEN_BOUND_EVAL_CASES,
     FROZEN_EVAL_CASES,
     OracleEvalError,
     random_env,
     random_tree,
     reference_eval,
+    reference_fold,
     tree_to_text,
 )
 from patternkit.expr import (
@@ -62,6 +64,14 @@ PARSE_ERRORS = [
     ("1 + 9223372036854775808", "integer literal out of 64-bit range", 4),
     ("2 * (-9223372036854775809)", "integer literal out of 64-bit range", 5),
     ("1" + " + 1" * 2000, "expression too long", 4096),
+    # in operator position "-<digits>" is '-' then a literal, and the range
+    # check and the offset are those of the digits alone
+    ("4-99999999999999999999", "integer literal out of 64-bit range", 2),
+    ("1 -99999999999999999999", "integer literal out of 64-bit range", 3),
+    ("(1)-9223372036854775808", "integer literal out of 64-bit range", 4),
+    # only space and tab are blanks
+    ("1\r+2", "unexpected trailing input", 1),
+    ("1 +\x0b2", "unexpected character '\\x0b'", 3),
 ]
 
 # every character class the grammar distinguishes, one non-ASCII letter included
@@ -79,6 +89,12 @@ class TestFrozenCases:
     @pytest.mark.parametrize("text,expected", FROZEN_EVAL_CASES)
     def test_hand_computed_value(self, text, expected):
         assert eval_expr(parse_expr(text)) == expected
+
+    @pytest.mark.parametrize("text,env,expected", FROZEN_BOUND_EVAL_CASES)
+    def test_hand_computed_value_under_bindings(self, text, env, expected):
+        ctx = env_context(env)
+        assert eval_expr(parse_expr(text), ctx) == expected
+        assert fold_expr(text, ctx) == expected
 
     def test_wire_example(self):
         assert eval_expr(parse_expr("5 + 3 - 2")) == 6
@@ -140,7 +156,7 @@ class TestParser:
                 out.append(top.accept(PrintVisitor()))
         assert "".join(out) == printed
 
-    @settings(max_examples=400)
+    @settings(max_examples=4 * settings.default.max_examples)
     @given(st.text(alphabet=EXPR_ALPHABET, max_size=24))
     def test_any_text_parses_to_a_printable_tree_or_fails_cleanly(self, text):
         try:
@@ -270,16 +286,46 @@ def tree_walk(text, ctx):
     return eval_expr(parse_expr(text), ctx)
 
 
+def reference_outcome(evaluate, text, ctx):
+    """`outcome` in the form `oracles.reference_fold` gives it."""
+    try:
+        return evaluate(text, ctx)
+    except ParseError as exc:
+        message = str(exc).rsplit(" at offset ", 1)[0]
+        assert str(exc) == "%s at offset %d" % (message, exc.offset)
+        return "parse", message, exc.offset
+    except EvalError as exc:
+        return "eval", str(exc), None
+
+
+# EXPR_ALPHABET, a carriage return and a vertical tab (neither is a blank),
+# and runs of 19 to 21 digits, which straddle the 64-bit range, bare or
+# glued to a '-'
+DIGIT_RUNS = st.text("0123456789", min_size=19, max_size=21)
+TEXT_PIECES = st.one_of(
+    st.sampled_from(EXPR_ALPHABET + "\r\x0b"),
+    DIGIT_RUNS,
+    DIGIT_RUNS.map("-".__add__),
+)
+
+
 BOUND = env_context({"a": 3, "b": -7, "x": I64_MAX, "ab": 0, "z": -(2**63)})
 
 
 class TestFold:
     """fold_expr, the server's one-pass EVAL, against the tree walk."""
 
-    @settings(max_examples=600)
+    @settings(max_examples=6 * settings.default.max_examples)
     @given(st.text(alphabet=EXPR_ALPHABET, max_size=24))
     def test_any_text_folds_as_the_tree_walks(self, text):
         assert outcome(fold_expr, text, BOUND) == outcome(tree_walk, text, BOUND)
+
+    @settings(max_examples=6 * settings.default.max_examples)
+    @given(st.lists(TEXT_PIECES, max_size=24).map("".join))
+    def test_any_text_evaluates_as_the_text_reference(self, text):
+        expected = reference_fold(text, BOUND.bindings)
+        assert reference_outcome(fold_expr, text, BOUND) == expected
+        assert reference_outcome(tree_walk, text, BOUND) == expected
 
     @pytest.mark.parametrize("text,message,offset", [
         ("x + (", "unexpected end of input", 5),

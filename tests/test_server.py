@@ -859,7 +859,7 @@ def framed_streams(draw):
 
 
 class TestFramingProperty:
-    @settings(max_examples=150)
+    @settings(max_examples=3 * settings.default.max_examples // 2)
     @given(framed_streams())
     @example((b"PING\n" * 300 + b"EVAL 1 + 2\r\nPI",
               [b"PING\n" * 300 + b"EVAL 1 + 2\r\nPI"]))
