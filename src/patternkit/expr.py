@@ -98,7 +98,9 @@ class Binary(Expr):
 
 @dataclass(frozen=True)
 class Context:
-    """Immutable variable bindings; rebinding builds a new context."""
+    """Variable bindings; `bind` builds a new context and leaves this one
+    as it was.  A `patternd` session keeps one context and assigns into
+    its `bindings`."""
 
     bindings: dict = field(default_factory=dict)
 

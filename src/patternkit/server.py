@@ -29,6 +29,10 @@ sending what it can, an OPEN session waits on `READ`, plus `WRITE` while
 output is unsent; a PAUSED session, or a CLOSING one with unsent output,
 waits on `WRITE`; a CLOSING session whose output is all sent is dropped.
 
+A session's document is held only in the escaped form that `SHOW`, `UNDO`
+and `RESTORE` send, with its raw UTF-8 size beside it: each `WRITE`
+escapes its own argument once, and no reply escapes the whole document.
+
 Each verb's cost is bounded by the limits in `wire.py`, and one session's
 work is bounded per loop round.  A session pauses, before it frames its
 next line, once the callback has buffered `LOOP_REPLY_BUDGET` replies and
@@ -106,7 +110,7 @@ class Session(EventHandler):
         self.document = Document()
         self.caretaker = Caretaker()
         self.player = STOPPED
-        self.ctx = Context()
+        self.ctx = Context()  # the one context: LET assigns into its bindings
         self.temp_observer = None
         self.in_buffer = bytearray()
         self.out_buffer = bytearray()
@@ -166,17 +170,31 @@ class EvalHandler(VerbHandler):
         bindings = session.ctx.bindings
         if name not in bindings and len(bindings) >= MAX_BINDINGS:
             return Err("LIMIT", "too many variables")
-        session.ctx = session.ctx.bind(name, value)
+        bindings[name] = value
         return _OK
 
 
+class EscapedWrite(WriteCommand):
+    """A WRITE kept in the form every document reply sends: `text` is the
+    argument escaped once, and `undo_info` its UTF-8 byte length, so the
+    document's `size` counts the bytes written."""
+
+    def __init__(self, text: str):
+        self.text = escape_doc(text)
+        self.undo_info = len(text.encode("utf-8"))
+
+
 class DocHandler(VerbHandler):
+    """The document verbs.  A session's document is held escaped, with its
+    raw UTF-8 size beside it: `SHOW`, `UNDO` and `RESTORE` reply with the
+    content as it is stored, and MAX_DOC_BYTES counts raw bytes."""
+
     verbs = ("WRITE", "SHOW", "UNDO", "SNAPSHOT", "RESTORE")
 
     def answer(self, session, verb, args):
         doc, caretaker = session.document, session.caretaker
         if verb == "WRITE":
-            command = WriteCommand(args)
+            command = EscapedWrite(args)
             if doc.size + command.undo_info > MAX_DOC_BYTES:  # undo_info: bytes appended
                 return Err("LIMIT", "document too large")
             if len(caretaker.history) >= MAX_HISTORY:
@@ -184,11 +202,11 @@ class DocHandler(VerbHandler):
             return Ok(str(execute_command(doc, caretaker, command)))
         if verb == "SHOW":
             _no_args(verb, args)
-            return Ok(escape_doc(doc.content))
+            return Ok(doc.content)
         if verb == "UNDO":
             _no_args(verb, args)
             try:
-                return Ok(escape_doc(undo_last(doc, caretaker)))
+                return Ok(undo_last(doc, caretaker))
             except EmptyHistoryError as exc:
                 return Err("EMPTY", str(exc))
         if verb == "SNAPSHOT":
@@ -197,7 +215,7 @@ class DocHandler(VerbHandler):
                 return Err("LIMIT", "too many snapshots")
             return Ok(save_memento(doc, caretaker))
         try:
-            return Ok(escape_doc(restore_memento(doc, caretaker, args.strip())))
+            return Ok(restore_memento(doc, caretaker, args.strip()))
         except UnknownSnapshotError as exc:
             return Err("STATE", str(exc))
 

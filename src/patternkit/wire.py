@@ -17,7 +17,10 @@ ERROR_CODES = frozenset({"EVAL", "EMPTY", "UNKNOWN", "PARSE", "STATE", "LIMIT", 
 MAX_REQUEST_BYTES = 4096
 # per-session limits; a request past one answers ERR LIMIT
 MAX_BINDINGS = 1024  # variable names bound with LET
-MAX_DOC_BYTES = 128 * 1024  # document size, in UTF-8 bytes
+# document size, in UTF-8 bytes counted before escaping; the server stores
+# the escaped form, up to twice that, so 16 snapshots of a backslash
+# document hold up to 16 x 256 KiB
+MAX_DOC_BYTES = 128 * 1024
 MAX_HISTORY = 1024  # undoable WRITEs (an empty WRITE adds one and no bytes)
 MAX_SNAPSHOTS = 16
 # unsent replies and events; above the largest reply, a capped document

@@ -275,6 +275,60 @@ def undone_content(writes, undo_count: int) -> str:
     return "".join(list(writes)[:keep])
 
 
+# The session document as the protocol states it: raw text, the history of
+# raw pieces written, and numbered snapshots; every reply escapes the text.
+DOC_MAX_BYTES = 128 * 1024  # raw UTF-8 bytes
+DOC_MAX_HISTORY = 1024
+DOC_MAX_SNAPSHOTS = 16
+
+
+def escape_text(text: str) -> str:
+    return text.replace("\\", "\\\\").replace("\n", "\\n")
+
+
+class ReferenceDocument:
+    """One session's WRITE, SHOW, UNDO, SNAPSHOT and RESTORE.  `answer`
+    returns ("OK", payload) or ("ERR", code, message)."""
+
+    def __init__(self):
+        self.text = ""
+        self.pieces = []
+        self.snapshots = {}
+
+    def answer(self, verb: str, arg: str):
+        if verb == "WRITE":
+            size = len(self.text.encode("utf-8")) + len(arg.encode("utf-8"))
+            if size > DOC_MAX_BYTES:
+                return ("ERR", "LIMIT", "document too large")
+            if len(self.pieces) >= DOC_MAX_HISTORY:
+                return ("ERR", "LIMIT", "undo history full")
+            self.pieces.append(arg)
+            self.text += arg
+            return ("OK", str(size))
+        if verb == "SHOW":
+            return ("OK", escape_text(self.text))
+        if verb == "UNDO":
+            if not self.pieces:
+                return ("ERR", "EMPTY", "no commands to undo")
+            piece = self.pieces.pop()
+            self.text = self.text[:len(self.text) - len(piece)]
+            return ("OK", escape_text(self.text))
+        if verb == "SNAPSHOT":
+            if len(self.snapshots) >= DOC_MAX_SNAPSHOTS:
+                return ("ERR", "LIMIT", "too many snapshots")
+            snap_id = str(len(self.snapshots) + 1)
+            self.snapshots[snap_id] = self.text
+            return ("OK", snap_id)
+        if verb == "RESTORE":
+            snap_id = arg.strip()
+            if snap_id not in self.snapshots:
+                return ("ERR", "STATE", "unknown snapshot id %r" % snap_id)
+            self.text = self.snapshots[snap_id]
+            self.pieces.clear()  # nothing is undone across a restore
+            return ("OK", escape_text(self.text))
+        raise AssertionError("not a document verb: %r" % verb)
+
+
 BASE_COFFEE_COST = 500
 LAYER_DELTAS = {"milk": 150, "sugar": 50}
 

@@ -19,12 +19,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import LineClient, ThreadedServer
-from oracles import (VAR_NAMES, OracleEvalError, random_chain, random_env, random_tree,
-                     reference_eval, tree_depth, tree_to_text)
+from oracles import (VAR_NAMES, OracleEvalError, ReferenceDocument, random_chain, random_env,
+                     random_tree, reference_eval, tree_depth, tree_to_text)
 from patternkit import messaging
 from patternkit import server as server_module
 from patternkit.creational import ConfigBuilder, Registry
-from patternkit.expr import Number
+from patternkit.expr import Context, Number
 from patternkit.reactor import READ, WRITE
 from patternkit.server import (CHAIN_ORDER, CLOSED, CLOSING, LOOP_REPLY_BUDGET, OPEN,
                                OUTPUT_HIGH_WATER, PAUSED, PatternServer, Session, main)
@@ -412,6 +412,19 @@ class TestEval:
         assert client.ask("EVAL v0 + v1023") == "OK 1030"
         assert connect(server).ask("LET extra 1") == "OK"  # the cap is per session
 
+    def test_let_assigns_into_the_session_context(self, monkeypatch):
+        binds = []
+        bind = Context.bind
+        monkeypatch.setattr(Context, "bind", lambda *args: binds.append(args) or bind(*args))
+        with InProcessSession() as client:
+            session = client.session
+            ctx = session.ctx
+            lets = b"".join(b"LET v%d %d\n" % (n, n) for n in range(MAX_BINDINGS))
+            assert client.feed(lets) == ["OK"] * MAX_BINDINGS
+            assert client.feed(b"LET v0 7\nEVAL v0 + v1023\n") == ["OK", "OK 1030"]
+            assert session.ctx is ctx and len(ctx.bindings) == MAX_BINDINGS
+        assert binds == []
+
     @pytest.mark.parametrize("name,valid", [
         ("a", True), ("x_1", True), ("_x", False), ("1x", False), ("Xy", False),
         ("\N{LATIN SMALL LETTER E WITH ACUTE}", False), ("x-y", False),
@@ -512,6 +525,21 @@ class TestDocumentVerbs:
         for family in (TextFamily(), JsonFamily()):
             reply = (family.render_reply(Ok(escape_doc(document))) + "\n").encode()
             assert OUTPUT_HIGH_WATER + len(reply) < MAX_OUTPUT_BYTES
+
+    @pytest.mark.parametrize("family", ["text", "json"])
+    def test_a_capped_backslash_show_buffers_under_the_output_limit(self, family):
+        chunk = "\\" * (MAX_REQUEST_BYTES - len("WRITE "))
+        full, rest = divmod(MAX_DOC_BYTES, len(chunk))
+        with InProcessSession(family) as client:
+            srv, session = client.server, client.session
+            for text in [chunk] * full + ["\\" * rest]:
+                srv._enqueue_request(session, "WRITE " + text)
+            assert session.document.size == MAX_DOC_BYTES
+            before = len(session.out_buffer)
+            srv._enqueue_request(session, "SHOW")
+            shown = len(session.out_buffer) - before
+        assert shown > 2 * MAX_DOC_BYTES  # each backslash is sent escaped
+        assert OUTPUT_HIGH_WATER + shown < MAX_OUTPUT_BYTES
 
 
 class TestPrice:
@@ -805,41 +833,62 @@ def reference_framing(stream: bytes):
             replies.append(FRAMED_LINES[body])
 
 
-def pump_in_process(chunks):
-    """Feed `chunks` to one session through `_pump_lines`, one callback per
-    chunk, and drain each paused read through `_writable` as the loop would;
-    returns the replies and what is left in `in_buffer`."""
-    srv = PatternServer(ConfigBuilder().port(0).build())
-    conn, peer = socket.socketpair()
-    conn.setblocking(False)
-    peer.setblocking(False)
-    session = Session(conn, srv)
-    srv.sessions[conn] = session
-    srv.reactor.register(conn, READ, session)
-    received = bytearray()
+class InProcessSession:
+    """One session of a server whose loop never runs, over a socketpair.
+    `feed` hands a chunk to `_pump_lines` as one read callback would, then
+    makes the write callbacks the loop would make until the session is not
+    paused and its output is all received."""
 
-    def drain():
+    def __init__(self, family: str = "text"):
+        self.server = PatternServer(ConfigBuilder().port(0).family(family).build())
+        conn, self.peer = socket.socketpair()
+        conn.setblocking(False)
+        self.peer.setblocking(False)
+        self.session = Session(conn, self.server)
+        self.server.sessions[conn] = self.session
+        self.server.reactor.register(conn, READ, self.session)
+        self.received = bytearray()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.server.reactor.close()
+        self.peer.close()
+
+    def _drain(self):
         try:
-            while data := peer.recv(65536):
-                received.extend(data)
+            while data := self.peer.recv(65536):
+                self.received += data
         except BlockingIOError:
             pass
 
-    try:
+    def feed(self, chunk: bytes) -> list:
+        """Answer `chunk`; returns the reply lines received since the last feed."""
+        srv, session = self.server, self.session
+        session.in_buffer += chunk
+        srv._batched(srv._pump_lines, session)
+        while session.state == PAUSED or (session.state != CLOSED and session.out_buffer):
+            self._drain()
+            srv._batched(srv._writable, session)
+        self._drain()
+        end = self.received.rfind(b"\n") + 1
+        lines = self.received[:end].decode("utf-8").split("\n")[:-1]
+        del self.received[:end]
+        return lines
+
+
+def pump_in_process(chunks):
+    """Feed `chunks` to one in-process session, one read callback per chunk;
+    returns the replies and what is left in `in_buffer`."""
+    with InProcessSession() as client:
+        replies = []
         for chunk in chunks:
-            if session.state != OPEN:
+            if client.session.state != OPEN:
                 break
-            session.in_buffer += chunk
-            srv._batched(srv._pump_lines, session)
-            while session.state == PAUSED:
-                drain()
-                srv._batched(srv._writable, session)
-        drain()
-        left = bytes(session.in_buffer) if session.state == OPEN else None
-    finally:
-        srv.reactor.close()
-        peer.close()
-    return received.decode("utf-8").splitlines(), left
+            replies += client.feed(chunk)
+        left = bytes(client.session.in_buffer) if client.session.state == OPEN else None
+    return replies, left
 
 
 @st.composite
@@ -868,6 +917,85 @@ class TestFramingProperty:
         expected, tail = reference_framing(stream)
         assert pump_in_process(chunks) == (expected, tail)
         assert pump_in_process([stream]) == (expected, tail)
+
+
+# the pieces of a WRITE argument: a backslash, a backslash then `n`, two and
+# four UTF-8 bytes, and the empty piece
+DOC_PIECES = ["a", " ", "\\", "\\n", "\N{LATIN SMALL LETTER E WITH ACUTE}", "\N{GRINNING FACE}", ""]
+
+
+@st.composite
+def document_lines(draw):
+    """Random document verb lines, empty WRITEs and unknown snapshot ids among them."""
+    write = st.lists(st.sampled_from(DOC_PIECES), max_size=6).map(lambda ps: "WRITE " + "".join(ps))
+    line = st.one_of(write, st.just("WRITE"), st.sampled_from(["SHOW", "UNDO", "SNAPSHOT"]),
+                     st.integers(0, 4).map(lambda n: "RESTORE %d" % n))
+    return draw(st.lists(line, max_size=40))
+
+
+def rendered(family: str, answer) -> str:
+    """A ReferenceDocument answer as its reply line, rendered without patternkit."""
+    if family == "text":
+        if answer[0] == "ERR":
+            return "ERR %s %s" % answer[1:]
+        return "OK " + answer[1] if answer[1] else "OK"
+    if answer[0] == "ERR":
+        return json.dumps({"ok": False, "code": answer[1], "message": answer[2]})
+    return json.dumps({"ok": True, "value": answer[1]})
+
+
+def assert_document_replies(family: str, lines) -> list:
+    """Pipeline `lines` to one in-process session and check each reply
+    against the reference document; returns the reference's answers."""
+    model = ReferenceDocument()
+    answers = [model.answer(*line.partition(" ")[::2]) for line in lines]
+    with InProcessSession(family) as client:
+        replies = client.feed("".join(line + "\n" for line in lines).encode())
+    assert replies == [rendered(family, answer) for answer in answers]
+    return answers
+
+
+class TestDocumentStorage:
+    """A session's document is held escaped, with its raw size beside it."""
+
+    def test_only_a_write_escapes_and_only_its_own_argument(self, monkeypatch):
+        escape, calls, per_line = server_module.escape_doc, [], []
+        handle_line = server_module.handle_line
+
+        def counted_escape(text):
+            calls.append(text)
+            return escape(text)
+
+        def recording(session, line):
+            before = len(calls)
+            reply = handle_line(session, line)
+            per_line.append((line, calls[before:]))
+            return reply
+
+        monkeypatch.setattr(server_module, "escape_doc", counted_escape)
+        monkeypatch.setattr(server_module, "handle_line", recording)
+        lines = ["WRITE a\\b", "WRITE \\n\N{GRINNING FACE}", "SHOW", "SNAPSHOT", "WRITE \\",
+                 "UNDO", "RESTORE 1", "SHOW", "WRITE"]
+        with InProcessSession() as client:
+            replies = client.feed("".join(line + "\n" for line in lines).encode())
+        shown = "OK a\\\\b\\\\n\N{GRINNING FACE}"
+        assert replies == ["OK 3", "OK 9", shown, "OK 1", "OK 10", shown, shown, shown, "OK 9"]
+        assert per_line == [(line, [line[6:]] if line.startswith("WRITE") else [])
+                            for line in lines]
+
+    @pytest.mark.parametrize("family", ["text", "json"])
+    @given(lines=document_lines())
+    def test_document_verbs_match_the_reference(self, family, lines):
+        assert_document_replies(family, lines)
+
+    @pytest.mark.parametrize("family", ["text", "json"])
+    def test_the_cap_counts_bytes_before_escaping(self, family):
+        chunk = "\\" * (MAX_REQUEST_BYTES - len("WRITE "))
+        full, rest = divmod(131072, len(chunk))
+        lines = ["WRITE " + chunk] * full + ["WRITE " + "\\" * rest, "WRITE \\", "SHOW"]
+        answers = assert_document_replies(family, lines)
+        assert answers[-3:] == [("OK", "131072"), ("ERR", "LIMIT", "document too large"),
+                                ("OK", "\\" * 262144)]
 
 
 class TestConnectionLimit:
