@@ -457,6 +457,12 @@ class PatternServer(EventHandler):
                 pass
             conn.close()
             return
+        self.open_session(conn)
+
+    def open_session(self, conn):
+        """Register a session for a connected, non-blocking socket, buffer
+        its greeting and join it to the chat room.  Run it inside a
+        `_batched` callback, whose flush sends the greeting."""
         session = Session(conn, self)
         self.sessions[conn] = session
         self.reactor.register(conn, READ, session)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 ERROR_CODES = frozenset({"EVAL", "EMPTY", "UNKNOWN", "PARSE", "STATE", "LIMIT", "INTERNAL"})
 MAX_REQUEST_BYTES = 4096
@@ -176,16 +177,26 @@ class TextFamily(ProtocolFamily):
 
 
 class JsonFamily(ProtocolFamily):
-    """One JSON object per line: {ok, value} or {ok, code, message}."""
+    """One JSON object per line, in one of three exact shapes:
+
+        {"ok": true, "value": <payload>}
+        {"ok": false, "code": <code>, "message": <message>}
+        {"evt": <stream line>}
+
+    Keys come in that order, separated by `", "` and `": "`, and every
+    string is ASCII with `\\uXXXX` escapes: the bytes `json.dumps` gives for
+    the same dict.  Each shape is a template filled by the C string escape
+    `json.dumps` itself calls, so no dict is built per reply."""
 
     name = "json"
 
     def render_reply(self, reply: Reply) -> str:
         if isinstance(reply, Ok):
-            return json.dumps({"ok": True, "value": reply.payload})
+            return '{"ok": true, "value": %s}' % encode_basestring_ascii(reply.payload)
         if isinstance(reply, Err):
-            return json.dumps({"ok": False, "code": reply.code, "message": reply.message})
-        return json.dumps({"evt": reply.line})
+            return '{"ok": false, "code": %s, "message": %s}' % (
+                encode_basestring_ascii(reply.code), encode_basestring_ascii(reply.message))
+        return '{"evt": %s}' % encode_basestring_ascii(reply.line)
 
     def parse_reply(self, line: str) -> Reply:
         try:

@@ -24,7 +24,8 @@ from oracles import (
 from patternkit.concurrency import BoundedQueue, ThreadPool
 from patternkit.creational import Registry, VehiclePrototype, _reset_registry_for_tests, registry_instance
 from patternkit.expr import AtomPool, Context, EvalError, eval_expr, parse_expr
-from patternkit.messaging import PhoneDisplay, Subject, WindowDisplay, chain_handle, staffing_chain
+from patternkit.messaging import (ChatRoom, ChatUser, PhoneDisplay, Subject, WindowDisplay,
+                                  chain_handle, staffing_chain)
 from patternkit.policies import PAUSED, PLAYING, STOPPED, player_press, prepare_document
 from patternkit.reactor import READ, WRITE, EventHandler, Reactor
 from patternkit.session_commands import (
@@ -137,6 +138,22 @@ def test_c06_observer_four_notifications_in_subscription_order():
         "Window Display: The current temperature is 25.0\N{DEGREE SIGN}C",
         "Window Display: The current temperature is 30.0\N{DEGREE SIGN}C",
     ]
+
+
+def test_c06_mediator_chat_users_talk_only_through_the_room():
+    room = ChatRoom()
+    alice, bob = ChatUser("alice", room), ChatUser("bob", room)
+    assert alice.send("hi bob") == 2
+    assert bob.send("hi alice") == 2
+    expected = ["[alice] hi bob", "[bob] hi alice"]
+    assert alice.received == expected  # the sender hears its own line
+    assert bob.received == expected
+    room.leave("alice")
+    with pytest.raises(ValueError):
+        alice.send("still here?")
+    assert bob.send("gone") == 1
+    assert alice.received == expected
+    assert bob.received == expected + ["[bob] gone"]
 
 
 @pytest.mark.usefixtures("fresh_registry")

@@ -835,19 +835,21 @@ def reference_framing(stream: bytes):
 
 class InProcessSession:
     """One session of a server whose loop never runs, over a socketpair.
-    `feed` hands a chunk to `_pump_lines` as one read callback would, then
-    makes the write callbacks the loop would make until the session is not
-    paused and its output is all received."""
+    The session is opened as the loop opens a connection, by
+    `open_session`, and its greeting is taken in as `greeting` before the
+    first `feed`.  `feed` hands a chunk to `_pump_lines` as one read
+    callback would, then makes the write callbacks the loop would make
+    until the session is not paused and its output is all received."""
 
     def __init__(self, family: str = "text"):
         self.server = PatternServer(ConfigBuilder().port(0).family(family).build())
         conn, self.peer = socket.socketpair()
         conn.setblocking(False)
         self.peer.setblocking(False)
-        self.session = Session(conn, self.server)
-        self.server.sessions[conn] = self.session
-        self.server.reactor.register(conn, READ, self.session)
         self.received = bytearray()
+        self.server._batched(self.server.open_session, conn)
+        self.session = self.server.sessions[conn]
+        self.greeting, = self._take_lines()
 
     def __enter__(self):
         return self
@@ -871,11 +873,26 @@ class InProcessSession:
         while session.state == PAUSED or (session.state != CLOSED and session.out_buffer):
             self._drain()
             srv._batched(srv._writable, session)
+        return self._take_lines()
+
+    def _take_lines(self) -> list:
+        """The whole lines received and not yet returned."""
         self._drain()
         end = self.received.rfind(b"\n") + 1
         lines = self.received[:end].decode("utf-8").split("\n")[:-1]
         del self.received[:end]
         return lines
+
+
+@pytest.mark.parametrize("family", ["text", "json"])
+def test_an_in_process_session_is_opened_as_a_connection_is(family):
+    """The helper opens its session by the server's own path: greeted, then
+    a member of the chat room, so `SAY` answers the event and `OK`."""
+    with InProcessSession(family) as client:
+        render = client.server.family.render_reply
+        sid = client.session.sid
+        assert client.greeting == render(Ok("patternd 1 %s" % sid))
+        assert client.feed(b"SAY hi\n") == [render(Evt("chat [%s] hi" % sid)), render(Ok())]
 
 
 def pump_in_process(chunks):

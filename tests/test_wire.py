@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from patternkit.wire import (
     ERROR_CODES,
@@ -184,6 +186,25 @@ class TestJsonFamily:
         # patternsh treats a line it cannot parse as a plain reply
         with pytest.raises(ValueError):
             self.family.parse_reply('{"ok": false}')
+
+
+_JSON_REPLIES = st.one_of(
+    st.builds(lambda text: (Ok(text), {"ok": True, "value": text}), st.text()),
+    st.builds(lambda code, text: (Err(code, text), {"ok": False, "code": code, "message": text}),
+              st.sampled_from(sorted(ERROR_CODES)), st.text()),
+    st.builds(lambda text: (Evt(text), {"evt": text}), st.text()),
+)
+
+
+@given(_JSON_REPLIES)
+def test_json_reply_is_what_json_dumps_gives(case):
+    """Each rendered reply is byte for byte `json.dumps` of its dict: an
+    ASCII line with no LF."""
+    reply, obj = case
+    line = JsonFamily().render_reply(reply)
+    assert line == json.dumps(obj)
+    assert line.isascii()
+    assert "\n" not in line
 
 
 @pytest.mark.parametrize("family", [TextFamily(), JsonFamily()])
