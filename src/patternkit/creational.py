@@ -15,7 +15,6 @@ class ServerConfig:
     """Fully built server configuration; never observable half-built."""
 
     port: int = 7465
-    workers: int = 4
     family: str = "text"
     max_conns: int = 128
     log_path: str | None = None
@@ -23,8 +22,6 @@ class ServerConfig:
     def __post_init__(self):
         if not 0 <= self.port <= 65535:
             raise ValueError("port out of range")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.family not in ("text", "json"):
             raise ValueError("family must be 'text' or 'json'")
         if self.max_conns < 1:
@@ -39,10 +36,6 @@ class ConfigBuilder:
 
     def port(self, value: int) -> ConfigBuilder:
         self._fields["port"] = value
-        return self
-
-    def workers(self, value: int) -> ConfigBuilder:
-        self._fields["workers"] = value
         return self
 
     def family(self, value: str) -> ConfigBuilder:

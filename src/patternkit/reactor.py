@@ -7,6 +7,10 @@ called from any thread or from a signal handler: it sets a flag and writes
 one byte to a wakeup socket pair, so a blocked `select` returns at once
 and `run` exits at the end of that round.
 
+`run` waits with no timeout: the loop has no timers, so only a ready
+endpoint or `stop()`'s wakeup byte ends a wait, and an idle loop sleeps.
+`run_once(max_wait)` is the single round that a caller bounds.
+
 An endpoint always waits on `READ`, `WRITE` or both: any other interest
 raises `ValueError` and changes nothing, and a modify that leaves the
 interest unchanged touches no selector.  `close` releases the selector,
@@ -90,10 +94,11 @@ class Reactor:
 
     # -- the loop --------------------------------------------------------------
 
-    def run_once(self, max_wait: float) -> int:
-        """One round: wait up to max_wait, then dispatch.  Returns the number
-        of callbacks invoked.  Readiness is level-triggered, so a handler
-        need not drain its endpoint in one call."""
+    def run_once(self, max_wait: float | None) -> int:
+        """One round: wait up to max_wait (None: until an endpoint is ready),
+        then dispatch.  Returns the number of callbacks invoked.  Readiness
+        is level-triggered, so a handler need not drain its endpoint in one
+        call."""
         dispatched = 0
         for key, mask in self._selector.select(max_wait):
             if key.data is None:
@@ -116,11 +121,11 @@ class Reactor:
                     dispatched += 1
         return dispatched
 
-    def run(self, max_wait: float = 0.5):
+    def run(self):
         """Loop until `stop` is called, then close the reactor."""
         try:
             while not self._stop_requested:
-                self.run_once(max_wait)
+                self.run_once(None)
         finally:
             self.close()
 

@@ -67,7 +67,7 @@ from .reactor import READ, WRITE, EventHandler, Reactor
 from .session_commands import (Caretaker, Document, EmptyHistoryError, UnknownSnapshotError,
                                WriteCommand, execute_command, restore_memento, save_memento,
                                undo_last)
-from .structural_kit import FileLogSink, LazyStatsProxy, adapt_logger
+from .structural_kit import FileLogSink, adapt_logger
 from .wire import (I64_MAX, MAX_BINDINGS, MAX_DOC_BYTES, MAX_HISTORY, MAX_OUTPUT_BYTES,
                    MAX_REQUEST_BYTES, MAX_SNAPSHOTS, PROTOCOL_VERSION, Err, Evt, Ok, WireError,
                    escape_doc, format_money, is_ident, parse_i64)
@@ -146,9 +146,12 @@ class AdminHandler(VerbHandler):
             return _PONG
         if verb == "QUIT":
             return _BYE
-        counters = self.server.stats_proxy.request()
-        payload = " ".join("%s=%d" % kv for kv in sorted(counters.items()))
-        return Ok(payload)
+        server = self.server  # its totals, kept by `handle_line`; times floor to whole ms
+        counters = {"elapsed_ms." + verb: ns // 1_000_000 for verb, ns in server.elapsed_ns.items()}
+        counters["requests"] = server.requests
+        if server.log_errors:
+            counters["log_errors"] = server.log_errors
+        return Ok(" ".join("%s=%d" % kv for kv in sorted(counters.items())))
 
 
 class EvalHandler(VerbHandler):
@@ -214,8 +217,11 @@ class DocHandler(VerbHandler):
             if len(caretaker.snapshots) >= MAX_SNAPSHOTS:
                 return Err("LIMIT", "too many snapshots")
             return Ok(save_memento(doc, caretaker))
+        tokens = args.split()
+        if len(tokens) != 1:
+            raise WireError("RESTORE takes a snapshot id")
         try:
-            return Ok(restore_memento(doc, caretaker, args.strip()))
+            return Ok(restore_memento(doc, caretaker, tokens[0]))
         except UnknownSnapshotError as exc:
             return Err("STATE", str(exc))
 
@@ -312,15 +318,12 @@ class ServerHandlerFactory(HandlerFactory):
         return self.KINDS[kind](self.server)
 
 
-CHAIN_ORDER = tuple(ServerHandlerFactory.KINDS)
-
-
 def build_routes(server: PatternServer) -> dict:
-    """The verb table: each verb to the one handler, made by the factory in
-    CHAIN_ORDER, that answers it.  A verb two kinds name raises ValueError."""
+    """The verb table: each verb to the one handler, made by the factory,
+    that answers it.  A verb two kinds name raises ValueError."""
     factory = ServerHandlerFactory(server)
     routes: dict = {}
-    for kind in CHAIN_ORDER:
+    for kind in factory.KINDS:
         handler = create_handler(factory, kind)
         for verb in handler.verbs:
             if verb in routes:
@@ -381,8 +384,6 @@ class PatternServer(EventHandler):
         self.requests = 0
         self.elapsed_ns: dict = {}  # verb -> total ns spent answering it
         self.log_errors = 0
-        # it lives as long as the server: trace the creation, not each STATS
-        self.stats_proxy = LazyStatsProxy(lambda: self, trace_forwards=False)
         self.sessions: dict = {}
         # the current callback's sessions to flush, each once, and its replies and events
         self._flushes: dict = {}
@@ -406,9 +407,9 @@ class PatternServer(EventHandler):
         self.port = sock.getsockname()[1]
         self.reactor.register(sock, READ, self)
 
-    def run(self, max_wait: float = 0.5):
+    def run(self):
         try:
-            self.reactor.run(max_wait)
+            self.reactor.run()
         finally:
             self.close_log()
 
@@ -418,14 +419,6 @@ class PatternServer(EventHandler):
 
     def active_sessions(self) -> int:
         return len(self.sessions)
-
-    def handle_request(self) -> dict:
-        """The STATS subject behind `stats_proxy`; times floor to whole ms."""
-        counters = {"elapsed_ms." + verb: ns // 1_000_000 for verb, ns in self.elapsed_ns.items()}
-        counters["requests"] = self.requests
-        if self.log_errors:
-            counters["log_errors"] = self.log_errors
-        return counters
 
     # -- connection plumbing ------------------------------------------------
 
@@ -632,16 +625,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="patternd",
                                      description="pattern demonstration TCP service")
     parser.add_argument("--port", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=None,
-                        help="accepted and validated, but ignored: one thread "
-                             "answers every request")
+    parser.add_argument("--workers", help="ignored: one thread answers every request")
     parser.add_argument("--family", choices=("text", "json"), default=None)
     parser.add_argument("--max-conns", type=int, default=None)
     parser.add_argument("--log", default=None, metavar="PATH", dest="log_path")
-    args = parser.parse_args(argv)
+    options = vars(parser.parse_args(argv))
+    del options["workers"]  # accepted so that existing command lines keep working
 
     builder = ConfigBuilder()
-    for setter, value in vars(args).items():  # each dest names a ConfigBuilder setter
+    for setter, value in options.items():  # each dest names a ConfigBuilder setter
         if value is not None:
             getattr(builder, setter)(value)
     try:

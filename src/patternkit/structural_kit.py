@@ -3,9 +3,9 @@ decorators, the process-and-notify facade, the lazy stats proxy, and the
 bridge renderers.
 
 The middleware decorators (`LoggingHandler`, `TimingHandler`,
-`decorate_handler`) and `RegistryStats` are catalogue pieces: `patternd`
-wraps no handler in them, and counts, times and logs each request in
-`server.handle_line` instead."""
+`decorate_handler`), `LazyStatsProxy` and `RegistryStats` are catalogue
+pieces: `patternd` wraps no handler in them, counts, times and logs each
+request in `server.handle_line`, and renders `STATS` from the server."""
 
 from __future__ import annotations
 
@@ -32,16 +32,15 @@ class LegacyLogSink:
 
 class FileLogSink:
     """Legacy-interface sink: opens its file once, in append mode, and writes
-    each `<unix-millis> <level> <message>` line whole before `write_log` returns."""
+    each `<unix-millis> INFO <message>` line whole before `write_log` returns."""
 
-    def __init__(self, path: str, level: str = "INFO"):
-        self._level = level
+    def __init__(self, path: str):
         self._lock = threading.Lock()
         self._fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT | os.O_CLOEXEC, 0o666)
 
     def write_log(self, message: str):
         with self._lock:  # stamp under the lock, so stamps never go backwards in the file
-            data = ("%d %s %s\n" % (int(time.time() * 1000), self._level, message)).encode()
+            data = ("%d INFO %s\n" % (int(time.time() * 1000), message)).encode()
             while data:
                 data = data[os.write(self._fd, data):]
 
@@ -241,15 +240,12 @@ class FileProcessingFacade:
 class LazyStatsProxy:
     """Virtual proxy; construction failures leave it ready to retry.
 
-    `trace` records each creation and, unless `trace_forwards` is false,
-    each forwarded request; a long-lived proxy passes false so the trace
-    does not grow with every request."""
+    `trace` records each creation and each forwarded request."""
 
-    def __init__(self, factory, trace_forwards: bool = True):
+    def __init__(self, factory):
         self._factory = factory
         self._real = None
         self._lock = threading.Lock()
-        self._trace_forwards = trace_forwards
         self.trace: list[str] = []
 
     @property
@@ -261,8 +257,7 @@ class LazyStatsProxy:
             if self._real is None:
                 self.trace.append("create")
                 self._real = self._factory()
-            if self._trace_forwards:
-                self.trace.append("forward")
+            self.trace.append("forward")
             real = self._real
         return real.handle_request()
 

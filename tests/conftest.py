@@ -12,6 +12,7 @@ import pytest
 from hypothesis import settings
 
 from patternkit.creational import ConfigBuilder, _reset_registry_for_tests
+from patternkit.reactor import Reactor
 from patternkit.server import PatternServer
 
 # property tests keep no example database between runs and have no
@@ -31,11 +32,26 @@ def fresh_registry():
     _reset_registry_for_tests()
 
 
+@pytest.fixture(autouse=True)
+def loops_run_on_daemon_threads(monkeypatch):
+    """A loop waits with no timeout, so one that misses its stop blocks for
+    good: run it only on the main thread or a daemon thread, which cannot
+    keep the test process alive after its test has failed."""
+    run = Reactor.run
+
+    def checked(reactor):
+        thread = threading.current_thread()
+        assert thread.daemon or thread is threading.main_thread(), "a loop on a non-daemon thread"
+        return run(reactor)
+
+    monkeypatch.setattr(Reactor, "run", checked)
+
+
 class ThreadedServer(PatternServer):
     """A PatternServer whose loop runs on a background thread."""
 
-    def start_background(self, max_wait: float = 0.05):
-        self._loop_thread = threading.Thread(target=self.run, args=(max_wait,), daemon=True)
+    def start_background(self):
+        self._loop_thread = threading.Thread(target=self.run, daemon=True)
         self._loop_thread.start()
 
     def stop(self):

@@ -320,7 +320,10 @@ class ReferenceDocument:
             self.snapshots[snap_id] = self.text
             return ("OK", snap_id)
         if verb == "RESTORE":
-            snap_id = arg.strip()
+            tokens = arg.split()
+            if len(tokens) != 1:
+                return ("ERR", "PARSE", "RESTORE takes a snapshot id")
+            snap_id = tokens[0]
             if snap_id not in self.snapshots:
                 return ("ERR", "STATE", "unknown snapshot id %r" % snap_id)
             self.text = self.snapshots[snap_id]

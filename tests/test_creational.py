@@ -33,7 +33,6 @@ class TestServerConfig:
     def test_defaults(self):
         cfg = ServerConfig()
         assert cfg.port == 7465
-        assert cfg.workers == 4
         assert cfg.family == "text"
         assert cfg.max_conns == 128
         assert cfg.log_path is None
@@ -48,7 +47,6 @@ class TestServerConfig:
         [
             {"port": -1},
             {"port": 65536},
-            {"workers": 0},
             {"family": "xml"},
             {"max_conns": 0},
         ],
@@ -65,7 +63,6 @@ class TestConfigBuilder:
     def test_fluent_chain_returns_builder(self):
         builder = ConfigBuilder()
         assert builder.port(9000) is builder
-        assert builder.workers(2) is builder
         assert builder.family("json") is builder
         assert builder.max_conns(10) is builder
         assert builder.log_path("/tmp/x.log") is builder
@@ -74,17 +71,16 @@ class TestConfigBuilder:
         cfg = (
             ConfigBuilder()
             .port(9000)
-            .workers(2)
             .family("json")
             .max_conns(10)
             .log_path("/tmp/x.log")
             .build()
         )
-        assert cfg == ServerConfig(9000, 2, "json", 10, "/tmp/x.log")
+        assert cfg == ServerConfig(9000, "json", 10, "/tmp/x.log")
 
     def test_unset_fields_keep_defaults(self):
-        cfg = ConfigBuilder().workers(7).build()
-        assert cfg.workers == 7
+        cfg = ConfigBuilder().max_conns(7).build()
+        assert cfg.max_conns == 7
         assert cfg.port == 7465
         assert cfg.family == "text"
 
@@ -94,7 +90,7 @@ class TestConfigBuilder:
 
     def test_invalid_value_surfaces_at_build(self):
         with pytest.raises(ValueError):
-            ConfigBuilder().workers(0).build()
+            ConfigBuilder().max_conns(0).build()
 
 
 class TestRegistrySingleton:

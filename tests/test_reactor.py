@@ -264,21 +264,21 @@ class TestCommands:
 
 class TestRunAndStop:
     def test_stop_interrupts_long_select_quickly(self, reactor):
-        thread = threading.Thread(target=reactor.run, kwargs={"max_wait": 5})
+        thread = threading.Thread(target=reactor.run, daemon=True)
         thread.start()
         time.sleep(0.05)
         started = time.perf_counter()
         reactor.stop()
         thread.join(timeout=5)
         elapsed = time.perf_counter() - started
-        assert not thread.is_alive()
-        assert elapsed < 5, "stop must not wait out the full select timeout"
+        assert not thread.is_alive(), "stop did not wake a select that has no timeout"
+        assert elapsed < 0.5
 
     def test_run_closes_endpoints_on_exit(self, reactor):
         client, conn = tcp_pair()
         conn.setblocking(False)
         reactor.register(conn, READ, Collector())
-        thread = threading.Thread(target=reactor.run, kwargs={"max_wait": 0.05})
+        thread = threading.Thread(target=reactor.run, daemon=True)
         thread.start()
         time.sleep(0.05)
         reactor.stop()
@@ -304,7 +304,7 @@ class TestRunAndStop:
         listener.setblocking(False)
         port = listener.getsockname()[1]
         reactor.register(listener, READ, EchoService(reactor))
-        thread = threading.Thread(target=reactor.run, kwargs={"max_wait": 0.05})
+        thread = threading.Thread(target=reactor.run, daemon=True)
         thread.start()
         rng = random.Random(64)
         try:
@@ -325,30 +325,39 @@ class TestRunAndStop:
         assert not thread.is_alive()
 
     def test_shutdown_latency_within_one_max_wait(self, reactor):
-        max_wait = 0.5
-        thread = threading.Thread(target=reactor.run, kwargs={"max_wait": max_wait})
+        thread = threading.Thread(target=reactor.run, daemon=True)
         thread.start()
         time.sleep(0.1)
         started = time.perf_counter()
         reactor.stop()
         thread.join(timeout=5)
-        assert time.perf_counter() - started <= max_wait
+        assert time.perf_counter() - started <= 0.5
         assert not thread.is_alive()
 
 
 def test_a_signal_handler_stop_wakes_a_blocked_select(reactor):
     # the handler runs on the loop thread while select waits; select
-    # resumes after it, so only the wakeup byte can end the wait early
-    previous = signal.signal(signal.SIGALRM, lambda *_: reactor.stop())
+    # resumes after it with no timeout, so only the wakeup byte can end the
+    # wait.  The timer fires again a second later, and that handler raises,
+    # so a lost wakeup fails the test instead of hanging it.
+    alarms = []
+
+    def on_alarm(*_):
+        alarms.append(None)
+        if len(alarms) > 1:
+            raise TimeoutError("the stop did not wake the loop")
+        reactor.stop()
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
     try:
-        signal.setitimer(signal.ITIMER_REAL, 0.1)
+        signal.setitimer(signal.ITIMER_REAL, 0.1, 1)
         started = time.perf_counter()
-        reactor.run(max_wait=3)
+        reactor.run()
         elapsed = time.perf_counter() - started
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    assert elapsed < 1, "run waited out max_wait after the stop"
+    assert elapsed < 1 and len(alarms) == 1
 
 
 def test_stop_tolerates_a_full_or_closed_wakeup_pair(reactor):

@@ -6,6 +6,7 @@ import json
 import os
 import random
 import re
+import select
 import signal
 import socket
 import struct
@@ -18,15 +19,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import LineClient, ThreadedServer
+from conftest import LineClient
 from oracles import (VAR_NAMES, OracleEvalError, ReferenceDocument, random_chain, random_env,
                      random_tree, reference_eval, tree_depth, tree_to_text)
 from patternkit import messaging
 from patternkit import server as server_module
 from patternkit.creational import ConfigBuilder, Registry
 from patternkit.expr import Context, Number
-from patternkit.reactor import READ, WRITE
-from patternkit.server import (CHAIN_ORDER, CLOSED, CLOSING, LOOP_REPLY_BUDGET, OPEN,
+from patternkit.reactor import READ, WRITE, Reactor
+from patternkit.server import (CLOSED, CLOSING, LOOP_REPLY_BUDGET, OPEN,
                                OUTPUT_HIGH_WATER, PAUSED, PatternServer, Session, main)
 from patternkit.structural_kit import LoggingHandler, TimingHandler
 from patternkit.wire import (MAX_BINDINGS, MAX_DOC_BYTES, MAX_HISTORY, MAX_OUTPUT_BYTES,
@@ -211,21 +212,6 @@ class TestStats:
         keys = {item.split("=")[0] for item in reply[3:].split(" ")}
         assert keys <= allowed, sorted(keys - allowed)[:5]
         assert "requests=2001" in reply.split(" ")
-
-    def test_stats_subject_is_built_lazily(self, server, connect):
-        client = connect(server)
-        client.ask("PING")
-        assert server.stats_proxy.created is False
-        client.ask("STATS")
-        assert server.stats_proxy.created is True
-        assert server.stats_proxy.trace.count("create") == 1
-
-    def test_stats_trace_does_not_grow_with_requests(self, server, connect):
-        client = connect(server)
-        client.send_raw(b"STATS\n" * 1000)
-        for _ in range(1000):
-            assert client.read_line().startswith("OK ")
-        assert len(server.stats_proxy.trace) <= 2
 
     def test_elapsed_ms_sums_nanoseconds_before_flooring(self, server, connect, monkeypatch):
         # on this clock each request takes 0.4 ms, so three PINGs take 1.2 ms
@@ -462,6 +448,13 @@ class TestDocumentVerbs:
 
     def test_restore_unknown_id(self, server, connect):
         assert connect(server).ask("RESTORE 99") == "ERR STATE unknown snapshot id '99'"
+
+    def test_restore_takes_exactly_one_snapshot_id(self, server, connect):
+        client = connect(server)
+        assert client.ask("SNAPSHOT") == "OK 1"
+        for line in ("RESTORE", "RESTORE ", "RESTORE 1 x"):
+            assert client.ask(line) == "ERR PARSE RESTORE takes a snapshot id"
+        assert client.ask("RESTORE  1 ") == "OK"
 
     def test_show_escapes_backslashes(self, server, connect):
         client = connect(server)
@@ -943,10 +936,12 @@ DOC_PIECES = ["a", " ", "\\", "\\n", "\N{LATIN SMALL LETTER E WITH ACUTE}", "\N{
 
 @st.composite
 def document_lines(draw):
-    """Random document verb lines, empty WRITEs and unknown snapshot ids among them."""
+    """Random document verb lines, empty WRITEs, unknown snapshot ids and
+    RESTOREs with no id or two among them."""
     write = st.lists(st.sampled_from(DOC_PIECES), max_size=6).map(lambda ps: "WRITE " + "".join(ps))
     line = st.one_of(write, st.just("WRITE"), st.sampled_from(["SHOW", "UNDO", "SNAPSHOT"]),
-                     st.integers(0, 4).map(lambda n: "RESTORE %d" % n))
+                     st.integers(0, 4).map(lambda n: "RESTORE %d" % n),
+                     st.sampled_from(["RESTORE", "RESTORE ", "RESTORE 1 1"]))
     return draw(st.lists(line, max_size=40))
 
 
@@ -1041,12 +1036,25 @@ class TestConnectionLimit:
 
 
 class TestBackpressure:
-    def test_a_paused_burst_does_not_block_other_sessions(self, server, connect, handled):
+    def test_a_paused_burst_does_not_block_other_sessions(self, server, connect, handled,
+                                                          monkeypatch):
         stalled = connect(server)
         stall(server, stalled)  # paused until it reads
         burst, other = connect(server), connect(server)
+        burst_sid, other_conn = session_of(server, burst).sid, session_of(server, other).conn
+        held, recording = [], server_module.handle_line
+
+        def hold_first(session, line):
+            # the loop answers the burst's first line only once the PING has
+            # arrived, so the PING cannot come after the whole burst
+            if session.sid == burst_sid and not held:
+                held.append(select.select([other_conn], [], [], 5)[0])
+            return recording(session, line)
+
+        monkeypatch.setattr(server_module, "handle_line", hold_first)
         burst.send_raw(b"EVAL 1+1\n" * 3000)  # paused after each LOOP_REPLY_BUDGET replies
         assert other.ask("PING") == "OK pong"
+        assert held == [[other_conn]], "the PING did not arrive while the loop was held"
         late = connect(server, timeout=2)
         assert late.ask("PING") == "OK pong"
         assert [burst.read_line() for _ in range(3000)] == ["OK 2"] * 3000
@@ -1057,21 +1065,14 @@ class TestBackpressure:
         assert [stalled.read_line() for _ in range(20)] == [reply] * 20
         assert stalled.ask("PING") == "OK pong"
 
-    def test_a_paused_session_resumes_without_waiting_out_max_wait(self):
-        # the fixture's 50 ms max_wait would hide a resume that waits for
-        # the select timeout instead of the socket's write readiness
-        srv = ThreadedServer(ConfigBuilder().port(0).build())
-        srv.bind()
-        srv.start_background(max_wait=2)
-        client = LineClient(srv.port)
-        try:
-            started = time.monotonic()
-            client.send_raw(b"EVAL 1+1\n" * 3000)  # paused after each LOOP_REPLY_BUDGET replies
-            assert [client.read_line() for _ in range(3000)] == ["OK 2"] * 3000
-            assert time.monotonic() - started < 1
-        finally:
-            client.close()
-            srv.stop()
+    def test_a_paused_session_resumes_without_waiting_out_max_wait(self, server, connect):
+        # the loop waits with no timeout: a resume that waited for a later
+        # round instead of the socket's write readiness would hang here
+        client = connect(server)
+        started = time.monotonic()
+        client.send_raw(b"EVAL 1+1\n" * 3000)  # paused after each LOOP_REPLY_BUDGET replies
+        assert [client.read_line() for _ in range(3000)] == ["OK 2"] * 3000
+        assert time.monotonic() - started < 1
 
     def test_half_close_behind_a_stall_gets_every_reply_then_eof(self, server, connect):
         # the EOF is read only after the paused session has resumed, while
@@ -1512,8 +1513,19 @@ class TestHousekeeping:
         # read, not published from this thread: only the loop may queue events
         assert wait_until(lambda: not server.temperature._observers)
 
-    def test_chain_order_matches_routing_contract(self):
-        assert CHAIN_ORDER == ("admin", "eval", "doc", "price", "player", "events")
+    def test_an_idle_server_sleeps_until_it_has_work(self, server, connect, monkeypatch):
+        # no timeout ends an idle wait: only a connection, a request or a stop does
+        rounds, run_once = [], Reactor.run_once
+
+        def counted(reactor, max_wait):
+            rounds.append(max_wait)
+            return run_once(reactor, max_wait)
+
+        monkeypatch.setattr(Reactor, "run_once", counted)
+        time.sleep(0.3)
+        assert len(rounds) <= 2, "%d loop rounds while idle" % len(rounds)
+        assert connect(server).ask("PING") == "OK pong"
+        assert rounds and set(rounds) == {None}
 
     def test_no_session_outlives_its_connection(self, server):
         chunk = "x" * 4000
@@ -1646,8 +1658,8 @@ class TestFuzzSmoke:
 
 class TestEntryPoint:
     def test_bad_arguments_exit_2(self, capsys):
-        assert main(["--workers", "0"]) == 2
-        assert "workers" in capsys.readouterr().err
+        assert main(["--max-conns", "0"]) == 2
+        assert "max_conns" in capsys.readouterr().err
 
     def test_bad_family_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
@@ -1683,8 +1695,9 @@ class TestEntryPoint:
         assert result.stderr.count("\n") == 1
 
     def test_sigterm_exits_0_promptly(self):
-        with subprocess.Popen([sys.executable, "-m", "patternkit.server", "--port", "0"],
-                              stderr=subprocess.PIPE, text=True) as proc:
+        # `--workers` is accepted, whatever its value, and ignored
+        command = [sys.executable, "-m", "patternkit.server", "--port", "0", "--workers", "0"]
+        with subprocess.Popen(command, stderr=subprocess.PIPE, text=True) as proc:
             try:
                 listening = proc.stderr.readline()
                 port = int(re.search(r"listening on 127\.0\.0\.1:(\d+)", listening).group(1))

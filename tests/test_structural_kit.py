@@ -76,13 +76,6 @@ class TestAdapter:
         # timestamps are unix milliseconds, so 2020 < stamp < 2100
         assert 1_577_836_800_000 < int(first.group(1)) < 4_102_444_800_000
 
-    def test_file_log_sink_level_override(self, tmp_path):
-        path = tmp_path / "warn.log"
-        sink = FileLogSink(str(path), level="WARN")
-        sink.write_log("careful")
-        sink.close()
-        assert " WARN careful" in path.read_text(encoding="utf-8")
-
     def test_file_log_sink_stamps_never_go_backwards(self, tmp_path):
         path = tmp_path / "busy.log"
         sink = FileLogSink(str(path))
