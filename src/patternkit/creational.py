@@ -1,13 +1,13 @@
-"""Object-construction machinery: the process-wide registry, the fluent
-config builder, factory seams for handlers and protocol families, and
-deep-cloning prototypes."""
+"""Object construction: the server config, the process-wide registry, and
+the catalogue's builder, factory-method, abstract-factory and prototype
+fixtures."""
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
 
-from .wire import JsonFamily, ProtocolFamily, TextFamily
+from .wire import FAMILIES
 
 
 @dataclass(frozen=True)
@@ -22,41 +22,10 @@ class ServerConfig:
     def __post_init__(self):
         if not 0 <= self.port <= 65535:
             raise ValueError("port out of range")
-        if self.family not in ("text", "json"):
-            raise ValueError("family must be 'text' or 'json'")
+        if self.family not in FAMILIES:
+            raise ValueError("family must be one of: %s" % ", ".join(FAMILIES))
         if self.max_conns < 1:
             raise ValueError("max_conns must be >= 1")
-
-
-class ConfigBuilder:
-    """Fluent builder for ServerConfig; every setter returns the builder."""
-
-    def __init__(self):
-        self._fields: dict = {}
-
-    def port(self, value: int) -> ConfigBuilder:
-        self._fields["port"] = value
-        return self
-
-    def family(self, value: str) -> ConfigBuilder:
-        self._fields["family"] = value
-        return self
-
-    def max_conns(self, value: int) -> ConfigBuilder:
-        self._fields["max_conns"] = value
-        return self
-
-    def log_path(self, value: str | None) -> ConfigBuilder:
-        self._fields["log_path"] = value
-        return self
-
-    def build(self) -> ServerConfig:
-        return ServerConfig(**self._fields)
-
-
-def build_config(builder: ConfigBuilder) -> ServerConfig:
-    """Finalize the builder; unset fields take the documented defaults."""
-    return builder.build()
 
 
 class Registry:
@@ -146,7 +115,7 @@ def demo_build_product(director: Director) -> list[str]:
     return director.builder.product.parts
 
 
-# Factory method: the dialog fixture and the handler-factory seam.
+# Factory method: the dialog fixture.
 
 
 class Button:
@@ -184,24 +153,7 @@ class MacDialog(Dialog):
         return MacButton()
 
 
-class HandlerFactory:
-    """Factory-method seam: the subclass decides each kind's concrete type,
-    and `KINDS` maps every kind it makes to that type."""
-
-    KINDS: dict = {}
-
-    def make(self, kind: str):
-        raise NotImplementedError
-
-
-def create_handler(factory: HandlerFactory, kind: str):
-    if kind not in factory.KINDS:
-        raise ValueError("unknown handler kind %r; registered kinds: %s"
-                         % (kind, ", ".join(factory.KINDS)))
-    return factory.make(kind)
-
-
-# Abstract factory: widget families and the protocol families.
+# Abstract factory: widget families.
 
 
 class GuiButton:
@@ -265,15 +217,6 @@ def create_widget_family(name: str) -> GuiFactory:
     if name == "mac":
         return MacGuiFactory()
     raise ValueError("unknown widget family %r" % name)
-
-
-def create_protocol_family(name: str) -> ProtocolFamily:
-    """Matched parser/renderer pair; mixing families is unrepresentable."""
-    if name == "text":
-        return TextFamily()
-    if name == "json":
-        return JsonFamily()
-    raise ValueError("unknown protocol family %r" % name)
 
 
 # Prototypes: explicit field-wise deep clones.

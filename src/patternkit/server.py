@@ -20,7 +20,8 @@ event can precede it.  A framing error (invalid UTF-8, an over-long line)
 is answered in its place among the request lines, and the peer's EOF is
 read only once every line before it has been answered, so a half-closed
 client still gets the replies to what it sent.  A failed `recv` or `send`
-drops a session at once.
+drops a session at once.  A server out of file descriptors stops accepting
+until a session is dropped; new connections wait in the listen backlog.
 
 Every reactor callback (a read, a write-ready callback, or the accept that
 buffers the greeting) ends with one flush of each session it touched, so
@@ -49,14 +50,14 @@ closes that session at once with `ERR LIMIT output buffer full`.
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import signal
 import socket
 import sys
 from time import perf_counter_ns
 
-from .creational import (HandlerFactory, ServerConfig, ConfigBuilder, build_config,
-                         create_handler, create_protocol_family)
+from .creational import ServerConfig
 from .expr import Context, EvalError, ParseError, fold_expr
 # not called here: bench/traced_server.py wraps these names on this module
 from .expr import eval_expr, parse_expr  # noqa: F401
@@ -68,9 +69,9 @@ from .session_commands import (Caretaker, Document, EmptyHistoryError, UnknownSn
                                WriteCommand, execute_command, restore_memento, save_memento,
                                undo_last)
 from .structural_kit import FileLogSink, adapt_logger
-from .wire import (I64_MAX, MAX_BINDINGS, MAX_DOC_BYTES, MAX_HISTORY, MAX_OUTPUT_BYTES,
-                   MAX_REQUEST_BYTES, MAX_SNAPSHOTS, PROTOCOL_VERSION, Err, Evt, Ok, WireError,
-                   escape_doc, format_money, is_ident, parse_i64)
+from .wire import (FAMILIES, I64_MAX, MAX_BINDINGS, MAX_DOC_BYTES, MAX_HISTORY,
+                   MAX_OUTPUT_BYTES, MAX_REQUEST_BYTES, MAX_SNAPSHOTS, PROTOCOL_VERSION, Err, Evt,
+                   Ok, WireError, escape_doc, format_money, is_ident, parse_i64)
 
 _session_ids = itertools.count(1)
 
@@ -301,7 +302,9 @@ class FallbackHandler:
         return Err("UNKNOWN", "no handler for %s" % verb)
 
 
-class ServerHandlerFactory(HandlerFactory):
+class ServerHandlerFactory:
+    """Every handler kind by name; `build_routes` makes one of each."""
+
     KINDS = {
         "admin": AdminHandler,
         "eval": EvalHandler,
@@ -311,20 +314,13 @@ class ServerHandlerFactory(HandlerFactory):
         "events": EventsHandler,
     }
 
-    def __init__(self, server: PatternServer):
-        self.server = server
-
-    def make(self, kind: str):
-        return self.KINDS[kind](self.server)
-
 
 def build_routes(server: PatternServer) -> dict:
-    """The verb table: each verb to the one handler, made by the factory,
-    that answers it.  A verb two kinds name raises ValueError."""
-    factory = ServerHandlerFactory(server)
+    """The verb table: each verb to the one handler, one per kind, that
+    answers it.  A verb two kinds name raises ValueError."""
     routes: dict = {}
-    for kind in factory.KINDS:
-        handler = create_handler(factory, kind)
+    for kind in ServerHandlerFactory.KINDS.values():
+        handler = kind(server)
         for verb in handler.verbs:
             if verb in routes:
                 raise ValueError("verb %s is named by two handler kinds" % verb)
@@ -370,7 +366,7 @@ class PatternServer(EventHandler):
 
     def __init__(self, config: ServerConfig):
         self.config = config
-        self.family = create_protocol_family(config.family)
+        self.family = FAMILIES[config.family]()
         # before any descriptor is opened: a verb two handler kinds name raises ValueError
         self.routes = build_routes(self)
         # opened next: a log that cannot be opened raises OSError before
@@ -390,6 +386,8 @@ class PatternServer(EventHandler):
         self._replies = 0
         self.listener = None
         self.port = None
+        # out of descriptors: the listener is deregistered until a session is dropped
+        self._listener_parked = False
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -411,6 +409,8 @@ class PatternServer(EventHandler):
         try:
             self.reactor.run()
         finally:
+            if self.listener is not None:  # the reactor does not own a parked listener
+                self.listener.close()
             self.close_log()
 
     def close_log(self):
@@ -437,7 +437,12 @@ class PatternServer(EventHandler):
     def _accept(self, listener):
         try:
             conn, _ = listener.accept()
-        except OSError:
+        except OSError as exc:
+            if exc.errno in (errno.EMFILE, errno.ENFILE):
+                # the listener stays readable, so polling it would spin: new
+                # connections wait in the backlog until `_drop` frees a descriptor
+                self.reactor.deregister(listener)
+                self._listener_parked = True
             return
         conn.setblocking(False)
         # replies are whole lines: send each at once, not after the peer's ACK
@@ -478,6 +483,9 @@ class PatternServer(EventHandler):
         if session.temp_observer is not None:
             self.temperature.unsubscribe(session.temp_observer)
             session.temp_observer = None
+        if self._listener_parked:
+            self._listener_parked = False
+            self.reactor.register(self.listener, READ, self)
 
     def _receive(self, session: Session):
         self._flushes[session] = None
@@ -626,18 +634,14 @@ def main(argv=None) -> int:
                                      description="pattern demonstration TCP service")
     parser.add_argument("--port", type=int, default=None)
     parser.add_argument("--workers", help="ignored: one thread answers every request")
-    parser.add_argument("--family", choices=("text", "json"), default=None)
+    parser.add_argument("--family", choices=FAMILIES, default=None)
     parser.add_argument("--max-conns", type=int, default=None)
     parser.add_argument("--log", default=None, metavar="PATH", dest="log_path")
     options = vars(parser.parse_args(argv))
     del options["workers"]  # accepted so that existing command lines keep working
-
-    builder = ConfigBuilder()
-    for setter, value in options.items():  # each dest names a ConfigBuilder setter
-        if value is not None:
-            getattr(builder, setter)(value)
-    try:
-        config = build_config(builder)
+    try:  # each dest names a ServerConfig field; an option not given keeps its default
+        config = ServerConfig(**{name: value for name, value in options.items()
+                                 if value is not None})
     except ValueError as exc:
         print("patternd: %s" % exc, file=sys.stderr)
         return 2

@@ -212,3 +212,7 @@ class JsonFamily(ProtocolFamily):
         if obj.get("ok") is False:
             return Err(obj.get("code"), obj.get("message", ""))
         raise WireError("not a json-family reply: %r" % line)
+
+
+# every reply family by its `name`: `--family` and ServerConfig accept these keys
+FAMILIES = {family.name: family for family in (TextFamily, JsonFamily)}

@@ -11,7 +11,7 @@ import threading
 import pytest
 from hypothesis import settings
 
-from patternkit.creational import ConfigBuilder, _reset_registry_for_tests
+from patternkit.creational import ServerConfig, _reset_registry_for_tests
 from patternkit.reactor import Reactor
 from patternkit.server import PatternServer
 
@@ -105,10 +105,7 @@ def make_server():
     servers = []
 
     def build(**overrides) -> PatternServer:
-        builder = ConfigBuilder().port(0)
-        for name, value in overrides.items():
-            getattr(builder, name)(value)
-        srv = ThreadedServer(builder.build())
+        srv = ThreadedServer(ServerConfig(port=0, **overrides))
         srv.bind()
         srv.start_background()
         servers.append(srv)

@@ -1,13 +1,12 @@
-"""Config builder, counter-registry singleton, factories, prototypes."""
+"""Server config, counter-registry singleton, and the builder, factory and
+prototype fixtures."""
 
 import threading
 
 import pytest
 
 from patternkit.creational import (
-    ConfigBuilder,
     Director,
-    HandlerFactory,
     MacDialog,
     Registry,
     ServerConfig,
@@ -16,15 +15,11 @@ from patternkit.creational import (
     VehiclePrototype,
     WindowsDialog,
     _reset_registry_for_tests,
-    build_config,
-    create_handler,
-    create_protocol_family,
     create_widget_family,
     deep_clone,
     demo_build_product,
     registry_instance,
 )
-from patternkit.wire import JsonFamily, TextFamily
 
 pytestmark = pytest.mark.usefixtures("fresh_registry")
 
@@ -57,40 +52,6 @@ class TestServerConfig:
 
     def test_port_zero_means_ephemeral(self):
         assert ServerConfig(port=0).port == 0
-
-
-class TestConfigBuilder:
-    def test_fluent_chain_returns_builder(self):
-        builder = ConfigBuilder()
-        assert builder.port(9000) is builder
-        assert builder.family("json") is builder
-        assert builder.max_conns(10) is builder
-        assert builder.log_path("/tmp/x.log") is builder
-
-    def test_build_applies_all_fields(self):
-        cfg = (
-            ConfigBuilder()
-            .port(9000)
-            .family("json")
-            .max_conns(10)
-            .log_path("/tmp/x.log")
-            .build()
-        )
-        assert cfg == ServerConfig(9000, "json", 10, "/tmp/x.log")
-
-    def test_unset_fields_keep_defaults(self):
-        cfg = ConfigBuilder().max_conns(7).build()
-        assert cfg.max_conns == 7
-        assert cfg.port == 7465
-        assert cfg.family == "text"
-
-    def test_build_config_uses_director_seam(self):
-        builder = ConfigBuilder().port(1234)
-        assert build_config(builder) == builder.build()
-
-    def test_invalid_value_surfaces_at_build(self):
-        with pytest.raises(ValueError):
-            ConfigBuilder().max_conns(0).build()
 
 
 class TestRegistrySingleton:
@@ -171,22 +132,6 @@ class TestFactoryMethod:
         assert WindowsDialog().render_dialog() == "Rendering a Windows button."
         assert MacDialog().render_dialog() == "Rendering a Mac button."
 
-    def test_create_handler_requires_known_kind(self):
-        class NullFactory(HandlerFactory):
-            KINDS = {"first": None, "second": None}
-
-            def make(self, kind):
-                return kind
-
-        factory = NullFactory()
-        for kind in NullFactory.KINDS:
-            assert create_handler(factory, kind) == kind
-        with pytest.raises(ValueError) as info:
-            create_handler(factory, "bogus")
-        message = str(info.value)
-        for kind in NullFactory.KINDS:
-            assert kind in message
-
 
 class TestAbstractFactory:
     def test_widget_families_are_consistent(self):
@@ -200,12 +145,6 @@ class TestAbstractFactory:
     def test_unknown_widget_family(self):
         with pytest.raises(ValueError):
             create_widget_family("linux")
-
-    def test_protocol_families(self):
-        assert isinstance(create_protocol_family("text"), TextFamily)
-        assert isinstance(create_protocol_family("json"), JsonFamily)
-        with pytest.raises(ValueError):
-            create_protocol_family("xml")
 
 
 class TestPrototype:

@@ -6,6 +6,7 @@ import json
 import os
 import random
 import re
+import resource
 import select
 import signal
 import socket
@@ -24,15 +25,15 @@ from oracles import (VAR_NAMES, OracleEvalError, ReferenceDocument, random_chain
                      random_tree, reference_eval, tree_depth, tree_to_text)
 from patternkit import messaging
 from patternkit import server as server_module
-from patternkit.creational import ConfigBuilder, Registry
+from patternkit.creational import Registry, ServerConfig
 from patternkit.expr import Context, Number
 from patternkit.reactor import READ, WRITE, Reactor
 from patternkit.server import (CLOSED, CLOSING, LOOP_REPLY_BUDGET, OPEN,
                                OUTPUT_HIGH_WATER, PAUSED, PatternServer, Session, main)
 from patternkit.structural_kit import LoggingHandler, TimingHandler
-from patternkit.wire import (MAX_BINDINGS, MAX_DOC_BYTES, MAX_HISTORY, MAX_OUTPUT_BYTES,
-                             MAX_REQUEST_BYTES, MAX_SNAPSHOTS, Err, Evt, JsonFamily, Ok,
-                             TextFamily, escape_doc)
+from patternkit.wire import (FAMILIES, MAX_BINDINGS, MAX_DOC_BYTES, MAX_HISTORY,
+                             MAX_OUTPUT_BYTES, MAX_REQUEST_BYTES, MAX_SNAPSHOTS, Err, Evt,
+                             JsonFamily, Ok, TextFamily, escape_doc)
 
 
 # more replies than LOOP_REPLY_BUDGET, so the session pauses and resumes
@@ -285,7 +286,7 @@ class TestStats:
         monkeypatch.setattr(server_module.ServerHandlerFactory, "KINDS",
                             {**kinds, "player": Duplicate})
         with pytest.raises(ValueError, match="PING"):
-            PatternServer(ConfigBuilder().port(0).build())
+            PatternServer(ServerConfig(port=0))
 
 
 class TestEval:
@@ -835,7 +836,7 @@ class InProcessSession:
     until the session is not paused and its output is all received."""
 
     def __init__(self, family: str = "text"):
-        self.server = PatternServer(ConfigBuilder().port(0).family(family).build())
+        self.server = PatternServer(ServerConfig(port=0, family=family))
         conn, self.peer = socket.socketpair()
         conn.setblocking(False)
         self.peer.setblocking(False)
@@ -1244,7 +1245,7 @@ class TestSessionStates:
     callback that touched it."""
 
     def test_an_idle_eof_drops_the_session_in_the_round_that_reads_it(self):
-        srv = PatternServer(ConfigBuilder().port(0).build())
+        srv = PatternServer(ServerConfig(port=0))
         srv.bind()
         client = socket.create_connection(("127.0.0.1", srv.port), timeout=5)
         try:
@@ -1621,7 +1622,7 @@ class TestHousekeeping:
         assert int(pairs["log_errors"]) >= 2
 
     def test_unopenable_log_raises_before_any_thread_starts(self, tmp_path):
-        config = ConfigBuilder().port(0).log_path(str(tmp_path / "missing" / "x.log")).build()
+        config = ServerConfig(port=0, log_path=str(tmp_path / "missing" / "x.log"))
         threads = threading.active_count()
         with pytest.raises(OSError):
             PatternServer(config)
@@ -1661,9 +1662,29 @@ class TestEntryPoint:
         assert main(["--max-conns", "0"]) == 2
         assert "max_conns" in capsys.readouterr().err
 
+    def test_options_reach_server_config_field_by_field(self, monkeypatch, tmp_path):
+        configs = []
+        monkeypatch.setattr(server_module, "serve", lambda config: configs.append(config) or 0)
+        log = str(tmp_path / "patternd.log")
+        assert main(["--port", "0", "--family", "json", "--max-conns", "5", "--log", log,
+                     "--workers", "4"]) == 0
+        assert main([]) == 0
+        assert configs == [ServerConfig(port=0, family="json", max_conns=5, log_path=log),
+                           ServerConfig()]
+
     def test_bad_family_rejected_by_argparse(self):
+        # every family the table names is served, by the class of that name
+        for name in FAMILIES:
+            server = PatternServer(ServerConfig(port=0, family=name))
+            try:
+                assert type(server.family) is FAMILIES[name]
+                assert server.family.name == name
+            finally:
+                server.reactor.close()
         with pytest.raises(SystemExit):
             main(["--family", "xml"])
+        with pytest.raises(ValueError, match="text, json"):
+            ServerConfig(family="xml")
 
     def test_bind_failure_exits_1(self, server, capsys):
         # the fixture server already owns its port
@@ -1693,6 +1714,54 @@ class TestEntryPoint:
         assert result.returncode == 1
         assert result.stderr.startswith("patternd: cannot start: "), result.stderr
         assert result.stderr.count("\n") == 1
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_NOFILE and epoll")
+    def test_out_of_descriptors_waits_for_a_session_to_close(self):
+        # the limit leaves 20 descriptors free after start-up, and 40 connect:
+        # an accept that fails with EMFILE must not leave the loop polling a
+        # listener that stays ready
+        script = (
+            "import os, resource, sys\n"
+            "from patternkit.server import main\n"
+            "free = os.open(os.devnull, os.O_RDONLY)\n"
+            "os.close(free)\n"
+            "resource.setrlimit(resource.RLIMIT_NOFILE,\n"
+            "                   (free + 24, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))\n"
+            "sys.exit(main(['--port', '0', '--max-conns', '100']))\n")
+        usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+        cpu_before = usage.ru_utime + usage.ru_stime
+        clients = []
+        with subprocess.Popen([sys.executable, "-c", script], stderr=subprocess.PIPE,
+                              text=True) as proc:
+            try:
+                listening = proc.stderr.readline()
+                port = int(re.search(r"listening on 127\.0\.0\.1:(\d+)", listening).group(1))
+                clients = [socket.create_connection(("127.0.0.1", port), timeout=5)
+                           for _ in range(40)]
+                time.sleep(1)
+                readable, _, _ = select.select(clients, [], [], 0)
+                greeted = [sock for sock in clients if sock in readable]
+                waiting = [sock for sock in clients if sock not in readable]
+                assert greeted and waiting, (len(greeted), len(waiting))
+                for sock in greeted:
+                    assert sock.recv(4096).startswith(b"OK patternd")
+                greeted[0].sendall(b"QUIT\n")
+                assert greeted[0].recv(4096) == b"OK bye\n"
+                readable, _, _ = select.select(waiting, [], [], 5)
+                assert readable, "no waiting connection was accepted after a session closed"
+                assert readable[0].recv(4096).startswith(b"OK patternd")
+                proc.send_signal(signal.SIGTERM)
+                status = proc.wait(timeout=5)
+            finally:
+                for sock in clients:
+                    sock.close()
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+        usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+        cpu = usage.ru_utime + usage.ru_stime - cpu_before
+        assert status == 0
+        assert cpu < 0.5, "patternd used %.2f s of CPU while out of descriptors" % cpu
 
     def test_sigterm_exits_0_promptly(self):
         # `--workers` is accepted, whatever its value, and ignored
