@@ -85,11 +85,14 @@ class _Reader(threading.Thread):
 
 
 def _command_lines(cfg: ClientConfig):
+    """Each command line; bytes that are not UTF-8 pass through as surrogate
+    escapes, for the server to answer."""
     if cfg.script is not None:
-        with open(cfg.script, "r", encoding="utf-8") as handle:
+        with open(cfg.script, "r", encoding="utf-8", errors="surrogateescape") as handle:
             for line in handle:
                 yield line.rstrip("\n").rstrip("\r")
         return
+    sys.stdin.reconfigure(errors="surrogateescape")
     prompt = "> " if sys.stdin.isatty() else ""
     while True:
         try:
@@ -129,7 +132,7 @@ def repl(cfg: ClientConfig) -> int:
                 if not command.strip():
                     continue
                 try:
-                    sock.sendall((command + "\n").encode("utf-8"))
+                    sock.sendall((command + "\n").encode("utf-8", "surrogateescape"))
                 except OSError as exc:
                     print("send failed: %s" % exc, file=sys.stderr)
                     return 1
@@ -154,24 +157,14 @@ def main(argv: list[str] | None = None) -> int:
         prog="patternsh",
         description="interactive client for a patternd server",
     )
-    parser.add_argument("--host", default="127.0.0.1", help="server host (default 127.0.0.1)")
-    parser.add_argument("--port", type=int, default=7465, help="server port (default 7465)")
-    parser.add_argument("--script", default=None, help="read commands from a file instead of stdin")
-    parser.add_argument(
-        "--timeout-ms",
-        type=int,
-        default=5000,
-        dest="timeout_ms",
-        help="per-reply timeout in milliseconds (default 5000)",
-    )
-    args = parser.parse_args(argv)
-    try:
-        cfg = ClientConfig(
-            host=args.host,
-            port=args.port,
-            script=args.script,
-            timeout_ms=args.timeout_ms,
-        )
+    parser.add_argument("--host", help="server host (default %s)" % ClientConfig.host)
+    parser.add_argument("--port", type=int, help="server port (default %d)" % ClientConfig.port)
+    parser.add_argument("--script", help="read commands from a file instead of stdin")
+    parser.add_argument("--timeout-ms", type=int, dest="timeout_ms",
+                        help="per-reply timeout in milliseconds (default %d)" % ClientConfig.timeout_ms)
+    options = vars(parser.parse_args(argv))
+    try:  # each dest names a ClientConfig field; an option not given keeps its default
+        cfg = ClientConfig(**{name: value for name, value in options.items() if value is not None})
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

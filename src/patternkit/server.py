@@ -2,10 +2,12 @@
 
 One thread serves every connection.  A selector reactor owns the sockets;
 the server frames request lines and answers each one on the reactor's
-thread, in arrival order, by one verb-table lookup.  The server is the
+thread, in arrival order, by one lookup in `ROUTES`, the verb table built
+at import and shared by every server in the process.  The server is the
 reactor's event handler for its listener (`on_readable` accepts), and each
-session is the handler for its own connection.  A session's one variable
-is its `state`, which only moves forward but for PAUSED's return to OPEN:
+session is the handler for its own connection and its own `temp` observer.
+A session's one variable is its `state`, which only moves forward but for
+PAUSED's return to OPEN:
 
     OPEN      reading; each complete line is answered as it is framed
     PAUSED    not read: the rest of its read waits in `in_buffer`
@@ -16,12 +18,14 @@ is its `state`, which only moves forward but for PAUSED's return to OPEN:
 
 A session's first line is always its greeting: the loop buffers it before
 the session joins the chat room or can send a request, so no reply or
-event can precede it.  A framing error (invalid UTF-8, an over-long line)
-is answered in its place among the request lines, and the peer's EOF is
-read only once every line before it has been answered, so a half-closed
-client still gets the replies to what it sent.  A failed `recv` or `send`
-drops a session at once.  A server out of file descriptors stops accepting
-until a session is dropped; new connections wait in the listen backlog.
+event can precede it.  `wire` states the line limit and framing alone
+enforces it (`_too_long`).  A framing error (invalid UTF-8, an over-long
+line) is answered in its place among the request lines, and the peer's
+EOF is read only once every line before it has been answered, so a
+half-closed client still gets the replies to what it sent.  A failed
+`recv` or `send` drops a session at once.  A server out of file
+descriptors stops accepting until a session is dropped; new connections
+wait in the listen backlog.
 
 Every reactor callback (a read, a write-ready callback, or the accept that
 buffers the greeting) ends with one flush of each session it touched, so
@@ -102,7 +106,7 @@ def _too_long(buffer: bytearray, start: int, end: int) -> bool:
 
 
 class Session(EventHandler):
-    """One connection's state and its reactor handler."""
+    """One connection's state, its reactor handler and its `temp` observer."""
 
     def __init__(self, conn, server: PatternServer):
         self.sid = "user-%d" % next(_session_ids)
@@ -112,7 +116,6 @@ class Session(EventHandler):
         self.caretaker = Caretaker()
         self.player = STOPPED
         self.ctx = Context()  # the one context: LET assigns into its bindings
-        self.temp_observer = None
         self.in_buffer = bytearray()
         self.out_buffer = bytearray()
         self.state = OPEN
@@ -123,14 +126,9 @@ class Session(EventHandler):
     def on_writable(self, conn):
         self.server._batched(self.server._writable, self)
 
-
-class VerbHandler:
-    """Answers the verbs it names; `build_routes` maps each to one instance."""
-
-    verbs: tuple = ()
-
-    def __init__(self, server: PatternServer):
-        self.server = server
+    def update(self, value: int):
+        """A `temp` observer: WATCH subscribes the session itself."""
+        self.server._queue_reply(self, Evt("temp " + temperature_line(self.sid, value)))
 
 
 def _no_args(verb, args):
@@ -138,7 +136,7 @@ def _no_args(verb, args):
         raise WireError("%s takes no arguments" % verb)
 
 
-class AdminHandler(VerbHandler):
+class AdminHandler:
     verbs = ("STATS", "PING", "QUIT")
 
     def answer(self, session, verb, args):
@@ -147,7 +145,7 @@ class AdminHandler(VerbHandler):
             return _PONG
         if verb == "QUIT":
             return _BYE
-        server = self.server  # its totals, kept by `handle_line`; times floor to whole ms
+        server = session.server  # its totals, kept by `handle_line`; times floor to whole ms
         counters = {"elapsed_ms." + verb: ns // 1_000_000 for verb, ns in server.elapsed_ns.items()}
         counters["requests"] = server.requests
         if server.log_errors:
@@ -155,7 +153,7 @@ class AdminHandler(VerbHandler):
         return Ok(" ".join("%s=%d" % kv for kv in sorted(counters.items())))
 
 
-class EvalHandler(VerbHandler):
+class EvalHandler:
     verbs = ("EVAL", "LET")
 
     def answer(self, session, verb, args):
@@ -188,7 +186,7 @@ class EscapedWrite(WriteCommand):
         self.undo_info = len(text.encode("utf-8"))
 
 
-class DocHandler(VerbHandler):
+class DocHandler:
     """The document verbs.  A session's document is held escaped, with its
     raw UTF-8 size beside it: `SHOW`, `UNDO` and `RESTORE` reply with the
     content as it is stored, and MAX_DOC_BYTES counts raw bytes."""
@@ -227,7 +225,7 @@ class DocHandler(VerbHandler):
             return Err("STATE", str(exc))
 
 
-class PriceHandler(VerbHandler):
+class PriceHandler:
     verbs = ("PRICE",)
 
     # wire amounts are major units; all arithmetic runs in minor units
@@ -247,7 +245,7 @@ class PriceHandler(VerbHandler):
         return Ok(format_money(apply_discount(strategy, amount * 100)))
 
 
-class PlayerHandler(VerbHandler):
+class PlayerHandler:
     verbs = ("PLAY", "PAUSE", "STOP")
 
     def answer(self, session, verb, args):
@@ -256,34 +254,24 @@ class PlayerHandler(VerbHandler):
         return Ok(message)
 
 
-class SessionTempObserver:
-    def __init__(self, session: Session):
-        self.session = session
-
-    def update(self, value: int):
-        line = "temp " + temperature_line(self.session.sid, value)
-        self.session.server._queue_reply(self.session, Evt(line))
-
-
-class EventsHandler(VerbHandler):
+class EventsHandler:
     verbs = ("WATCH", "UNWATCH", "TEMP", "SAY")
 
     def answer(self, session, verb, args):
-        server = self.server
+        server = session.server
         if verb in ("WATCH", "UNWATCH") and args != "temp":
             raise WireError("unknown topic %r" % args)
         if verb == "WATCH":
-            if session.temp_observer is not None:
+            try:  # the Subject alone knows who watches
+                server.temperature.subscribe(session)
+            except ValueError:
                 return Err("STATE", "already watching temp")
-            observer = SessionTempObserver(session)
-            server.temperature.subscribe(observer)
-            session.temp_observer = observer
             return _OK
         if verb == "UNWATCH":
-            if session.temp_observer is None:
+            try:
+                server.temperature.unsubscribe(session)
+            except ValueError:
                 return Err("STATE", "not watching temp")
-            server.temperature.unsubscribe(session.temp_observer)
-            session.temp_observer = None
             return _OK
         if verb == "TEMP":
             token = args.strip()
@@ -303,7 +291,8 @@ class FallbackHandler:
 
 
 class ServerHandlerFactory:
-    """Every handler kind by name; `build_routes` makes one of each."""
+    """Every handler kind by name; `build_routes` makes one of each.  A kind
+    holds no state: its `answer` reads the server from the session."""
 
     KINDS = {
         "admin": AdminHandler,
@@ -315,12 +304,12 @@ class ServerHandlerFactory:
     }
 
 
-def build_routes(server: PatternServer) -> dict:
+def build_routes() -> dict:
     """The verb table: each verb to the one handler, one per kind, that
     answers it.  A verb two kinds name raises ValueError."""
     routes: dict = {}
     for kind in ServerHandlerFactory.KINDS.values():
-        handler = kind(server)
+        handler = kind()
         for verb in handler.verbs:
             if verb in routes:
                 raise ValueError("verb %s is named by two handler kinds" % verb)
@@ -328,6 +317,7 @@ def build_routes(server: PatternServer) -> dict:
     return routes
 
 
+ROUTES = build_routes()  # built at import and shared by every server in the process
 _FALLBACK = FallbackHandler()  # not in the table: unknown verbs are neither timed nor logged
 
 
@@ -340,7 +330,7 @@ def handle_line(session: Session, line: str):
     except WireError as exc:
         return Err("PARSE", str(exc))
     server.requests += 1
-    handler = server.routes.get(verb)
+    handler = ROUTES.get(verb)
     if handler is None:
         return _FALLBACK.answer(session, verb, args)
     started = perf_counter_ns()
@@ -367,10 +357,7 @@ class PatternServer(EventHandler):
     def __init__(self, config: ServerConfig):
         self.config = config
         self.family = FAMILIES[config.family]()
-        # before any descriptor is opened: a verb two handler kinds name raises ValueError
-        self.routes = build_routes(self)
-        # opened next: a log that cannot be opened raises OSError before
-        # any socket exists
+        # a log that cannot be opened raises OSError before any socket exists
         self.log_sink = FileLogSink(config.log_path) if config.log_path else None
         self.logger = adapt_logger(self.log_sink) if self.log_sink else None
         self.reactor = Reactor()
@@ -480,9 +467,10 @@ class PatternServer(EventHandler):
         except OSError:
             pass
         del self.sessions[session.conn]
-        if session.temp_observer is not None:
-            self.temperature.unsubscribe(session.temp_observer)
-            session.temp_observer = None
+        try:
+            self.temperature.unsubscribe(session)
+        except ValueError:  # it was not watching
+            pass
         if self._listener_parked:
             self._listener_parked = False
             self.reactor.register(self.listener, READ, self)

@@ -3,8 +3,9 @@
 Requests are LF-terminated UTF-8 verb lines in every family; the protocol
 family only changes how replies are rendered (and parsed back).  The
 request grammar (line limit, verbs, integers, identifiers) is stated only
-here.  Money is carried as integer minor units and formatted for display
-here.
+here; the server's line framing enforces the limit, before a line is
+decoded, so `parse_request` never sees a longer line.  Money is carried as
+integer minor units and formatted for display here.
 """
 
 from __future__ import annotations
@@ -92,8 +93,6 @@ def parse_request(line: str) -> tuple[str, str]:
     The verb must be a single uppercase token; args is the remainder after
     one separating space, verbatim.
     """
-    if len(line.encode("utf-8")) > MAX_REQUEST_BYTES:
-        raise WireError("request line too long")
     if line == "":
         raise WireError("empty request line")
     verb, _, args = line.partition(" ")

@@ -157,6 +157,28 @@ def reference_fold(text: str, env=None):
             return operands[0]
 
 
+def reference_framing(stream: bytes, replies_by_line):
+    """The replies to a stream, framed by the protocol's rules: split on LF,
+    drop one trailing CR, and refuse a line (or the unterminated tail) whose
+    bytes before that CR pass 4096, closing the session.  Each other line
+    is answered from `replies_by_line`, unless it is not valid UTF-8.
+    Returns the replies and the unterminated tail left waiting."""
+    replies = []
+    segments = stream.split(b"\n")
+    for number, raw in enumerate(segments, 1):
+        body = raw[:-1] if raw.endswith(b"\r") else raw
+        if len(body) > 4096:
+            return replies + ["ERR LIMIT request line too long"], None
+        if number == len(segments):
+            return replies, raw
+        try:
+            body.decode("utf-8")
+        except UnicodeDecodeError:
+            replies.append("ERR PARSE request is not valid UTF-8")
+        else:
+            replies.append(replies_by_line[body])
+
+
 def random_tree(rng: random.Random, max_depth: int, allow_vars: bool = False,
                 names=VAR_NAMES):
     """Random tuple tree, leaf values in [-20, 20], depth bounded."""

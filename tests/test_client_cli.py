@@ -9,6 +9,7 @@ import time
 import pytest
 
 from conftest import LineClient
+from patternkit import client_cli
 from patternkit.client_cli import ClientConfig, main
 
 
@@ -20,6 +21,10 @@ def run_cli(args, stdin_text=None, timeout=20):
         text=True,
         timeout=timeout,
     )
+
+
+# a command that is not valid UTF-8 between two that are
+NOT_UTF8 = b"PING\nSAY caf\xe9\nPING\n"
 
 
 def write_script(tmp_path, lines):
@@ -42,6 +47,13 @@ class TestClientConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             ClientConfig(**kwargs)
+
+    def test_main_passes_only_the_options_given(self, monkeypatch):
+        configs = []
+        monkeypatch.setattr(client_cli, "repl", lambda cfg: configs.append(cfg) or 0)
+        assert main([]) == 0
+        assert main(["--port", "8000", "--timeout-ms", "10"]) == 0
+        assert configs == [ClientConfig(), ClientConfig(port=8000, timeout_ms=10)]
 
 
 class TestScriptMode:
@@ -99,6 +111,13 @@ class TestScriptMode:
         assert result.returncode == 0
         lines = result.stdout.splitlines()
         assert lines[1:] == ["OK 7", "OK 13", "OK Hello, World!", "OK bye"]
+
+    def test_a_command_that_is_not_utf8_is_answered_by_the_server(self, server, tmp_path):
+        script = tmp_path / "script.txt"
+        script.write_bytes(NOT_UTF8)
+        result = run_cli(["--port", str(server.port), "--script", str(script)])
+        assert result.returncode == 1, result.stderr
+        assert result.stdout.splitlines()[1:] == ["OK pong", "ERR PARSE request is not valid UTF-8"]
 
 
 class TestEventDisplay:
@@ -174,6 +193,13 @@ class TestInteractiveMode:
         )
         assert result.returncode == 0
         assert "OK pong" in result.stdout
+
+    def test_a_command_that_is_not_utf8_is_answered_and_the_session_goes_on(self, server):
+        result = subprocess.run([sys.executable, "-m", "patternkit.client_cli", "--port",
+                                 str(server.port)], input=NOT_UTF8, capture_output=True, timeout=20)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[1:] == [
+            b"OK pong", b"ERR PARSE request is not valid UTF-8", b"OK pong"]
 
     def test_eof_without_quit_exits_cleanly(self, server):
         result = run_cli(["--port", str(server.port)], stdin_text="PING\n")

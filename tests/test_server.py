@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from conftest import LineClient
 from oracles import (VAR_NAMES, OracleEvalError, ReferenceDocument, random_chain, random_env,
-                     random_tree, reference_eval, tree_depth, tree_to_text)
+                     random_tree, reference_eval, reference_framing, tree_depth, tree_to_text)
 from patternkit import messaging
 from patternkit import server as server_module
 from patternkit.creational import Registry, ServerConfig
@@ -271,8 +271,10 @@ class TestStats:
             monkeypatch.setattr(owner, name, record)
         server = make_server()
         kinds = server_module.ServerHandlerFactory.KINDS
-        assert {verb: type(handler) for verb, handler in server.routes.items()} == {
+        routes = server_module.ROUTES
+        assert {verb: type(handler) for verb, handler in routes.items()} == {
             verb: kind for kind in kinds.values() for verb in kind.verbs}
+        assert all(vars(handler) == {} for handler in routes.values())  # shared, so stateless
         client = connect(server)
         client.send_raw("".join(line + "\n" for line in EVERY_VERB).encode())
         replies = client.read_eof().decode().splitlines()
@@ -280,13 +282,13 @@ class TestStats:
         assert len(replies) == len(EVERY_VERB) + 2  # and TEMP's and SAY's events to this session
         assert calls == []
 
-        class Duplicate(server_module.VerbHandler):
+        class Duplicate:
             verbs = ("PLAY", "PING")
 
         monkeypatch.setattr(server_module.ServerHandlerFactory, "KINDS",
                             {**kinds, "player": Duplicate})
         with pytest.raises(ValueError, match="PING"):
-            PatternServer(ServerConfig(port=0))
+            server_module.build_routes()
 
 
 class TestEval:
@@ -806,27 +808,6 @@ FRAMED_LINES = {
 }
 
 
-def reference_framing(stream: bytes):
-    """The replies to a stream, framed by the protocol's rules: split on LF,
-    drop one trailing CR, and refuse a line (or the unterminated tail) whose
-    bytes before that CR pass MAX_REQUEST_BYTES, closing the session.
-    Returns the replies and the unterminated tail left waiting."""
-    replies = []
-    segments = stream.split(b"\n")
-    for number, raw in enumerate(segments, 1):
-        body = raw[:-1] if raw.endswith(b"\r") else raw
-        if len(body) > MAX_REQUEST_BYTES:
-            return replies + ["ERR LIMIT request line too long"], None
-        if number == len(segments):
-            return replies, raw
-        try:
-            body.decode("utf-8")
-        except UnicodeDecodeError:
-            replies.append("ERR PARSE request is not valid UTF-8")
-        else:
-            replies.append(FRAMED_LINES[body])
-
-
 class InProcessSession:
     """One session of a server whose loop never runs, over a socketpair.
     The session is opened as the loop opens a connection, by
@@ -925,7 +906,7 @@ class TestFramingProperty:
               [b"PING\n" * 300 + b"EVAL 1 + 2\r\nPI"]))
     def test_any_split_frames_like_the_reference(self, case):
         stream, chunks = case
-        expected, tail = reference_framing(stream)
+        expected, tail = reference_framing(stream, FRAMED_LINES)
         assert pump_in_process(chunks) == (expected, tail)
         assert pump_in_process([stream]) == (expected, tail)
 

@@ -47,11 +47,6 @@ class TestParseRequest:
         with pytest.raises(WireError):
             parse_request(line)
 
-    def test_rejects_oversized_line(self):
-        line = "WRITE " + "a" * MAX_REQUEST_BYTES
-        with pytest.raises(WireError):
-            parse_request(line)
-
     def test_accepts_line_at_limit(self):
         line = "WRITE " + "a" * (MAX_REQUEST_BYTES - len("WRITE "))
         verb, args = parse_request(line)
