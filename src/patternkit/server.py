@@ -28,11 +28,15 @@ descriptors stops accepting until a session is dropped; new connections
 wait in the listen backlog.
 
 Every reactor callback (a read, a write-ready callback, or the accept that
-buffers the greeting) ends with one flush of each session it touched, so
-a pipelined burst costs one send.  `_flush` decides the interest: after
-sending what it can, an OPEN session waits on `READ`, plus `WRITE` while
-output is unsent; a PAUSED session, or a CLOSING one with unsent output,
-waits on `WRITE`; a CLOSING session whose output is all sent is dropped.
+buffers the greeting) ends with one write of the request-log records it
+made, then one flush of each session it touched, so a pipelined burst
+costs one log write and one send.  The records of one callback share one
+stamp, and each is in the log before its reply is sent: `_overflow`, the
+one send made mid-callback, writes the pending records first.  `_flush`
+decides the interest: after sending what it can, an OPEN session waits on
+`READ`, plus `WRITE` while output is unsent; a PAUSED session, or a
+CLOSING one with unsent output, waits on `WRITE`; a CLOSING session whose
+output is all sent is dropped.
 
 A session's document is held only in the escaped form that `SHOW`, `UNDO`
 and `RESTORE` send, with its raw UTF-8 size beside it: each `WRITE`
@@ -323,7 +327,9 @@ _FALLBACK = FallbackHandler()  # not in the table: unknown verbs are neither tim
 
 def handle_line(session: Session, line: str):
     """Dispatch one LF-stripped request line to a Reply.  Every parsed line
-    is counted; a verb in the table is timed and, with a log, logged."""
+    is counted; a verb in the table is timed and, with a log, its record is
+    held for the callback's one log write, made before any of the
+    callback's replies is sent."""
     server = session.server
     try:
         verb, args = server.family.parse_request(line)
@@ -342,11 +348,8 @@ def handle_line(session: Session, line: str):
         return Err("INTERNAL", "unexpected failure: %s" % exc)
     elapsed = server.elapsed_ns
     elapsed[verb] = elapsed.get(verb, 0) + perf_counter_ns() - started
-    if server.logger is not None:
-        try:  # the request is applied: a failed record is counted, not answered
-            server.logger.log_message("handled " + verb)
-        except OSError:
-            server.log_errors += 1
+    if server.log_sink is not None:
+        server._log_records.append("handled " + verb)
     return reply
 
 
@@ -368,9 +371,11 @@ class PatternServer(EventHandler):
         self.elapsed_ns: dict = {}  # verb -> total ns spent answering it
         self.log_errors = 0
         self.sessions: dict = {}
-        # the current callback's sessions to flush, each once, and its replies and events
+        # the current callback's sessions to flush, each once, its replies
+        # and events, and its request-log records, written before the flush
         self._flushes: dict = {}
         self._replies = 0
+        self._log_records: list = []
         self.listener = None
         self.port = None
         # out of descriptors: the listener is deregistered until a session is dropped
@@ -413,13 +418,24 @@ class PatternServer(EventHandler):
         self._batched(self._accept, listener)
 
     def _batched(self, callback, endpoint):
-        """Run one reactor callback, then flush once each session that it
-        touched."""
+        """Run one reactor callback, write its request-log records, then
+        flush once each session that it touched."""
         self._replies = 0
         callback(endpoint)
+        if self._log_records:
+            self._write_log()
         flushes, self._flushes = self._flushes, {}  # holds no session between callbacks
         for session in flushes:
             self._flush(session)
+
+    def _write_log(self):
+        """Write the pending request-log records in one call.  The requests
+        are applied: a record that fails is counted, not answered."""
+        records, self._log_records = self._log_records, []
+        try:
+            self.log_sink.write_log(*records)
+        except OSError:
+            self.log_errors += len(records)
 
     def _accept(self, listener):
         try:
@@ -553,7 +569,10 @@ class PatternServer(EventHandler):
         """Close a session whose output would pass MAX_OUTPUT_BYTES, the way
         Redis closes a pubsub client past its hard limit: a peer that far
         behind is not waited for.  The error line reaches it only if the
-        socket takes the whole backlog at once."""
+        socket takes the whole backlog at once.  The backlog may hold
+        replies of this callback, so its pending records are written first."""
+        if self._log_records:
+            self._write_log()
         session.out_buffer += (self.family.render_reply(_OUTPUT_FULL) + "\n").encode()
         try:
             session.conn.send(session.out_buffer)

@@ -32,15 +32,19 @@ class LegacyLogSink:
 
 class FileLogSink:
     """Legacy-interface sink: opens its file once, in append mode, and writes
-    each `<unix-millis> INFO <message>` line whole before `write_log` returns."""
+    each `<unix-millis> INFO <message>` line whole before `write_log` returns.
+    The messages of one `write_log` call share one stamp and one write, so
+    `patternd` writes all the records of a loop callback at once, before it
+    sends any of their replies."""
 
     def __init__(self, path: str):
         self._lock = threading.Lock()
         self._fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT | os.O_CLOEXEC, 0o666)
 
-    def write_log(self, message: str):
+    def write_log(self, *messages: str):
         with self._lock:  # stamp under the lock, so stamps never go backwards in the file
-            data = ("%d INFO %s\n" % (int(time.time() * 1000), message)).encode()
+            prefix = "%d INFO " % int(time.time() * 1000)
+            data = "".join([prefix + message + "\n" for message in messages]).encode()
             while data:
                 data = data[os.write(self._fd, data):]
 

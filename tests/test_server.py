@@ -30,7 +30,7 @@ from patternkit.expr import Context, Number
 from patternkit.reactor import READ, WRITE, Reactor
 from patternkit.server import (CLOSED, CLOSING, LOOP_REPLY_BUDGET, OPEN,
                                OUTPUT_HIGH_WATER, PAUSED, PatternServer, Session, main)
-from patternkit.structural_kit import LoggingHandler, TimingHandler
+from patternkit.structural_kit import FileLogSink, LoggingHandler, TimingHandler
 from patternkit.wire import (FAMILIES, MAX_BINDINGS, MAX_DOC_BYTES, MAX_HISTORY,
                              MAX_OUTPUT_BYTES, MAX_REQUEST_BYTES, MAX_SNAPSHOTS, Err, Evt,
                              JsonFamily, Ok, TextFamily, escape_doc)
@@ -814,10 +814,11 @@ class InProcessSession:
     `open_session`, and its greeting is taken in as `greeting` before the
     first `feed`.  `feed` hands a chunk to `_pump_lines` as one read
     callback would, then makes the write callbacks the loop would make
-    until the session is not paused and its output is all received."""
+    until the session is not paused and its output is all received.  With
+    `log_path` the server keeps its request log there."""
 
-    def __init__(self, family: str = "text"):
-        self.server = PatternServer(ServerConfig(port=0, family=family))
+    def __init__(self, family: str = "text", log_path=None):
+        self.server = PatternServer(ServerConfig(port=0, family=family, log_path=log_path))
         conn, self.peer = socket.socketpair()
         conn.setblocking(False)
         self.peer.setblocking(False)
@@ -831,6 +832,7 @@ class InProcessSession:
 
     def __exit__(self, *exc_info):
         self.server.reactor.close()
+        self.server.close_log()
         self.peer.close()
 
     def _drain(self):
@@ -1599,8 +1601,12 @@ class TestHousekeeping:
         client = connect(server)
         assert client.ask("WRITE abc") == "OK 3"
         assert client.ask("SHOW") == "OK abc"
-        pairs = dict(item.split("=") for item in client.ask("STATS")[3:].split(" "))
-        assert int(pairs["log_errors"]) >= 2
+        # the WRITE's and the SHOW's: the STATS's own record is written after
+        # its reply is built
+        assert ask_stats(client)["log_errors"] == "2"
+        client.send_raw(b"PING\n" * 10)  # one read, so one failed write of ten records
+        assert [client.read_line() for _ in range(10)] == ["OK pong"] * 10
+        assert ask_stats(client)["log_errors"] == "13"  # the first STATS's and the ten PINGs'
 
     def test_unopenable_log_raises_before_any_thread_starts(self, tmp_path):
         config = ServerConfig(port=0, log_path=str(tmp_path / "missing" / "x.log"))
@@ -1615,6 +1621,109 @@ class TestHousekeeping:
         for _ in range(20):
             make_server(log_path=str(tmp_path / "patternd.log")).stop()
         assert len(os.listdir("/proc/self/fd")) == descriptors
+
+
+def log_records(path) -> list:
+    """The messages of a request log, in file order, without their stamps."""
+    return [line.split(" ", 2)[2] for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def watch_sends(session, log_path, monkeypatch) -> list:
+    """Record each send from `session`'s socket as (the bytes it sent, the
+    records the request log held just before it)."""
+    sends, send = [], socket.socket.send
+
+    def watched(sock, data, *flags):
+        if sock is not session.conn:
+            return send(sock, data, *flags)
+        records = len(log_records(log_path))
+        count = send(sock, data, *flags)
+        sends.append((bytes(data[:count]), records))
+        return count
+
+    monkeypatch.setattr(socket.socket, "send", watched)
+    return sends
+
+
+@pytest.fixture
+def log_writes(monkeypatch):
+    """The messages of every `FileLogSink.write_log` call, one tuple per call."""
+    calls, write_log = [], FileLogSink.write_log
+
+    def counted(sink, *messages):
+        calls.append(messages)
+        return write_log(sink, *messages)
+
+    monkeypatch.setattr(FileLogSink, "write_log", counted)
+    return calls
+
+
+class TestRequestLogWrites:
+    """The records of one reactor callback share one write, made before any
+    of the callback's replies is sent."""
+
+    def test_a_pipelined_burst_is_one_write(self, tmp_path, log_writes):
+        lines = ["PING", "EVAL 1+2", "WRITE a", "SHOW", "LET x 3", "BOGUS", "PRICE 100 none"] * 20
+        assert len(lines) < LOOP_REPLY_BUDGET
+        with InProcessSession(log_path=str(tmp_path / "patternd.log")) as client:
+            replies = client.feed("".join(line + "\n" for line in lines).encode())
+        assert len(replies) == len(lines)
+        assert log_writes == [tuple("handled " + line.split(" ", 1)[0] for line in lines
+                                    if line != "BOGUS")]
+
+    def test_a_burst_past_the_budget_is_one_write_per_callback(self, tmp_path, log_writes,
+                                                               monkeypatch):
+        with InProcessSession(log_path=str(tmp_path / "patternd.log")) as client:
+            srv, per_callback = client.server, []
+            batched = srv._batched
+
+            def counted(callback, endpoint):
+                before = len(log_writes)
+                batched(callback, endpoint)
+                per_callback.append(len(log_writes) - before)
+
+            monkeypatch.setattr(srv, "_batched", counted)
+            assert client.feed(LONG_BURST) == LONG_BURST_REPLIES
+        assert len(log_writes) > 2 and max(per_callback) == 1
+        assert all(len(records) <= LOOP_REPLY_BUDGET + 1 for records in log_writes)
+        assert [record for records in log_writes for record in records] == (
+            ["handled WRITE"] + ["handled PING"] * 600)
+
+    @pytest.mark.parametrize("family", ["text", "json"])
+    def test_every_reply_is_sent_after_its_record(self, family, tmp_path, monkeypatch):
+        log_path = tmp_path / "patternd.log"
+        chunks = [b"PING\nWRITE a\n", LONG_BURST, b"SHOW\nEVAL 2*3\n"]
+        with InProcessSession(family, log_path=str(log_path)) as client:
+            sends = watch_sends(client.session, log_path, monkeypatch)
+            verbs, received = [], 0
+            for chunk in chunks:
+                received += len(client.feed(chunk))
+                verbs += [line.split(b" ", 1)[0].decode() for line in chunk.splitlines()]
+                assert received == len(verbs)
+                assert log_records(log_path) == ["handled " + verb for verb in verbs]
+        assert len(sends) > 2  # the burst paused
+        sent = 0
+        for data, records in sends:
+            sent += data.count(b"\n")
+            assert sent <= records
+
+    @pytest.mark.parametrize("family", ["text", "json"])
+    def test_an_overflowed_backlog_is_sent_after_its_records(self, family, tmp_path,
+                                                             monkeypatch):
+        log_path = tmp_path / "patternd.log"
+        with InProcessSession(family, log_path=str(log_path)) as client:
+            render = client.server.family.render_reply
+            pong = render(Ok("pong")) + "\n"
+            fits = 100 // len(pong)
+            monkeypatch.setattr(server_module, "MAX_OUTPUT_BYTES", 100)
+            sends = watch_sends(client.session, log_path, monkeypatch)
+            replies = client.feed(b"PING\n" * 20)
+            assert client.session.state == CLOSED
+        assert replies == [pong[:-1]] * fits + [render(Err("LIMIT", "output buffer full"))]
+        # the PING that overflowed was applied, so it is logged too
+        assert [(data.count(pong.encode()), records) for data, records in sends] == [
+            (fits, fits + 1)]
+        assert log_records(log_path) == ["handled PING"] * (fits + 1)
 
 
 class TestFuzzSmoke:

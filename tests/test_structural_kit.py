@@ -1,5 +1,6 @@
 """Adapter, cost and middleware decorators, facade, lazy proxy, bridge."""
 
+import os
 import random
 import re
 import sys
@@ -103,6 +104,26 @@ class TestAdapter:
             "t%d-%d" % (t, i) for t in range(8) for i in range(2000))
         stamps = [int(m.group(1)) for m in matches]
         assert stamps == sorted(stamps)
+
+    def test_file_log_sink_writes_a_batch_with_one_stamp_in_one_write(self, tmp_path,
+                                                                       monkeypatch):
+        path = tmp_path / "batch.log"
+        sink = FileLogSink(str(path))
+        writes, write = [], os.write
+
+        def counted(fd, data):
+            if fd == sink._fd:
+                writes.append(data)
+            return write(fd, data)
+
+        monkeypatch.setattr(os, "write", counted)
+        sink.write_log("a", "b c", "d")
+        sink.write_log()  # no messages: nothing is written
+        sink.close()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(writes) == 1
+        assert len({line.split(" ", 1)[0] for line in lines}) == 1
+        assert [line.split(" ", 1)[1] for line in lines] == ["INFO a", "INFO b c", "INFO d"]
 
     def test_payment_adapter(self):
         adapter = PaymentAdapter(OldPaymentSystem())
