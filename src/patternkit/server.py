@@ -2,12 +2,12 @@
 
 One thread serves every connection.  A selector reactor owns the sockets;
 the server frames request lines and answers each one on the reactor's
-thread, in arrival order, by one lookup in `ROUTES`, the verb table built
-at import and shared by every server in the process.  The server is the
-reactor's event handler for its listener (`on_readable` accepts), and each
-session is the handler for its own connection and its own `temp` observer.
-A session's one variable is its `state`, which only moves forward but for
-PAUSED's return to OPEN:
+thread, in arrival order, by one lookup in `ROUTES`, which maps each verb
+to the one function that answers it and is shared by every server in the
+process.  The server is the reactor's event handler for its listener
+(`on_readable` accepts), and each session is the handler for its own
+connection and its own `temp` observer.  A session's one variable is its
+`state`, which only moves forward but for PAUSED's return to OPEN:
 
     OPEN      reading; each complete line is answered as it is framed
     PAUSED    not read: the rest of its read waits in `in_buffer`
@@ -67,19 +67,31 @@ from time import perf_counter_ns
 
 from .creational import ServerConfig
 from .expr import Context, EvalError, ParseError, fold_expr
-# not called here: bench/traced_server.py wraps these names on this module
-from .expr import eval_expr, parse_expr  # noqa: F401
-from .messaging import chain_handle  # noqa: F401
 from .messaging import ChatRoom, Subject, temperature_line
 from .policies import STOPPED, apply_discount, parse_strategy, player_press
 from .reactor import READ, WRITE, EventHandler, Reactor
 from .session_commands import (Caretaker, Document, EmptyHistoryError, UnknownSnapshotError,
                                WriteCommand, execute_command, restore_memento, save_memento,
                                undo_last)
-from .structural_kit import FileLogSink, adapt_logger
+from .structural_kit import FileLogSink
 from .wire import (FAMILIES, I64_MAX, MAX_BINDINGS, MAX_DOC_BYTES, MAX_HISTORY,
                    MAX_OUTPUT_BYTES, MAX_REQUEST_BYTES, MAX_SNAPSHOTS, PROTOCOL_VERSION, Err, Evt,
                    Ok, WireError, escape_doc, format_money, is_ident, parse_i64)
+# Not used here: bench/traced_server.py wraps these names on this module, and
+# patches `answer` on each class in `ServerHandlerFactory.KINDS` and on
+# `FallbackHandler`.  The verbs are answered by the functions in `ROUTES`.
+from .expr import eval_expr, parse_expr  # noqa: F401
+from .messaging import chain_handle  # noqa: F401
+
+
+class ServerHandlerFactory:
+    KINDS: dict = {}
+
+
+class FallbackHandler:
+    def answer(self, session, verb, args):
+        raise NotImplementedError("unknown verbs are answered by handle_line")
+
 
 _session_ids = itertools.count(1)
 
@@ -135,50 +147,54 @@ class Session(EventHandler):
         self.server._queue_reply(self, Evt("temp " + temperature_line(self.sid, value)))
 
 
-def _no_args(verb, args):
-    if args:
-        raise WireError("%s takes no arguments" % verb)
+class UsageError(WireError):
+    """Arguments of the wrong shape for a verb; `handle_line` puts the verb
+    in front of the message."""
 
 
-class AdminHandler:
-    verbs = ("STATS", "PING", "QUIT")
-
-    def answer(self, session, verb, args):
-        _no_args(verb, args)
-        if verb == "PING":
-            return _PONG
-        if verb == "QUIT":
-            return _BYE
-        server = session.server  # its totals, kept by `handle_line`; times floor to whole ms
-        counters = {"elapsed_ms." + verb: ns // 1_000_000 for verb, ns in server.elapsed_ns.items()}
-        counters["requests"] = server.requests
-        if server.log_errors:
-            counters["log_errors"] = server.log_errors
-        return Ok(" ".join("%s=%d" % kv for kv in sorted(counters.items())))
+def _bare(answer):
+    """The function for a verb that takes no arguments: `answer(session)`."""
+    def verb(session, args):
+        if args:
+            raise UsageError("takes no arguments")
+        return answer(session)
+    return verb
 
 
-class EvalHandler:
-    verbs = ("EVAL", "LET")
+def _stats(session):
+    server = session.server  # its totals, kept by `handle_line`; times floor to whole ms
+    counters = {"elapsed_ms." + verb: ns // 1_000_000 for verb, ns in server.elapsed_ns.items()}
+    counters["requests"] = server.requests
+    if server.log_errors:
+        counters["log_errors"] = server.log_errors
+    return Ok(" ".join("%s=%d" % kv for kv in sorted(counters.items())))
 
-    def answer(self, session, verb, args):
-        if verb == "EVAL":
-            try:
-                return Ok(str(fold_expr(args, session.ctx)))
-            except (ParseError, EvalError) as exc:
-                return Err("EVAL", str(exc))
-        tokens = args.split()
-        if len(tokens) != 2:
-            raise WireError("LET takes a name and an integer")
-        name, raw = tokens
-        if not is_ident(name):
-            raise WireError("bad variable name %r" % name)
-        value = parse_i64(raw)
-        bindings = session.ctx.bindings
-        if name not in bindings and len(bindings) >= MAX_BINDINGS:
-            return Err("LIMIT", "too many variables")
-        bindings[name] = value
-        return _OK
 
+def _eval(session, args):
+    try:
+        return Ok(str(fold_expr(args, session.ctx)))
+    except (ParseError, EvalError) as exc:
+        return Err("EVAL", str(exc))
+
+
+def _let(session, args):
+    tokens = args.split()
+    if len(tokens) != 2:
+        raise UsageError("takes a name and an integer")
+    name, raw = tokens
+    if not is_ident(name):
+        raise WireError("bad variable name %r" % name)
+    value = parse_i64(raw)
+    bindings = session.ctx.bindings
+    if name not in bindings and len(bindings) >= MAX_BINDINGS:
+        return Err("LIMIT", "too many variables")
+    bindings[name] = value
+    return _OK
+
+
+# The document verbs.  A session's document is held escaped, with its raw
+# UTF-8 size beside it: `SHOW`, `UNDO` and `RESTORE` reply with the content
+# as it is stored, and MAX_DOC_BYTES counts raw bytes.
 
 class EscapedWrite(WriteCommand):
     """A WRITE kept in the form every document reply sends: `text` is the
@@ -190,139 +206,110 @@ class EscapedWrite(WriteCommand):
         self.undo_info = len(text.encode("utf-8"))
 
 
-class DocHandler:
-    """The document verbs.  A session's document is held escaped, with its
-    raw UTF-8 size beside it: `SHOW`, `UNDO` and `RESTORE` reply with the
-    content as it is stored, and MAX_DOC_BYTES counts raw bytes."""
-
-    verbs = ("WRITE", "SHOW", "UNDO", "SNAPSHOT", "RESTORE")
-
-    def answer(self, session, verb, args):
-        doc, caretaker = session.document, session.caretaker
-        if verb == "WRITE":
-            command = EscapedWrite(args)
-            if doc.size + command.undo_info > MAX_DOC_BYTES:  # undo_info: bytes appended
-                return Err("LIMIT", "document too large")
-            if len(caretaker.history) >= MAX_HISTORY:
-                return Err("LIMIT", "undo history full")
-            return Ok(str(execute_command(doc, caretaker, command)))
-        if verb == "SHOW":
-            _no_args(verb, args)
-            return Ok(doc.content)
-        if verb == "UNDO":
-            _no_args(verb, args)
-            try:
-                return Ok(undo_last(doc, caretaker))
-            except EmptyHistoryError as exc:
-                return Err("EMPTY", str(exc))
-        if verb == "SNAPSHOT":
-            _no_args(verb, args)
-            if len(caretaker.snapshots) >= MAX_SNAPSHOTS:
-                return Err("LIMIT", "too many snapshots")
-            return Ok(save_memento(doc, caretaker))
-        tokens = args.split()
-        if len(tokens) != 1:
-            raise WireError("RESTORE takes a snapshot id")
-        try:
-            return Ok(restore_memento(doc, caretaker, tokens[0]))
-        except UnknownSnapshotError as exc:
-            return Err("STATE", str(exc))
+def _write(session, args):
+    doc, caretaker = session.document, session.caretaker
+    command = EscapedWrite(args)
+    if doc.size + command.undo_info > MAX_DOC_BYTES:  # undo_info: bytes appended
+        return Err("LIMIT", "document too large")
+    if len(caretaker.history) >= MAX_HISTORY:
+        return Err("LIMIT", "undo history full")
+    return Ok(str(execute_command(doc, caretaker, command)))
 
 
-class PriceHandler:
-    verbs = ("PRICE",)
-
-    # wire amounts are major units; all arithmetic runs in minor units
-    MAX_MAJOR = I64_MAX // 100
-
-    def answer(self, session, verb, args):
-        tokens = args.split()
-        if len(tokens) != 2:
-            raise WireError("PRICE takes an amount and a strategy")
-        amount = parse_i64(tokens[0])
-        if not 0 <= amount <= self.MAX_MAJOR:
-            raise WireError("price out of range")
-        try:
-            strategy = parse_strategy(tokens[1])
-        except ValueError as exc:
-            raise WireError(str(exc)) from None
-        return Ok(format_money(apply_discount(strategy, amount * 100)))
+def _undo(session):
+    try:
+        return Ok(undo_last(session.document, session.caretaker))
+    except EmptyHistoryError as exc:
+        return Err("EMPTY", str(exc))
 
 
-class PlayerHandler:
-    verbs = ("PLAY", "PAUSE", "STOP")
-
-    def answer(self, session, verb, args):
-        _no_args(verb, args)
-        message, session.player = player_press(session.player, verb.lower())
-        return Ok(message)
+def _snapshot(session):
+    if len(session.caretaker.snapshots) >= MAX_SNAPSHOTS:
+        return Err("LIMIT", "too many snapshots")
+    return Ok(save_memento(session.document, session.caretaker))
 
 
-class EventsHandler:
-    verbs = ("WATCH", "UNWATCH", "TEMP", "SAY")
-
-    def answer(self, session, verb, args):
-        server = session.server
-        if verb in ("WATCH", "UNWATCH") and args != "temp":
-            raise WireError("unknown topic %r" % args)
-        if verb == "WATCH":
-            try:  # the Subject alone knows who watches
-                server.temperature.subscribe(session)
-            except ValueError:
-                return Err("STATE", "already watching temp")
-            return _OK
-        if verb == "UNWATCH":
-            try:
-                server.temperature.unsubscribe(session)
-            except ValueError:
-                return Err("STATE", "not watching temp")
-            return _OK
-        if verb == "TEMP":
-            token = args.strip()
-            if not token:
-                raise WireError("TEMP takes an integer")
-            server.temperature.publish(parse_i64(token))
-            return _OK
-        server.chat.send(session.sid, args)
-        return _OK
+def _restore(session, args):
+    tokens = args.split()
+    if len(tokens) != 1:
+        raise UsageError("takes a snapshot id")
+    try:
+        return Ok(restore_memento(session.document, session.caretaker, tokens[0]))
+    except UnknownSnapshotError as exc:
+        return Err("STATE", str(exc))
 
 
-class FallbackHandler:
-    """Answers every verb the table lacks with UNKNOWN."""
-
-    def answer(self, session, verb, args):
-        return Err("UNKNOWN", "no handler for %s" % verb)
+MAX_MAJOR = I64_MAX // 100  # wire amounts are major units; all arithmetic runs in minor units
 
 
-class ServerHandlerFactory:
-    """Every handler kind by name; `build_routes` makes one of each.  A kind
-    holds no state: its `answer` reads the server from the session."""
-
-    KINDS = {
-        "admin": AdminHandler,
-        "eval": EvalHandler,
-        "doc": DocHandler,
-        "price": PriceHandler,
-        "player": PlayerHandler,
-        "events": EventsHandler,
-    }
-
-
-def build_routes() -> dict:
-    """The verb table: each verb to the one handler, one per kind, that
-    answers it.  A verb two kinds name raises ValueError."""
-    routes: dict = {}
-    for kind in ServerHandlerFactory.KINDS.values():
-        handler = kind()
-        for verb in handler.verbs:
-            if verb in routes:
-                raise ValueError("verb %s is named by two handler kinds" % verb)
-            routes[verb] = handler
-    return routes
+def _price(session, args):
+    tokens = args.split()
+    if len(tokens) != 2:
+        raise UsageError("takes an amount and a strategy")
+    amount = parse_i64(tokens[0])
+    if not 0 <= amount <= MAX_MAJOR:
+        raise WireError("price out of range")
+    try:
+        strategy = parse_strategy(tokens[1])
+    except ValueError as exc:
+        raise WireError(str(exc)) from None
+    return Ok(format_money(apply_discount(strategy, amount * 100)))
 
 
-ROUTES = build_routes()  # built at import and shared by every server in the process
-_FALLBACK = FallbackHandler()  # not in the table: unknown verbs are neither timed nor logged
+def _press(session, button):
+    message, session.player = player_press(session.player, button)
+    return Ok(message)
+
+
+def _watching(session, args, change, refusal):
+    """`WATCH` or `UNWATCH` of the one topic; the Subject alone knows who watches."""
+    if args != "temp":
+        raise WireError("unknown topic %r" % args)
+    try:
+        change(session.server.temperature, session)
+    except ValueError:
+        return Err("STATE", refusal)
+    return _OK
+
+
+def _temp(session, args):
+    token = args.strip()
+    if not token:
+        raise UsageError("takes an integer")
+    session.server.temperature.publish(parse_i64(token))
+    return _OK
+
+
+def _say(session, args):
+    session.server.chat.send(session.sid, args)
+    return _OK
+
+
+# Each verb to the function `(session, args) -> reply` that answers it, shared
+# by every server in the process.  A verb it lacks answers ERR UNKNOWN and is
+# neither timed nor logged.
+ROUTES = {
+    "STATS": _bare(_stats),
+    "PING": _bare(lambda session: _PONG),
+    "QUIT": _bare(lambda session: _BYE),
+    "EVAL": _eval,
+    "LET": _let,
+    "WRITE": _write,
+    "SHOW": _bare(lambda session: Ok(session.document.content)),
+    "UNDO": _bare(_undo),
+    "SNAPSHOT": _bare(_snapshot),
+    "RESTORE": _restore,
+    "PRICE": _price,
+    "PLAY": _bare(lambda session: _press(session, "play")),
+    "PAUSE": _bare(lambda session: _press(session, "pause")),
+    "STOP": _bare(lambda session: _press(session, "stop")),
+    "WATCH": lambda session, args: _watching(session, args, Subject.subscribe,
+                                             "already watching temp"),
+    "UNWATCH": lambda session, args: _watching(session, args, Subject.unsubscribe,
+                                               "not watching temp"),
+    "TEMP": _temp,
+    "SAY": _say,
+}
 
 
 def handle_line(session: Session, line: str):
@@ -338,10 +325,12 @@ def handle_line(session: Session, line: str):
     server.requests += 1
     handler = ROUTES.get(verb)
     if handler is None:
-        return _FALLBACK.answer(session, verb, args)
+        return Err("UNKNOWN", "no handler for %s" % verb)
     started = perf_counter_ns()
     try:
-        reply = handler.answer(session, verb, args)
+        reply = handler(session, args)
+    except UsageError as exc:
+        return Err("PARSE", "%s %s" % (verb, exc))
     except WireError as exc:
         return Err("PARSE", str(exc))
     except Exception as exc:
@@ -362,9 +351,8 @@ class PatternServer(EventHandler):
         self.family = FAMILIES[config.family]()
         # a log that cannot be opened raises OSError before any socket exists
         self.log_sink = FileLogSink(config.log_path) if config.log_path else None
-        self.logger = adapt_logger(self.log_sink) if self.log_sink else None
         self.reactor = Reactor()
-        self.temperature = Subject(logger=self.logger)
+        self.temperature = Subject()  # no logger: its observers, the sessions, never raise
         self.chat = ChatRoom()
         # the STATS counters, kept by `handle_line`
         self.requests = 0
@@ -401,11 +389,15 @@ class PatternServer(EventHandler):
         try:
             self.reactor.run()
         finally:
-            if self.listener is not None:  # the reactor does not own a parked listener
-                self.listener.close()
-            self.close_log()
+            self.close()
 
-    def close_log(self):
+    def close(self):
+        """Close the reactor, with every socket registered on it, the
+        listener, which the reactor does not own while it is parked, and
+        the log.  Idempotent."""
+        self.reactor.close()
+        if self.listener is not None:
+            self.listener.close()
         if self.log_sink is not None:
             self.log_sink.close()
 
@@ -624,8 +616,7 @@ def serve(config: ServerConfig) -> int:
     try:
         server.bind()
     except OSError as exc:
-        server.reactor.close()
-        server.close_log()
+        server.close()
         print("patternd: cannot bind port %d: %s" % (config.port, exc), file=sys.stderr)
         return 1
     # before the "listening" line, so a signal sent on seeing it stops the loop

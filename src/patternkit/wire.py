@@ -20,8 +20,9 @@ MAX_REQUEST_BYTES = 4096
 # per-session limits; a request past one answers ERR LIMIT
 MAX_BINDINGS = 1024  # variable names bound with LET
 # document size, in UTF-8 bytes counted before escaping; the server stores
-# the escaped form, up to twice that, so 16 snapshots of a backslash
-# document hold up to 16 x 256 KiB
+# the escaped form, up to twice that in characters, and CPython stores each
+# character of a str that holds one above U+FFFF in four bytes (PEP 393), so
+# 16 snapshots of a backslash document hold up to 16 x 1 MiB
 MAX_DOC_BYTES = 128 * 1024
 MAX_HISTORY = 1024  # undoable WRITEs (an empty WRITE adds one and no bytes)
 MAX_SNAPSHOTS = 16

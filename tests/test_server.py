@@ -1,5 +1,6 @@
 """End-to-end tests of the command server over real sockets."""
 
+import ast
 import gc
 import itertools
 import json
@@ -15,6 +16,8 @@ import subprocess
 import sys
 import threading
 import time
+import types
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -207,9 +210,7 @@ class TestStats:
             for verb in batch:
                 assert client.read_line() == "ERR UNKNOWN no handler for %s" % verb
         reply = client.ask("STATS")
-        allowed = {"requests"} | {"elapsed_ms." + verb
-                                  for kind in server_module.ServerHandlerFactory.KINDS.values()
-                                  for verb in kind.verbs}
+        allowed = {"requests"} | {"elapsed_ms." + verb for verb in server_module.ROUTES}
         keys = {item.split("=")[0] for item in reply[3:].split(" ")}
         assert keys <= allowed, sorted(keys - allowed)[:5]
         assert "requests=2001" in reply.split(" ")
@@ -249,8 +250,7 @@ class TestStats:
         log_path = tmp_path / "patternd.log"
         server = make_server(log_path=str(log_path)) if logged else make_server()
         verbs = [line.split(" ", 1)[0] for line in EVERY_VERB]
-        assert set(verbs) >= {verb for kind in server_module.ServerHandlerFactory.KINDS.values()
-                              for verb in kind.verbs}
+        assert set(verbs) >= set(server_module.ROUTES)
         client = connect(server)
         client.send_raw("".join(line + "\n" for line in EVERY_VERB).encode())
         replies = client.read_eof().decode().splitlines()
@@ -269,26 +269,41 @@ class TestStats:
                 calls.append(_name)
                 return _original(self, *args)
             monkeypatch.setattr(owner, name, record)
-        server = make_server()
-        kinds = server_module.ServerHandlerFactory.KINDS
         routes = server_module.ROUTES
-        assert {verb: type(handler) for verb, handler in routes.items()} == {
-            verb: kind for kind in kinds.values() for verb in kind.verbs}
-        assert all(vars(handler) == {} for handler in routes.values())  # shared, so stateless
-        client = connect(server)
+        for answer in routes.values():
+            # a plain function closing over functions alone: shared, so stateless
+            assert type(answer) is types.FunctionType
+            assert all(callable(cell.cell_contents) for cell in answer.__closure__ or ())
+        answered = []
+        for verb, answer in routes.items():
+            def counting(session, args, _verb=verb, _answer=answer):
+                answered.append(_verb)
+                return _answer(session, args)
+            monkeypatch.setitem(routes, verb, counting)
+        client = connect(make_server())
         client.send_raw("".join(line + "\n" for line in EVERY_VERB).encode())
         replies = client.read_eof().decode().splitlines()
         assert replies[-1] == "OK bye"
         assert len(replies) == len(EVERY_VERB) + 2  # and TEMP's and SAY's events to this session
+        assert answered == [line.split(" ", 1)[0] for line in EVERY_VERB if line != "BOGUS"]
         assert calls == []
 
-        class Duplicate:
-            verbs = ("PLAY", "PING")
-
-        monkeypatch.setattr(server_module.ServerHandlerFactory, "KINDS",
-                            {**kinds, "player": Duplicate})
-        with pytest.raises(ValueError, match="PING"):
-            server_module.build_routes()
+    def test_each_verb_is_named_once_as_a_table_key(self):
+        """A dict literal keeps the last of two equal keys without a word, so
+        the table's source is read: each verb is one key of the `ROUTES`
+        literal, and no other string in the module is a verb but the codes
+        of `Err` replies, such as EVAL."""
+        tree = ast.parse(Path(server_module.__file__).read_text(encoding="utf-8"))
+        literal, = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                    and [getattr(target, "id", None) for target in node.targets] == ["ROUTES"]]
+        keys = [ast.literal_eval(key) for key in literal.keys]
+        assert len(keys) == len(set(keys)), "a verb named twice in ROUTES"
+        assert set(keys) == set(server_module.ROUTES)
+        codes = [node.args[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Err"]
+        named = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                 and node.value in server_module.ROUTES and not any(node is c for c in codes)]
+        assert sorted(named) == sorted(keys)
 
 
 class TestEval:
@@ -831,8 +846,7 @@ class InProcessSession:
         return self
 
     def __exit__(self, *exc_info):
-        self.server.reactor.close()
-        self.server.close_log()
+        self.server.close()
         self.peer.close()
 
     def _drain(self):
@@ -870,6 +884,32 @@ def test_an_in_process_session_is_opened_as_a_connection_is(family):
         sid = client.session.sid
         assert client.greeting == render(Ok("patternd 1 %s" % sid))
         assert client.feed(b"SAY hi\n") == [render(Evt("chat [%s] hi" % sid)), render(Ok())]
+
+
+@pytest.mark.parametrize("family", ["text", "json"])
+def test_verbs_that_take_no_arguments_refuse_them_and_change_nothing(family):
+    """Each line answers ERR PARSE naming its own verb, and leaves the
+    document, its history, the snapshot ids and the player as they were.
+    Each player verb is sent in a state its press would change."""
+    with InProcessSession(family) as client:
+        render, session = client.server.family.render_reply, client.session
+        assert client.feed(b"WRITE ab\nWRITE c\nSNAPSHOT\n") == [
+            render(Ok("2")), render(Ok("3")), render(Ok("1"))]
+
+        def state():
+            return (session.document.content, session.document.size,
+                    len(session.caretaker.history), sorted(session.caretaker.snapshots),
+                    session.player)
+
+        for press, verbs in ((b"", ("SHOW", "UNDO", "SNAPSHOT", "PLAY")),  # stopped
+                             (b"PLAY\n", ("PAUSE", "STOP"))):  # then playing
+            client.feed(press)
+            before = state()
+            for verb in verbs:
+                assert client.feed(b"%s x\n" % verb.encode()) == [
+                    render(Err("PARSE", "%s takes no arguments" % verb))]
+                assert state() == before, verb
+        assert client.feed(b"SNAPSHOT\n") == [render(Ok("2"))]  # no id was taken
 
 
 def pump_in_process(chunks):
