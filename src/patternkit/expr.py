@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from operator import length_hint
 
-from .wire import I64_MAX, I64_MIN, IDENT_PATTERN, MAX_REQUEST_BYTES, is_ident
+from .wire import I64_MAX, I64_MIN, IDENT_PATTERN, is_ident
 
 
 class ParseError(ValueError):
@@ -304,10 +304,8 @@ def walk(text: str, number, name, reduce):
     the line as a left-to-right walk of its tree would.  A syntax fault
     raises ParseError.  The first EvalError a hook raises is held while the
     line is walked again with hooks that cannot fail, so that a ParseError
-    anywhere in the line wins over it.
+    anywhere in the line wins over it.  Text of any length is taken.
     """
-    if len(text.encode("utf-8")) > MAX_REQUEST_BYTES:
-        raise ParseError("expression too long", MAX_REQUEST_BYTES)
     tokens = _TOKEN.findall(text)
     try:
         return _walk(text, tokens, number, name, reduce)

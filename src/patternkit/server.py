@@ -19,7 +19,7 @@ connection and its own `temp` observer.  A session's one variable is its
 A session's first line is always its greeting: the loop buffers it before
 the session joins the chat room or can send a request, so no reply or
 event can precede it.  `wire` states the line limit and framing alone
-enforces it (`_too_long`).  A framing error (invalid UTF-8, an over-long
+enforces it (`_pump_lines`).  A framing error (invalid UTF-8, an over-long
 line) is answered in its place among the request lines, and the peer's
 EOF is read only once every line before it has been answered, so a
 half-closed client still gets the replies to what it sent.  A failed
@@ -68,13 +68,13 @@ from time import perf_counter_ns
 from .creational import ServerConfig
 from .expr import Context, EvalError, ParseError, fold_expr
 from .messaging import ChatRoom, Subject, temperature_line
-from .policies import STOPPED, apply_discount, parse_strategy, player_press
+from .policies import MediaPlayer, apply_discount, parse_strategy
 from .reactor import READ, WRITE, EventHandler, Reactor
 from .session_commands import (Caretaker, Document, EmptyHistoryError, UnknownSnapshotError,
                                WriteCommand, execute_command, restore_memento, save_memento,
                                undo_last)
 from .structural_kit import FileLogSink
-from .wire import (FAMILIES, I64_MAX, MAX_BINDINGS, MAX_DOC_BYTES, MAX_HISTORY,
+from .wire import (FAMILIES, I64_MAX, MAX_BINDINGS, MAX_DOC_BYTES, MAX_HISTORY, MAX_NAME_BYTES,
                    MAX_OUTPUT_BYTES, MAX_REQUEST_BYTES, MAX_SNAPSHOTS, PROTOCOL_VERSION, Err, Evt,
                    Ok, WireError, escape_doc, format_money, is_ident, parse_i64)
 # Not used here: bench/traced_server.py wraps these names on this module, and
@@ -114,13 +114,6 @@ OUTPUT_HIGH_WATER = 64 * 1024
 OUTPUT_LOW_WATER = 32 * 1024
 
 
-def _too_long(buffer: bytearray, start: int, end: int) -> bool:
-    """The line limit, for a framed line and an unterminated tail alike: the
-    bytes from `start` to `end`, less one trailing CR, pass MAX_REQUEST_BYTES."""
-    length = end - start
-    return length > MAX_REQUEST_BYTES and length - (buffer[end - 1] == 0x0D) > MAX_REQUEST_BYTES
-
-
 class Session(EventHandler):
     """One connection's state, its reactor handler and its `temp` observer."""
 
@@ -130,7 +123,7 @@ class Session(EventHandler):
         self.server = server
         self.document = Document()
         self.caretaker = Caretaker()
-        self.player = STOPPED
+        self.player = MediaPlayer()
         self.ctx = Context()  # the one context: LET assigns into its bindings
         self.in_buffer = bytearray()
         self.out_buffer = bytearray()
@@ -185,6 +178,8 @@ def _let(session, args):
     if not is_ident(name):
         raise WireError("bad variable name %r" % name)
     value = parse_i64(raw)
+    if len(name) > MAX_NAME_BYTES:  # an identifier is ASCII: one byte per character
+        return Err("LIMIT", "variable name too long")
     bindings = session.ctx.bindings
     if name not in bindings and len(bindings) >= MAX_BINDINGS:
         return Err("LIMIT", "too many variables")
@@ -256,11 +251,6 @@ def _price(session, args):
     return Ok(format_money(apply_discount(strategy, amount * 100)))
 
 
-def _press(session, button):
-    message, session.player = player_press(session.player, button)
-    return Ok(message)
-
-
 def _watching(session, args, change, refusal):
     """`WATCH` or `UNWATCH` of the one topic; the Subject alone knows who watches."""
     if args != "temp":
@@ -300,9 +290,9 @@ ROUTES = {
     "SNAPSHOT": _bare(_snapshot),
     "RESTORE": _restore,
     "PRICE": _price,
-    "PLAY": _bare(lambda session: _press(session, "play")),
-    "PAUSE": _bare(lambda session: _press(session, "pause")),
-    "STOP": _bare(lambda session: _press(session, "stop")),
+    "PLAY": _bare(lambda session: Ok(session.player.press("play"))),
+    "PAUSE": _bare(lambda session: Ok(session.player.press("pause"))),
+    "STOP": _bare(lambda session: Ok(session.player.press("stop"))),
     "WATCH": lambda session, args: _watching(session, args, Subject.subscribe,
                                              "already watching temp"),
     "UNWATCH": lambda session, args: _watching(session, args, Subject.unsubscribe,
@@ -506,7 +496,10 @@ class PatternServer(EventHandler):
         start = 0
         while session.state == OPEN:
             index = buffer.find(b"\n", start)
-            if _too_long(buffer, start, len(buffer) if index < 0 else index):
+            end = len(buffer) if index < 0 else index
+            if end > start and buffer[end - 1] == 0x0D:
+                end -= 1
+            if end - start > MAX_REQUEST_BYTES:
                 self._queue_reply(session, _LINE_TOO_LONG)
                 break
             if index < 0:
@@ -514,7 +507,6 @@ class PatternServer(EventHandler):
             if self._replies >= LOOP_REPLY_BUDGET or len(out) >= OUTPUT_HIGH_WATER:
                 session.state = PAUSED
                 break
-            end = index - 1 if index > start and buffer[index - 1] == 0x0D else index
             raw, start = buffer[start:end], index + 1
             try:
                 line = raw.decode("utf-8")

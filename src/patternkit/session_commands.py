@@ -15,8 +15,9 @@ class UnknownSnapshotError(LookupError):
 
 
 class Document:
-    """UTF-8 text mutated only by commands, undo, or memento restore, each
-    of which keeps `size`, the UTF-8 byte length, without re-encoding."""
+    """Text mutated only by commands, undo, or memento restore, each of which
+    keeps `size`, the UTF-8 length of what was written, without re-encoding;
+    under patternd the content is held escaped and `size` counts raw bytes."""
 
     def __init__(self, content: str = ""):
         self.content = content

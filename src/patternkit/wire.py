@@ -19,17 +19,24 @@ ERROR_CODES = frozenset({"EVAL", "EMPTY", "UNKNOWN", "PARSE", "STATE", "LIMIT", 
 MAX_REQUEST_BYTES = 4096
 # per-session limits; a request past one answers ERR LIMIT
 MAX_BINDINGS = 1024  # variable names bound with LET
-# document size, in UTF-8 bytes counted before escaping; the server stores
-# the escaped form, up to twice that in characters, and CPython stores each
-# character of a str that holds one above U+FFFF in four bytes (PEP 393), so
-# 16 snapshots of a backslash document hold up to 16 x 1 MiB
-MAX_DOC_BYTES = 128 * 1024
+MAX_NAME_BYTES = 64  # length of a LET name, which is ASCII
+MAX_DOC_BYTES = 128 * 1024  # document size, in UTF-8 bytes counted before escaping
 MAX_HISTORY = 1024  # undoable WRITEs (an empty WRITE adds one and no bytes)
 MAX_SNAPSHOTS = 16
 # unsent replies and events; above the largest reply, a capped document
 # SHOWn in the JSON family (up to six bytes per document byte), plus the
 # 64 KiB at which the server stops reading a session
 MAX_OUTPUT_BYTES = 1024 * 1024
+# What one session can hold, in bytes.  The document is stored escaped, up
+# to two characters per byte it counts, and CPython stores every character of
+# a str that holds one above U+FFFF in four bytes (PEP 393), so each stored
+# copy takes up to 8 bytes per document byte:
+#     (MAX_SNAPSHOTS + 2) * 8 * MAX_DOC_BYTES  snapshots, document, undo texts
+#   + MAX_HISTORY * 256                        each undoable WRITE's objects
+#   + MAX_BINDINGS * (MAX_NAME_BYTES + 128)    each name, its value, its slot
+#   + MAX_OUTPUT_BYTES * 9 // 8                unsent output, over-allocated
+#   + 3 * MAX_REQUEST_BYTES                    unframed input, the session
+# = 19.6 MiB; a server holds `max_conns` times it, 2.45 GiB at the default 128.
 PROTOCOL_VERSION = 1
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1

@@ -81,15 +81,12 @@ def reference_fold(text: str, env=None):
     for the first evaluation error in post-order.
 
     A '-' begins a literal only in factor position and right before a
-    digit.  Blanks are space and tab; a line of more than 4096 UTF-8 bytes
-    is too long."""
+    digit.  Blanks are space and tab."""
     env = env or {}
 
     def at(pos):
         return len(text[:pos].encode("utf-8"))
 
-    if at(len(text)) > 4096:
-        return ("parse", "expression too long", 4096)
     errors = []  # evaluation errors in post-order; a 0 stands in for a failed value
     operators, operands = [], []
     depth = 0  # '(' markers on the operator stack

@@ -34,7 +34,7 @@ from patternkit.reactor import READ, WRITE, Reactor
 from patternkit.server import (CLOSED, CLOSING, LOOP_REPLY_BUDGET, OPEN,
                                OUTPUT_HIGH_WATER, PAUSED, PatternServer, Session, main)
 from patternkit.structural_kit import FileLogSink, LoggingHandler, TimingHandler
-from patternkit.wire import (FAMILIES, MAX_BINDINGS, MAX_DOC_BYTES, MAX_HISTORY,
+from patternkit.wire import (FAMILIES, MAX_BINDINGS, MAX_DOC_BYTES, MAX_HISTORY, MAX_NAME_BYTES,
                              MAX_OUTPUT_BYTES, MAX_REQUEST_BYTES, MAX_SNAPSHOTS, Err, Evt,
                              JsonFamily, Ok, TextFamily, escape_doc)
 
@@ -680,6 +680,23 @@ class TestEvents:
 
 
 class TestFraming:
+    def test_the_line_limit_is_read_only_by_framing(self):
+        """`wire` states MAX_REQUEST_BYTES and framing alone enforces it: of
+        every module in the package, only `PatternServer._pump_lines` reads it."""
+        def readers(node, scope):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope += (node.name,)
+            named = getattr(node, "id", None) or getattr(node, "attr", None)  # Name, Attribute
+            if named == "MAX_REQUEST_BYTES" and isinstance(node.ctx, ast.Load):
+                yield ".".join(scope)
+            for child in ast.iter_child_nodes(node):
+                yield from readers(child, scope)
+
+        package = Path(server_module.__file__).parent
+        found = [reader for path in sorted(package.glob("*.py"))
+                 for reader in readers(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))]
+        assert found == ["server.PatternServer._pump_lines"]
+
     def test_pipelined_requests_answered_in_order(self, server, connect):
         client = connect(server)
         client.send_raw(b"PING\nEVAL 1 + 1\nWRITE ab\nSHOW\n")
@@ -899,7 +916,7 @@ def test_verbs_that_take_no_arguments_refuse_them_and_change_nothing(family):
         def state():
             return (session.document.content, session.document.size,
                     len(session.caretaker.history), sorted(session.caretaker.snapshots),
-                    session.player)
+                    session.player.state)
 
         for press, verbs in ((b"", ("SHOW", "UNDO", "SNAPSHOT", "PLAY")),  # stopped
                              (b"PLAY\n", ("PAUSE", "STOP"))):  # then playing
@@ -910,6 +927,27 @@ def test_verbs_that_take_no_arguments_refuse_them_and_change_nothing(family):
                     render(Err("PARSE", "%s takes no arguments" % verb))]
                 assert state() == before, verb
         assert client.feed(b"SNAPSHOT\n") == [render(Ok("2"))]  # no id was taken
+
+
+@pytest.mark.parametrize("family", ["text", "json"])
+def test_let_bounds_the_length_of_a_name(family):
+    """A name of MAX_NAME_BYTES binds and evaluates; one byte longer is
+    refused with ERR LIMIT and binds nothing.  A malformed name or value is
+    still refused with ERR PARSE first."""
+    longest = "v" * MAX_NAME_BYTES
+    with InProcessSession(family) as client:
+        render, bindings = client.server.family.render_reply, client.session.ctx.bindings
+        assert client.feed(("LET %s 5\nEVAL %s + 1\n" % (longest, longest)).encode()) == [
+            render(Ok()), render(Ok("6"))]
+        before = dict(bindings)
+        too_long, malformed = longest + "v", longest + "V"
+        assert client.feed(("LET %s 7\nLET %s x\nLET %s 7\nEVAL %s\n"
+                            % (too_long, too_long, malformed, too_long)).encode()) == [
+            render(Err("LIMIT", "variable name too long")),
+            render(Err("PARSE", "not an integer: 'x'")),
+            render(Err("PARSE", "bad variable name %r" % malformed)),
+            render(Err("EVAL", "unbound variable %r" % too_long))]
+        assert bindings == before
 
 
 def pump_in_process(chunks):
