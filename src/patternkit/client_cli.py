@@ -21,23 +21,20 @@ import queue
 import socket
 import sys
 import threading
-from dataclasses import dataclass
 
-from .wire import Err, Evt, JsonFamily, ProtocolFamily, TextFamily
+from .wire import Err, Evt, JsonFamily, ProtocolFamily, Record, TextFamily
 
 
-@dataclass(frozen=True)
-class ClientConfig:
-    host: str = "127.0.0.1"
-    port: int = 7465
-    script: str | None = None
-    timeout_ms: int = 5000
+class ClientConfig(Record):
+    __slots__ = ("host", "port", "script", "timeout_ms")
 
-    def __post_init__(self) -> None:
-        if not 0 < self.port < 65536:
+    def __init__(self, host: str = "127.0.0.1", port: int = 7465, script: str | None = None,
+                 timeout_ms: int = 5000) -> None:
+        if not 0 < port < 65536:
             raise ValueError("port out of range")
-        if self.timeout_ms < 1:
+        if timeout_ms < 1:
             raise ValueError("timeout-ms must be >= 1")
+        super().__init__(host, port, script, timeout_ms)
 
 
 def _parse_reply(family: ProtocolFamily, line: str):
@@ -153,15 +150,16 @@ def repl(cfg: ClientConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    defaults = ClientConfig()
     parser = argparse.ArgumentParser(
         prog="patternsh",
         description="interactive client for a patternd server",
     )
-    parser.add_argument("--host", help="server host (default %s)" % ClientConfig.host)
-    parser.add_argument("--port", type=int, help="server port (default %d)" % ClientConfig.port)
+    parser.add_argument("--host", help="server host (default %s)" % defaults.host)
+    parser.add_argument("--port", type=int, help="server port (default %d)" % defaults.port)
     parser.add_argument("--script", help="read commands from a file instead of stdin")
     parser.add_argument("--timeout-ms", type=int, dest="timeout_ms",
-                        help="per-reply timeout in milliseconds (default %d)" % ClientConfig.timeout_ms)
+                        help="per-reply timeout in milliseconds (default %d)" % defaults.timeout_ms)
     options = vars(parser.parse_args(argv))
     try:  # each dest names a ClientConfig field; an option not given keeps its default
         cfg = ClientConfig(**{name: value for name, value in options.items() if value is not None})

@@ -5,27 +5,24 @@ fixtures."""
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
-from .wire import FAMILIES
+from .wire import FAMILIES, Record
 
 
-@dataclass(frozen=True)
-class ServerConfig:
+class ServerConfig(Record):
     """Fully built server configuration; never observable half-built."""
 
-    port: int = 7465
-    family: str = "text"
-    max_conns: int = 128
-    log_path: str | None = None
+    __slots__ = ("port", "family", "max_conns", "log_path")
 
-    def __post_init__(self):
-        if not 0 <= self.port <= 65535:
+    def __init__(self, port: int = 7465, family: str = "text", max_conns: int = 128,
+                 log_path: str | None = None):
+        if not 0 <= port <= 65535:
             raise ValueError("port out of range")
-        if self.family not in FAMILIES:
+        if family not in FAMILIES:
             raise ValueError("family must be one of: %s" % ", ".join(FAMILIES))
-        if self.max_conns < 1:
+        if max_conns < 1:
             raise ValueError("max_conns must be >= 1")
+        super().__init__(port, family, max_conns, log_path)
 
 
 class Registry:
@@ -222,11 +219,12 @@ def create_widget_family(name: str) -> GuiFactory:
 # Prototypes: explicit field-wise deep clones.
 
 
-@dataclass
-class SessionTemplate:
-    greeting: str
-    initial_doc: str
-    watched_topics: list[str]
+class SessionTemplate(Record):
+    __slots__ = ("greeting", "initial_doc", "watched_topics")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, greeting: str, initial_doc: str, watched_topics: list[str]):
+        super().__init__(greeting, initial_doc, watched_topics)
 
 
 def deep_clone(template: SessionTemplate) -> SessionTemplate:

@@ -40,11 +40,10 @@ from __future__ import annotations
 
 import re
 import threading
-from dataclasses import dataclass, field
 from itertools import islice
 from operator import length_hint
 
-from .wire import I64_MAX, I64_MIN, IDENT_PATTERN, is_ident
+from .wire import BLANKS, I64_MAX, I64_MIN, IDENT_PATTERN, Record, is_ident
 
 
 class ParseError(ValueError):
@@ -63,46 +62,54 @@ def _unbound(name: str) -> EvalError:
     return EvalError("unbound variable %r" % name)
 
 
-class Expr:
+class Expr(Record):
     """Base of the expression tree."""
+
+    __slots__ = ()
 
     def accept(self, visitor: ExprVisitor):
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Number(Expr):
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        super().__init__(value)
 
     def accept(self, visitor: ExprVisitor):
         return visitor.visit_number(self)
 
 
-@dataclass(frozen=True)
 class Variable(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        super().__init__(name)
 
     def accept(self, visitor: ExprVisitor):
         return visitor.visit_variable(self)
 
 
-@dataclass(frozen=True)
 class Binary(Expr):
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        super().__init__(op, left, right)
 
     def accept(self, visitor: ExprVisitor):
         return visitor.visit_binary(self)
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(Record):
     """Variable bindings; `bind` builds a new context and leaves this one
     as it was.  A `patternd` session keeps one context and assigns into
     its `bindings`."""
 
-    bindings: dict = field(default_factory=dict)
+    __slots__ = ("bindings",)
+
+    def __init__(self, bindings: dict | None = None):
+        super().__init__({} if bindings is None else bindings)
 
     def value_of(self, name: str) -> int:
         if name not in self.bindings:
@@ -283,8 +290,8 @@ def iter_nodes(e: Expr) -> BidirectionalCursor:
 
 # One token per integer literal (a '-' joins the digits right after it, and
 # a lone '-' is a token too), per identifier, and per other non-blank
-# character; the blanks before a token, space and tab only, are skipped.
-_TOKEN = re.compile(r"[ \t]*([-0-9][0-9]*|%s|[^ \t])" % IDENT_PATTERN)
+# character; the blanks before a token (`wire.BLANKS`) are skipped.
+_TOKEN = re.compile(r"[%s]*([-0-9][0-9]*|%s|[^%s])" % (BLANKS, IDENT_PATTERN, BLANKS))
 _DIGITS = "0123456789"
 # the characters that begin an identifier: those that are one on their own
 _IDENT_START = frozenset(ch for ch in map(chr, range(128)) if is_ident(ch))

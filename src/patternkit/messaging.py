@@ -4,9 +4,8 @@ dispatcher with its staffing fixture."""
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
-from .wire import is_verb
+from .wire import Record, is_verb
 
 
 class Subject:
@@ -123,17 +122,15 @@ class ChatUser:
         return self.room.send(self.name, message)
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(Record):
     """Carrier for chain dispatch: one verb, the raw argument text."""
 
-    verb: str
-    args: str = ""
-    session: object = None
+    __slots__ = ("verb", "args", "session")
 
-    def __post_init__(self):
-        if not is_verb(self.verb):
+    def __init__(self, verb: str, args: str = "", session: object = None):
+        if not is_verb(verb):
             raise ValueError("verb must be a single uppercase token")
+        super().__init__(verb, args, session)
 
 
 class Handler:

@@ -76,7 +76,7 @@ from .session_commands import (Caretaker, Document, EmptyHistoryError, UnknownSn
 from .structural_kit import FileLogSink
 from .wire import (FAMILIES, I64_MAX, MAX_BINDINGS, MAX_DOC_BYTES, MAX_HISTORY, MAX_NAME_BYTES,
                    MAX_OUTPUT_BYTES, MAX_REQUEST_BYTES, MAX_SNAPSHOTS, PROTOCOL_VERSION, Err, Evt,
-                   Ok, WireError, escape_doc, format_money, is_ident, parse_i64)
+                   Ok, WireError, escape_doc, format_money, is_ident, parse_i64, split_args)
 # Not used here: bench/traced_server.py wraps these names on this module, and
 # patches `answer` on each class in `ServerHandlerFactory.KINDS` and on
 # `FallbackHandler`.  The verbs are answered by the functions in `ROUTES`.
@@ -171,7 +171,7 @@ def _eval(session, args):
 
 
 def _let(session, args):
-    tokens = args.split()
+    tokens = split_args(args)
     if len(tokens) != 2:
         raise UsageError("takes a name and an integer")
     name, raw = tokens
@@ -225,7 +225,7 @@ def _snapshot(session):
 
 
 def _restore(session, args):
-    tokens = args.split()
+    tokens = split_args(args)
     if len(tokens) != 1:
         raise UsageError("takes a snapshot id")
     try:
@@ -238,7 +238,7 @@ MAX_MAJOR = I64_MAX // 100  # wire amounts are major units; all arithmetic runs 
 
 
 def _price(session, args):
-    tokens = args.split()
+    tokens = split_args(args)
     if len(tokens) != 2:
         raise UsageError("takes an amount and a strategy")
     amount = parse_i64(tokens[0])
@@ -263,10 +263,10 @@ def _watching(session, args, change, refusal):
 
 
 def _temp(session, args):
-    token = args.strip()
-    if not token:
+    tokens = split_args(args)
+    if len(tokens) != 1:
         raise UsageError("takes an integer")
-    session.server.temperature.publish(parse_i64(token))
+    session.server.temperature.publish(parse_i64(tokens[0]))
     return _OK
 
 

@@ -2,8 +2,8 @@
 
 Requests are LF-terminated UTF-8 verb lines in every family; the protocol
 family only changes how replies are rendered (and parsed back).  The
-request grammar (line limit, verbs, integers, identifiers) is stated only
-here; the server's line framing enforces the limit, before a line is
+request grammar (line limit, verbs, blanks, integers, identifiers) is stated
+only here; the server's line framing enforces the limit, before a line is
 decoded, so `parse_request` never sees a longer line.  Money is carried as
 integer minor units and formatted for display here.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 ERROR_CODES = frozenset({"EVAL", "EMPTY", "UNKNOWN", "PARSE", "STATE", "LIMIT", "INTERNAL"})
@@ -44,32 +43,76 @@ I64_MAX = 2**63 - 1
 # digits and '_'
 IDENT_PATTERN = r"[a-z][a-z0-9_]*"
 _IDENT = re.compile(IDENT_PATTERN)
+BLANKS = " \t"  # they separate arguments and EVAL tokens; no other whitespace does
+_OTHER_SPACE = re.compile(r"[^\S%s]" % BLANKS)
 
 
 class WireError(ValueError):
     """A line that cannot be handled at the protocol layer."""
 
 
-@dataclass(frozen=True)
-class Ok:
-    payload: str = ""
+_set_field = object.__setattr__  # fills a field; Ok, Err and Evt skip Record.__init__'s loop
 
 
-@dataclass(frozen=True)
-class Err:
-    code: str
-    message: str
+class Record:
+    """A frozen value whose fields are its `__slots__`, in order: equal to one
+    of its own type with equal fields, hashed and copied by them, and shown
+    as `Name(field=value, ...)`.  Each subclass's `__init__` takes them in order."""
 
-    def __post_init__(self):
-        if self.code not in ERROR_CODES:
-            raise ValueError("unknown error code %r" % self.code)
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields):
+            _set_field(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError("field %r is read-only" % name)
+
+    __delattr__ = __setattr__
 
 
-@dataclass(frozen=True)
-class Evt:
+class Ok(Record):
+    __slots__ = ("payload",)
+
+    def __init__(self, payload: str = ""):
+        _set_field(self, "payload", payload)
+
+
+class Err(Record):
+    __slots__ = ("code", "message")
+
+    def __init__(self, code: str, message: str):
+        if code not in ERROR_CODES:
+            raise ValueError("unknown error code %r" % code)
+        _set_field(self, "code", code)
+        _set_field(self, "message", message)
+
+
+class Evt(Record):
     """An asynchronous push; `line` is the stream line after the EVT tag."""
 
-    line: str
+    __slots__ = ("line",)
+
+    def __init__(self, line: str):
+        _set_field(self, "line", line)
 
 
 Reply = Ok | Err | Evt
@@ -89,6 +132,13 @@ def parse_i64(token: str) -> int:
     if not I64_MIN <= value <= I64_MAX:
         raise WireError("integer out of range: %r" % token)
     return value
+
+
+def split_args(args: str) -> list[str]:
+    """A verb's arguments split at runs of blanks; other whitespace is refused."""
+    if not args.isprintable() and _OTHER_SPACE.search(args):  # ' ' is the one printable space
+        raise WireError("whitespace other than space and tab")
+    return args.split()
 
 
 def is_ident(token: str) -> bool:

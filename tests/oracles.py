@@ -339,6 +339,8 @@ class ReferenceDocument:
             self.snapshots[snap_id] = self.text
             return ("OK", snap_id)
         if verb == "RESTORE":
+            if any(ch.isspace() and ch not in " \t" for ch in arg):
+                return ("ERR", "PARSE", "whitespace other than space and tab")
             tokens = arg.split()
             if len(tokens) != 1:
                 return ("ERR", "PARSE", "RESTORE takes a snapshot id")

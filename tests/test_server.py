@@ -16,6 +16,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -30,13 +31,14 @@ from patternkit import messaging
 from patternkit import server as server_module
 from patternkit.creational import Registry, ServerConfig
 from patternkit.expr import Context, Number
+from patternkit.messaging import temperature_line
 from patternkit.reactor import READ, WRITE, Reactor
 from patternkit.server import (CLOSED, CLOSING, LOOP_REPLY_BUDGET, OPEN,
                                OUTPUT_HIGH_WATER, PAUSED, PatternServer, Session, main)
 from patternkit.structural_kit import FileLogSink, LoggingHandler, TimingHandler
-from patternkit.wire import (FAMILIES, MAX_BINDINGS, MAX_DOC_BYTES, MAX_HISTORY, MAX_NAME_BYTES,
-                             MAX_OUTPUT_BYTES, MAX_REQUEST_BYTES, MAX_SNAPSHOTS, Err, Evt,
-                             JsonFamily, Ok, TextFamily, escape_doc)
+from patternkit.wire import (FAMILIES, I64_MIN, MAX_BINDINGS, MAX_DOC_BYTES, MAX_HISTORY,
+                             MAX_NAME_BYTES, MAX_OUTPUT_BYTES, MAX_REQUEST_BYTES, MAX_SNAPSHOTS,
+                             Err, Evt, JsonFamily, Ok, TextFamily, escape_doc)
 
 
 # more replies than LOOP_REPLY_BUDGET, so the session pauses and resumes
@@ -948,6 +950,69 @@ def test_let_bounds_the_length_of_a_name(family):
             render(Err("PARSE", "bad variable name %r" % malformed)),
             render(Err("EVAL", "unbound variable %r" % too_long))]
         assert bindings == before
+
+
+@pytest.mark.parametrize("family", ["text", "json"])
+def test_arguments_are_split_at_spaces_and_tabs_only(family):
+    """LET, PRICE, RESTORE and TEMP split their arguments at runs of spaces
+    and tabs, the blanks EVAL's tokens are split at.  Any other whitespace
+    answers ERR PARSE and changes nothing, where `str.split` would have
+    split at it."""
+    with InProcessSession(family) as client:
+        render, session = client.server.family.render_reply, client.session
+        assert client.feed(b"WRITE ab\nSNAPSHOT\nWRITE c\nWATCH temp\n") == [
+            render(Ok("2")), render(Ok("1")), render(Ok("3")), render(Ok())]
+        refused = render(Err("PARSE", "whitespace other than space and tab"))
+        for line in ("LET y\x0b7", "PRICE 100\x0cnone", "TEMP \N{EM SPACE}5", "RESTORE 1\x1c",
+                     "LET y\r7", "PRICE 100\N{NO-BREAK SPACE}none"):
+            assert client.feed(line.encode() + b"\n") == [refused], repr(line)
+        assert session.ctx.bindings == {} and session.document.content == "abc"
+        temp = render(Evt("temp " + temperature_line(session.sid, 5)))
+        assert client.feed(b"LET  y\t 7 \t\nEVAL y \t*\t2\nPRICE 100 \t none\n"
+                           b"TEMP \t5\t\nRESTORE \t1  \n") == [
+            render(Ok()), render(Ok("14")), render(Ok("100.0")), temp, render(Ok()),
+            render(Ok("ab"))]
+
+
+@pytest.mark.parametrize("family", ["text", "json"])
+def test_a_session_at_every_cap_holds_less_than_the_stated_sum(family):
+    """One session at every cap at once: MAX_BINDINGS names of
+    MAX_NAME_BYTES; a document at MAX_DOC_BYTES written by MAX_HISTORY
+    undoable WRITEs that each hold an emoji, so every stored string takes
+    four bytes a character; MAX_SNAPSHOTS distinct snapshots of it, each
+    within 2 KiB of the cap; and unsent events within one event of
+    MAX_OUTPUT_BYTES.  tracemalloc's peak over building the server and
+    driving it stays under the sum that `wire.py` states."""
+    stated = ((MAX_SNAPSHOTS + 2) * 8 * MAX_DOC_BYTES + MAX_HISTORY * 256
+              + MAX_BINDINGS * (MAX_NAME_BYTES + 128) + MAX_OUTPUT_BYTES * 9 // 8
+              + 3 * MAX_REQUEST_BYTES)
+    assert round(stated / 2**20, 1) == 19.6
+    emoji = "\N{GRINNING FACE}"
+    piece = emoji + "\\" * (MAX_DOC_BYTES // MAX_HISTORY - len(emoji.encode()))
+    write = ("WRITE %s\n" % piece).encode()
+    tracemalloc.start()
+    try:
+        with InProcessSession(family) as client:
+            render, session, srv = client.server.family.render_reply, client.session, client.server
+            for i in range(MAX_BINDINGS):
+                name = "v%0*d" % (MAX_NAME_BYTES - 1, i)
+                assert client.feed(b"LET %s %d\n" % (name.encode(), I64_MIN)) == [render(Ok())]
+            for _ in range(MAX_HISTORY - MAX_SNAPSHOTS):
+                client.feed(write)
+            for snap_id in range(1, MAX_SNAPSHOTS + 1):
+                assert client.feed(write + b"SNAPSHOT\n")[-1] == render(Ok(str(snap_id)))
+            assert session.document.size == MAX_DOC_BYTES
+            # the peer reads nothing more: chat events fill the socket, then the buffer
+            message = "m" * (MAX_REQUEST_BYTES - 16)
+            event = len(render(Evt("chat [%s] %s" % (session.sid, message))).encode()) + 1
+            while len(session.out_buffer) + event <= MAX_OUTPUT_BYTES:
+                srv._batched(lambda sid: srv.chat.send(sid, message), session.sid)
+            assert session.state != CLOSED
+            assert len(session.out_buffer) > MAX_OUTPUT_BYTES - event
+            peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stated, peak
 
 
 def pump_in_process(chunks):

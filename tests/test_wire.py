@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -19,6 +20,7 @@ from patternkit.wire import (
     escape_doc,
     format_money,
     parse_request,
+    split_args,
     unescape_doc,
 )
 
@@ -52,6 +54,14 @@ class TestParseRequest:
         verb, args = parse_request(line)
         assert verb == "WRITE"
         assert len(args) == MAX_REQUEST_BYTES - len("WRITE ")
+
+    def test_split_args_splits_at_runs_of_spaces_and_tabs_only(self):
+        assert split_args(" a\t\t b  \t") == ["a", "b"]
+        assert split_args("") == split_args(" \t") == []
+        for ch in map(chr, range(sys.maxunicode + 1)):
+            if ch.isspace() and ch not in " \t":
+                with pytest.raises(WireError):
+                    split_args("1%s2" % ch)
 
 
 class TestFormatMoney:
