@@ -55,8 +55,8 @@ class Subject:
 
 
 def temperature_line(name: str, value: int) -> str:
-    """Display text shared by the fixtures and the wire: one decimal place."""
-    return "%s: The current temperature is %.1f\N{DEGREE SIGN}C" % (name, value)
+    """Display text shared by the fixtures and the wire; exact at any size."""
+    return "%s: The current temperature is %d.0\N{DEGREE SIGN}C" % (name, value)
 
 
 class PhoneDisplay:

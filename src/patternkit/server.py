@@ -13,8 +13,8 @@ connection and its own `temp` observer.  A session's one variable is its
     PAUSED    not read: the rest of its read waits in `in_buffer`
     CLOSING   QUIT's reply, the over-long line's ERR LIMIT or the peer's
               EOF ended the session; nothing after it runs or is sent
-    CLOSED    dropped: socket closed, chat room left, observer
-              unsubscribed, connection slot free
+    CLOSED    finished: nothing more is read, answered or buffered; the
+              callback's flush sends once more, then drops it
 
 A session's first line is always its greeting: the loop buffers it before
 the session joins the chat room or can send a request, so no reply or
@@ -23,20 +23,22 @@ enforces it (`_pump_lines`).  A framing error (invalid UTF-8, an over-long
 line) is answered in its place among the request lines, and the peer's
 EOF is read only once every line before it has been answered, so a
 half-closed client still gets the replies to what it sent.  A failed
-`recv` or `send` drops a session at once.  A server out of file
+`recv` or `send` makes a session CLOSED.  A server out of file
 descriptors stops accepting until a session is dropped; new connections
 wait in the listen backlog.
 
-Every reactor callback (a read, a write-ready callback, or the accept that
-buffers the greeting) ends with one write of the request-log records it
-made, then one flush of each session it touched, so a pipelined burst
-costs one log write and one send.  The records of one callback share one
-stamp, and each is in the log before its reply is sent: `_overflow`, the
-one send made mid-callback, writes the pending records first.  `_flush`
-decides the interest: after sending what it can, an OPEN session waits on
-`READ`, plus `WRITE` while output is unsent; a PAUSED session, or a
-CLOSING one with unsent output, waits on `WRITE`; a CLOSING session whose
-output is all sent is dropped.
+A reactor callback (a read, a write-ready callback, or the accept that
+buffers the greeting) only computes: it answers lines, buffers output and
+moves states.  Its end acts, in `_batched`: one write of the request-log
+records it made, sharing one stamp, then one flush of each session it
+touched, so a pipelined burst costs one log write and one send, and each
+record is in the log before its reply is sent.  `_flush` alone sends to
+a session or drops it: after one send, an OPEN session waits on `READ`,
+plus `WRITE` while output is unsent; a PAUSED session, or a CLOSING one
+with unsent output, waits on `WRITE`; any other session is dropped.  So
+none is dropped while a `publish` or a chat `send` walks its members.
+The write-ready callback alone flushes first: whether a PAUSED session
+resumes depends on what the send left.
 
 A session's document is held only in the escaped form that `SHOW`, `UNDO`
 and `RESTORE` send, with its raw UTF-8 size beside it: each `WRITE`
@@ -52,7 +54,7 @@ output is below `OUTPUT_LOW_WATER` it resumes.  That is the next loop
 round, after other connections are served, unless the client stopped
 reading.  A reply or event that would take a session's output past
 `MAX_OUTPUT_BYTES`, such as an event for a watcher that stopped reading,
-closes that session at once with `ERR LIMIT output buffer full`.
+ends that session with `ERR LIMIT output buffer full` in the same callback.
 """
 
 from __future__ import annotations
@@ -400,24 +402,21 @@ class PatternServer(EventHandler):
         self._batched(self._accept, listener)
 
     def _batched(self, callback, endpoint):
-        """Run one reactor callback, write its request-log records, then
-        flush once each session that it touched."""
+        """Run one reactor callback, then act: write its request-log records
+        in one call (a record that fails is counted; its request stands),
+        then flush once each session that it touched."""
         self._replies = 0
         callback(endpoint)
-        if self._log_records:
-            self._write_log()
+        records = self._log_records
+        if records:
+            self._log_records = []
+            try:
+                self.log_sink.write_log(*records)
+            except OSError:
+                self.log_errors += len(records)
         flushes, self._flushes = self._flushes, {}  # holds no session between callbacks
         for session in flushes:
             self._flush(session)
-
-    def _write_log(self):
-        """Write the pending request-log records in one call.  The requests
-        are applied: a record that fails is counted, not answered."""
-        records, self._log_records = self._log_records, []
-        try:
-            self.log_sink.write_log(*records)
-        except OSError:
-            self.log_errors += len(records)
 
     def _accept(self, listener):
         try:
@@ -480,7 +479,7 @@ class PatternServer(EventHandler):
         except BlockingIOError:
             return
         except OSError:
-            self._drop(session)
+            session.state = CLOSED
             return
         if data:
             session.in_buffer += data
@@ -533,8 +532,8 @@ class PatternServer(EventHandler):
 
     def _queue_reply(self, session: Session, reply):
         """Buffer one reply or event for the flush at the end of the current
-        callback.  `_BYE` and `_LINE_TOO_LONG` close the session, and nothing
-        is buffered after them; a PAUSED watcher still takes events."""
+        callback.  `_BYE` and `_LINE_TOO_LONG` close the session; nothing is
+        buffered after them or an overflow.  A PAUSED watcher takes events."""
         if session.state >= CLOSING:
             return
         data = (self.family.render_reply(reply) + "\n").encode()
@@ -550,19 +549,14 @@ class PatternServer(EventHandler):
             session.state = CLOSING
 
     def _overflow(self, session: Session):
-        """Close a session whose output would pass MAX_OUTPUT_BYTES, the way
+        """End a session whose output would pass MAX_OUTPUT_BYTES, the way
         Redis closes a pubsub client past its hard limit: a peer that far
-        behind is not waited for.  The error line reaches it only if the
-        socket takes the whole backlog at once.  The backlog may hold
-        replies of this callback, so its pending records are written first."""
-        if self._log_records:
-            self._write_log()
+        behind is not waited for.  It is CLOSED with the error line buffered,
+        so this callback's flush makes its last send, after the log write;
+        the line reaches the peer only if that send takes the whole backlog."""
         session.out_buffer += (self.family.render_reply(_OUTPUT_FULL) + "\n").encode()
-        try:
-            session.conn.send(session.out_buffer)
-        except OSError:
-            pass
-        self._drop(session)
+        session.state = CLOSED
+        self._flushes[session] = None
 
     def _writable(self, session: Session):
         """WRITE callback: send the rest of the output, then resume a PAUSED
@@ -572,11 +566,8 @@ class PatternServer(EventHandler):
             self._resume(session)
 
     def _flush(self, session: Session):
-        """Send what is buffered, then set what the session waits on, or
-        drop a CLOSING session whose output is all sent."""
-        state = session.state
-        if state == CLOSED:
-            return
+        """Send what is buffered, once, then set what the session waits on,
+        or drop it if CLOSED (as a failed send leaves it) or done CLOSING."""
         out = session.out_buffer
         if out:
             try:
@@ -584,11 +575,11 @@ class PatternServer(EventHandler):
             except BlockingIOError:
                 pass
             except OSError:
-                self._drop(session)
-                return
+                session.state = CLOSED
+        state = session.state
         if state == OPEN:
             self.reactor.modify(session.conn, READ | WRITE if out else READ)
-        elif out or state == PAUSED:
+        elif state == PAUSED or state == CLOSING and out:
             self.reactor.modify(session.conn, WRITE)
         else:
             self._drop(session)

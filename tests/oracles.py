@@ -262,16 +262,6 @@ FROZEN_BOUND_EVAL_CASES = [
 ]
 
 
-def expected_money(minor: int) -> str:
-    """Money display rule recomputed independently: one decimal when the
-    cents part is a multiple of ten, two otherwise."""
-    units = minor // 100
-    cents = minor % 100
-    if cents % 10 == 0:
-        return "%d.%d" % (units, cents // 10)
-    return "%d.%02d" % (units, cents)
-
-
 def expected_discount(price_minor: int, kind: str, amount: int = 0) -> int:
     """Closed-form recomputation of the discount rules."""
     if kind == "none":

@@ -139,6 +139,11 @@ class TestSubject:
             "u: The current temperature is -3.0\N{DEGREE SIGN}C"
         )
 
+    def test_temperature_line_is_exact_past_2_53(self):
+        assert temperature_line("u", 2**53 + 1) == (
+            "u: The current temperature is 9007199254740993.0\N{DEGREE SIGN}C"
+        )
+
 
 class TestChatRoom:
     def test_send_reaches_all_members_including_sender(self):

@@ -36,7 +36,7 @@ from patternkit.reactor import READ, WRITE, Reactor
 from patternkit.server import (CLOSED, CLOSING, LOOP_REPLY_BUDGET, OPEN,
                                OUTPUT_HIGH_WATER, PAUSED, PatternServer, Session, main)
 from patternkit.structural_kit import FileLogSink, LoggingHandler, TimingHandler
-from patternkit.wire import (FAMILIES, I64_MIN, MAX_BINDINGS, MAX_DOC_BYTES, MAX_HISTORY,
+from patternkit.wire import (FAMILIES, I64_MAX, I64_MIN, MAX_BINDINGS, MAX_DOC_BYTES, MAX_HISTORY,
                              MAX_NAME_BYTES, MAX_OUTPUT_BYTES, MAX_REQUEST_BYTES, MAX_SNAPSHOTS,
                              Err, Evt, JsonFamily, Ok, TextFamily, escape_doc)
 
@@ -975,6 +975,19 @@ def test_arguments_are_split_at_spaces_and_tabs_only(family):
 
 
 @pytest.mark.parametrize("family", ["text", "json"])
+def test_temp_events_show_every_64_bit_integer_exactly(family):
+    """An event states the published integer digit for digit: past 2**53
+    a float would round it."""
+    with InProcessSession(family) as client:
+        render, sid = client.server.family.render_reply, client.session.sid
+        assert client.feed(b"WATCH temp\n") == [render(Ok())]
+        for value, shown in [(2**53 + 1, "9007199254740993"), (I64_MAX, "9223372036854775807"),
+                             (I64_MIN, "-9223372036854775808")]:
+            event = "temp %s: The current temperature is %s.0\N{DEGREE SIGN}C" % (sid, shown)
+            assert client.feed(b"TEMP %d\n" % value) == [render(Evt(event)), render(Ok())]
+
+
+@pytest.mark.parametrize("family", ["text", "json"])
 def test_a_session_at_every_cap_holds_less_than_the_stated_sum(family):
     """One session at every cap at once: MAX_BINDINGS names of
     MAX_NAME_BYTES; a document at MAX_DOC_BYTES written by MAX_HISTORY
@@ -1319,6 +1332,69 @@ class TestBackpressure:
             sock.close()
 
 
+    def test_nothing_follows_ok_bye_not_even_events(self, server, connect):
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.connect(("127.0.0.1", server.port))
+        sock.settimeout(10)
+        reader = sock.makefile("rb")
+        try:
+            assert reader.readline().startswith(b"OK patternd")
+            conn, watcher = next(iter(server.sessions.items()))
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            sock.sendall(b"WATCH temp\n")
+            assert reader.readline() == b"OK\n"
+            other = connect(server)
+            # the watcher reads none of these: its socket fills and the rest
+            # waits in its output, below the high-water mark, so QUIT is framed
+            other.send_raw(b"".join(b"TEMP %d\n" % n for n in range(800)))
+            assert [other.read_line() for _ in range(800)] == ["OK"] * 800
+            assert watcher.out_buffer
+            sock.sendall(b"QUIT\n")
+            assert wait_until(lambda: watcher.state >= CLOSING)
+            assert other.ask("TEMP 7") == "OK"
+            other.send_line("SAY hi")
+            assert other.read_line().startswith("EVT chat ")
+            assert other.read_line() == "OK"
+            lines = reader.read().decode("utf-8").split("\n")
+            events = ["EVT temp " + temperature_line(watcher.sid, n) for n in range(800)]
+            assert lines == events + ["OK bye", ""]
+            assert wait_until(lambda: server.active_sessions() == 1)
+        finally:
+            reader.close()
+            sock.close()
+
+    @pytest.mark.parametrize("family", ["text", "json"])
+    def test_nothing_follows_the_output_limit_line(self, family, monkeypatch):
+        """A watcher closed on MAX_OUTPUT_BYTES takes no event after its ERR
+        LIMIT line, though it stays subscribed until its callback ends."""
+        with InProcessSession(family) as watcher:
+            srv, render = watcher.server, watcher.server.family.render_reply
+            assert watcher.feed(b"WATCH temp\n") == [render(Ok())]
+            conn, peer = socket.socketpair()
+            try:
+                conn.setblocking(False)
+                srv._batched(srv.open_session, conn)
+                publisher = srv.sessions[conn]
+                # only the watcher gets the temp events: the publisher's replies
+                # and chat events (about 405 bytes in JSON) stay below the limit
+                monkeypatch.setattr(server_module, "MAX_OUTPUT_BYTES", 500)
+                publisher.in_buffer += b"TEMP 1\nTEMP 2\nTEMP 3\nSAY hi\n" * 3
+                srv._batched(srv._pump_lines, publisher)
+                assert publisher.state == OPEN
+                assert watcher.session.state == CLOSED
+                assert srv.active_sessions() == 1
+                assert not srv.temperature._observers
+                lines = watcher._take_lines()
+            finally:
+                peer.close()
+        temps = ["temp " + temperature_line(watcher.session.sid, n) for n in (1, 2, 3)]
+        events = [render(Evt(event)) for event in
+                  (temps + ["chat [%s] hi" % publisher.sid]) * 3]
+        assert 1 < len(lines) < len(events)
+        assert lines == events[:len(lines) - 1] + [render(Err("LIMIT", "output buffer full"))]
+
+
 class TestConnectionSlots:
     """A session holds its connection slot until it is dropped."""
 
@@ -1441,6 +1517,30 @@ class TestSessionStates:
         assert callbacks
         assert faults == []
         assert server.reactor.registration_count() == 1
+
+
+    def test_only_the_end_of_a_callback_sends_drops_or_logs(self):
+        """In `server.py` only `_flush` drops a session or sends to its
+        socket, and only `_batched` writes the request log; the one other
+        send is `_accept`'s refusal of a connection no session owns."""
+        def sites(node, scope):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope += (node.name,)
+            if isinstance(node, ast.Attribute):
+                receiver = getattr(node.value, "id", None) or getattr(node.value, "attr", None)
+                if node.attr in ("_drop", "write_log") or (node.attr == "send"
+                                                           and receiver == "conn"):
+                    yield node.attr, ".".join(scope)
+            for child in ast.iter_child_nodes(node):
+                yield from sites(child, scope)
+
+        found = {}
+        tree = ast.parse(Path(server_module.__file__).read_text(encoding="utf-8"))
+        for name, scope in sites(tree, ()):
+            found.setdefault(name, []).append(scope)
+        assert found == {"_drop": ["PatternServer._flush"],
+                         "write_log": ["PatternServer._batched"],
+                         "send": ["PatternServer._accept", "PatternServer._flush"]}
 
 
 class TestBudget:
