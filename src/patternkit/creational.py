@@ -1,28 +1,16 @@
-"""Object construction: the server config, the process-wide registry, and
-the catalogue's builder, factory-method, abstract-factory and prototype
-fixtures."""
+"""Object construction: the process-wide registry, and the catalogue's
+builder, factory-method, abstract-factory and prototype fixtures.
+
+`patternd` does not import this module; with `--log` it comes in through
+`structural_kit`.  So no module here may import `patternkit.server`: under
+`python -m patternkit.server` that import would run `server.py` a second
+time, as a second module.  The server's config lives in `server.py`."""
 
 from __future__ import annotations
 
 import threading
 
-from .wire import FAMILIES, Record
-
-
-class ServerConfig(Record):
-    """Fully built server configuration; never observable half-built."""
-
-    __slots__ = ("port", "family", "max_conns", "log_path")
-
-    def __init__(self, port: int = 7465, family: str = "text", max_conns: int = 128,
-                 log_path: str | None = None):
-        if not 0 <= port <= 65535:
-            raise ValueError("port out of range")
-        if family not in FAMILIES:
-            raise ValueError("family must be one of: %s" % ", ".join(FAMILIES))
-        if max_conns < 1:
-            raise ValueError("max_conns must be >= 1")
-        super().__init__(port, family, max_conns, log_path)
+from .wire import Record
 
 
 class Registry:

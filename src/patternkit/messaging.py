@@ -56,7 +56,8 @@ class Subject:
 
 def temperature_line(name: str, value: int) -> str:
     """Display text shared by the fixtures and the wire; exact at any size."""
-    return "%s: The current temperature is %d.0\N{DEGREE SIGN}C" % (name, value)
+    # the sign is a literal: compiling a \N{...} escape loads unicodedata
+    return "%s: The current temperature is %d.0°C" % (name, value)
 
 
 class PhoneDisplay:

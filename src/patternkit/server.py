@@ -67,7 +67,6 @@ import socket
 import sys
 from time import perf_counter_ns
 
-from .creational import ServerConfig
 from .expr import Context, EvalError, ParseError, fold_expr
 from .messaging import ChatRoom, Subject, temperature_line
 from .policies import MediaPlayer, apply_discount, parse_strategy
@@ -75,15 +74,31 @@ from .reactor import READ, WRITE, EventHandler, Reactor
 from .session_commands import (Caretaker, Document, EmptyHistoryError, UnknownSnapshotError,
                                WriteCommand, execute_command, restore_memento, save_memento,
                                undo_last)
-from .structural_kit import FileLogSink
 from .wire import (FAMILIES, I64_MAX, MAX_BINDINGS, MAX_DOC_BYTES, MAX_HISTORY, MAX_NAME_BYTES,
                    MAX_OUTPUT_BYTES, MAX_REQUEST_BYTES, MAX_SNAPSHOTS, PROTOCOL_VERSION, Err, Evt,
-                   Ok, WireError, escape_doc, format_money, is_ident, parse_i64, split_args)
+                   Ok, Record, WireError, escape_doc, format_money, is_ident, parse_i64,
+                   split_args)
 # Not used here: bench/traced_server.py wraps these names on this module, and
 # patches `answer` on each class in `ServerHandlerFactory.KINDS` and on
 # `FallbackHandler`.  The verbs are answered by the functions in `ROUTES`.
 from .expr import eval_expr, parse_expr  # noqa: F401
 from .messaging import chain_handle  # noqa: F401
+
+
+class ServerConfig(Record):
+    """Fully built server configuration; never observable half-built."""
+
+    __slots__ = ("port", "family", "max_conns", "log_path")
+
+    def __init__(self, port: int = 7465, family: str = "text", max_conns: int = 128,
+                 log_path: str | None = None):
+        if not 0 <= port <= 65535:
+            raise ValueError("port out of range")
+        if family not in FAMILIES:
+            raise ValueError("family must be one of: %s" % ", ".join(FAMILIES))
+        if max_conns < 1:
+            raise ValueError("max_conns must be >= 1")
+        super().__init__(port, family, max_conns, log_path)
 
 
 class ServerHandlerFactory:
@@ -137,9 +152,18 @@ class Session(EventHandler):
     def on_writable(self, conn):
         self.server._batched(self.server._writable, self)
 
+    # A CLOSING or CLOSED session stays a watcher and a chat member until it
+    # is dropped, but no event is built for it.
+
     def update(self, value: int):
         """A `temp` observer: WATCH subscribes the session itself."""
-        self.server._queue_reply(self, Evt("temp " + temperature_line(self.sid, value)))
+        if self.state < CLOSING:
+            self.server._queue_reply(self, Evt("temp " + temperature_line(self.sid, value)))
+
+    def deliver(self, line: str):
+        """What the chat room calls with each line, for this member."""
+        if self.state < CLOSING:
+            self.server._queue_reply(self, Evt("chat " + line))
 
 
 class UsageError(WireError):
@@ -341,8 +365,10 @@ class PatternServer(EventHandler):
     def __init__(self, config: ServerConfig):
         self.config = config
         self.family = FAMILIES[config.family]()
-        # a log that cannot be opened raises OSError before any socket exists
-        self.log_sink = FileLogSink(config.log_path) if config.log_path else None
+        self.log_sink = None
+        if config.log_path:  # a log that cannot be opened raises OSError before any socket exists
+            from .structural_kit import FileLogSink  # here: a server with no log never loads it
+            self.log_sink = FileLogSink(config.log_path)
         self.reactor = Reactor()
         self.temperature = Subject()  # no logger: its observers, the sessions, never raise
         self.chat = ChatRoom()
@@ -452,7 +478,7 @@ class PatternServer(EventHandler):
         # greeting; `_batched` sends it after the join, so a failed send
         # drops a session that is already a member and it leaves the room
         self._queue_reply(session, Ok("patternd %d %s" % (PROTOCOL_VERSION, session.sid)))
-        self.chat.join(session.sid, lambda line: self._queue_reply(session, Evt("chat " + line)))
+        self.chat.join(session.sid, session.deliver)
 
     def _drop(self, session: Session):
         """Close the session's socket and free everything it holds."""

@@ -5,7 +5,10 @@ bridge renderers.
 The middleware decorators (`LoggingHandler`, `TimingHandler`,
 `decorate_handler`), `LazyStatsProxy` and `RegistryStats` are catalogue
 pieces: `patternd` wraps no handler in them, counts, times and logs each
-request in `server.handle_line`, and renders `STATS` from the server."""
+request in `server.handle_line`, and renders `STATS` from the server.
+`patternd` imports this module only to write a request log (`--log`),
+through `FileLogSink`; without one it loads neither this module nor the
+`creational` it imports."""
 
 from __future__ import annotations
 

@@ -6,13 +6,17 @@ request grammar (line limit, verbs, blanks, integers, identifiers) is stated
 only here; the server's line framing enforces the limit, before a line is
 decoded, so `parse_request` never sees a longer line.  Money is carried as
 integer minor units and formatted for display here.
+
+The JSON family renders with `_json.encode_basestring_ascii`, the C
+escape that `json.encoder` exports, and only `JsonFamily.parse_reply`, a
+client's, imports `json`: the server never loads the package or compiles
+the regexes of its decoder.
 """
 
 from __future__ import annotations
 
-import json
 import re
-from json.encoder import encode_basestring_ascii
+from _json import encode_basestring_ascii
 
 ERROR_CODES = frozenset({"EVAL", "EMPTY", "UNKNOWN", "PARSE", "STATE", "LIMIT", "INTERNAL"})
 MAX_REQUEST_BYTES = 4096
@@ -256,6 +260,7 @@ class JsonFamily(ProtocolFamily):
         return '{"evt": %s}' % encode_basestring_ascii(reply.line)
 
     def parse_reply(self, line: str) -> Reply:
+        import json  # only clients parse replies
         try:
             obj = json.loads(line)
         except ValueError as exc:

@@ -11,9 +11,9 @@ import threading
 import pytest
 from hypothesis import settings
 
-from patternkit.creational import ServerConfig, _reset_registry_for_tests
+from patternkit.creational import _reset_registry_for_tests
 from patternkit.reactor import Reactor
-from patternkit.server import PatternServer
+from patternkit.server import PatternServer, ServerConfig
 
 # property tests keep no example database between runs and have no
 # per-example deadline (a loaded host must not fail them).  Each test asks

@@ -1,5 +1,5 @@
-"""Server config, counter-registry singleton, and the builder, factory and
-prototype fixtures."""
+"""Counter-registry singleton, the builder, factory and prototype fixtures,
+and the server config, which `server.py` defines."""
 
 import threading
 
@@ -9,7 +9,6 @@ from patternkit.creational import (
     Director,
     MacDialog,
     Registry,
-    ServerConfig,
     SessionTemplate,
     TwoPartBuilder,
     VehiclePrototype,
@@ -20,6 +19,7 @@ from patternkit.creational import (
     demo_build_product,
     registry_instance,
 )
+from patternkit.server import ServerConfig
 
 pytestmark = pytest.mark.usefixtures("fresh_registry")
 

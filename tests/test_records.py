@@ -1,20 +1,23 @@
 """The package's value records keep the contract their callers read, and
-`patternd` and `patternsh` start without `dataclasses` or what it imports."""
+`patternd` and `patternsh` start without loading modules they do not run."""
 
 import ast
 import copy
 import os
 import pickle
+import shutil
 import subprocess
 import sys
+from importlib.util import resolve_name
 from pathlib import Path
 
 import pytest
 
 from patternkit.client_cli import ClientConfig
-from patternkit.creational import ServerConfig, SessionTemplate
+from patternkit.creational import SessionTemplate
 from patternkit.expr import Binary, Context, Number, Variable
 from patternkit.messaging import Request
+from patternkit.server import ServerConfig
 from patternkit.wire import Err, Evt, Ok
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -93,29 +96,45 @@ import sys
 before = set(sys.modules)
 sys.path.insert(0, sys.argv[1])
 import patternkit.server, patternkit.client_cli
+print(patternkit.server.__file__)
 print(" ".join(sorted(set(sys.modules) - before)))
 """
 
 
-def test_patternd_and_patternsh_start_without_dataclasses():
-    result = subprocess.run([sys.executable, "-c", NEW_MODULES, str(SRC)],
+def test_patternd_and_patternsh_start_from_source_without_unused_modules(tmp_path):
+    """Imported as `bench/run.py` starts the server, from a tree with no
+    bytecode and writing none: compiling a `\\N{...}` escape, for one,
+    loads `unicodedata`.  `json` and the catalogue's `creational` and
+    `structural_kit` are loaded only by a client's JSON parse or by `--log`."""
+    shutil.copytree(SRC / "patternkit", tmp_path / "patternkit",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    result = subprocess.run([sys.executable, "-B", "-c", NEW_MODULES, str(tmp_path)],
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    added = set(result.stdout.split())
+    path, modules = result.stdout.split("\n", 1)
+    assert Path(path) == tmp_path / "patternkit" / "server.py"
+    added = set(modules.split())
     assert "patternkit.server" in added
-    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "json",
+                        "unicodedata", "patternkit.creational", "patternkit.structural_kit"}
 
 
 def test_no_module_of_the_package_imports_dataclasses():
+    """Nor `patternkit.server`: under `python -m patternkit.server` such an
+    import would run `server.py` a second time, as a second module."""
     imported = {}
     for path in sorted((SRC / "patternkit").glob("*.py")):
+        modules = imported.setdefault(path.name, set())
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
-                imported.setdefault(path.name, set()).update(a.name for a in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                imported.setdefault(path.name, set()).add(node.module)
+                modules.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom):  # also `from . import server`
+                base = resolve_name("." * node.level + (node.module or ""), "patternkit")
+                modules.add(base)
+                modules.update(base + "." + a.name for a in node.names)
     assert "server.py" in imported
     assert [name for name, modules in imported.items() if "dataclasses" in modules] == []
+    assert [name for name, modules in imported.items() if "patternkit.server" in modules] == []
 
 
 @pytest.mark.parametrize("module, shown", [

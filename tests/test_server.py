@@ -29,12 +29,13 @@ from oracles import (VAR_NAMES, OracleEvalError, ReferenceDocument, random_chain
                      random_tree, reference_eval, reference_framing, tree_depth, tree_to_text)
 from patternkit import messaging
 from patternkit import server as server_module
-from patternkit.creational import Registry, ServerConfig
+from patternkit.creational import Registry
 from patternkit.expr import Context, Number
 from patternkit.messaging import temperature_line
 from patternkit.reactor import READ, WRITE, Reactor
 from patternkit.server import (CLOSED, CLOSING, LOOP_REPLY_BUDGET, OPEN,
-                               OUTPUT_HIGH_WATER, PAUSED, PatternServer, Session, main)
+                               OUTPUT_HIGH_WATER, PAUSED, PatternServer, ServerConfig, Session,
+                               main)
 from patternkit.structural_kit import FileLogSink, LoggingHandler, TimingHandler
 from patternkit.wire import (FAMILIES, I64_MAX, I64_MIN, MAX_BINDINGS, MAX_DOC_BYTES, MAX_HISTORY,
                              MAX_NAME_BYTES, MAX_OUTPUT_BYTES, MAX_REQUEST_BYTES, MAX_SNAPSHOTS,
@@ -1393,6 +1394,44 @@ class TestBackpressure:
                   (temps + ["chat [%s] hi" % publisher.sid]) * 3]
         assert 1 < len(lines) < len(events)
         assert lines == events[:len(lines) - 1] + [render(Err("LIMIT", "output buffer full"))]
+
+    def test_no_event_is_built_for_a_watcher_that_quit(self, monkeypatch):
+        """A watcher that sent QUIT with output unsent stays subscribed and in
+        the chat room until it is dropped, but no TEMP or SAY builds it an event."""
+        with InProcessSession() as watcher:
+            srv, closing = watcher.server, watcher.session
+            assert watcher.feed(b"WATCH temp\n") == ["OK"]
+            closing.conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            conn, peer = socket.socketpair()
+            try:
+                conn.setblocking(False)
+                srv._batched(srv.open_session, conn)
+                publisher = srv.sessions[conn]
+                for first in range(0, 400, 100):  # 200 replies and events per callback
+                    publisher.in_buffer += b"".join(b"TEMP %d\n" % n
+                                                    for n in range(first, first + 100))
+                    srv._batched(srv._pump_lines, publisher)
+                closing.in_buffer += b"QUIT\n"
+                srv._batched(srv._pump_lines, closing)
+                assert closing.state == CLOSING and closing.out_buffer  # the peer reads nothing
+                assert closing in srv.temperature._observers
+                built = []
+                monkeypatch.setattr(server_module, "temperature_line",
+                                    lambda *args: built.append(args) or temperature_line(*args))
+                monkeypatch.setattr(server_module, "Evt",
+                                    lambda line: built.append(line) or Evt(line))
+                publisher.in_buffer += b"TEMP 7\nSAY hi\n"
+                srv._batched(srv._pump_lines, publisher)
+                assert built == ["chat [%s] hi" % publisher.sid]  # the publisher's own event
+                while closing.state != CLOSED:
+                    watcher._drain()
+                    srv._batched(srv._writable, closing)
+                assert closing not in srv.temperature._observers
+                lines = watcher._take_lines()
+            finally:
+                peer.close()
+        assert lines == ["EVT temp " + temperature_line(closing.sid, n)
+                         for n in range(400)] + ["OK bye"]
 
 
 class TestConnectionSlots:
