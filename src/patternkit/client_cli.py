@@ -22,14 +22,14 @@ import socket
 import sys
 import threading
 
-from .wire import Err, Evt, JsonFamily, ProtocolFamily, Record, TextFamily
+from .wire import DEFAULT_PORT, Err, Evt, JsonFamily, ProtocolFamily, Record, TextFamily
 
 
 class ClientConfig(Record):
     __slots__ = ("host", "port", "script", "timeout_ms")
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 7465, script: str | None = None,
-                 timeout_ms: int = 5000) -> None:
+    def __init__(self, host: str = "127.0.0.1", port: int = DEFAULT_PORT,
+                 script: str | None = None, timeout_ms: int = 5000) -> None:
         if not 0 < port < 65536:
             raise ValueError("port out of range")
         if timeout_ms < 1:

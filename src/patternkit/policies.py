@@ -22,7 +22,7 @@ class NoDiscount(DiscountStrategy):
 class PercentageDiscount(DiscountStrategy):
     def __init__(self, percent: int):
         if not 0 <= percent <= 100:
-            raise ValueError("percent must be in 0..100")
+            raise ValueError("pct must be in 0..100")  # as the wire names it
         self.percent = percent
 
     def apply(self, price: int) -> int:
@@ -80,12 +80,8 @@ def _parse_simple(token: str) -> DiscountStrategy:
     except ValueError:
         raise ValueError("bad strategy %r" % token) from None
     if kind == "pct":
-        if not 0 <= value <= 100:
-            raise ValueError("pct must be in 0..100")
         return PercentageDiscount(value)
-    if kind == "fixed":
-        if value < 0:
-            raise ValueError("fixed discount must be >= 0")
+    if kind == "fixed":  # the constructors check the ranges
         return FixedDiscount(value * 100)
     raise ValueError("bad strategy %r" % token)
 

@@ -74,10 +74,10 @@ from .reactor import READ, WRITE, EventHandler, Reactor
 from .session_commands import (Caretaker, Document, EmptyHistoryError, UnknownSnapshotError,
                                WriteCommand, execute_command, restore_memento, save_memento,
                                undo_last)
-from .wire import (FAMILIES, I64_MAX, MAX_BINDINGS, MAX_DOC_BYTES, MAX_HISTORY, MAX_NAME_BYTES,
-                   MAX_OUTPUT_BYTES, MAX_REQUEST_BYTES, MAX_SNAPSHOTS, PROTOCOL_VERSION, Err, Evt,
-                   Ok, Record, WireError, escape_doc, format_money, is_ident, parse_i64,
-                   split_args)
+from .wire import (DEFAULT_PORT, FAMILIES, I64_MAX, MAX_BINDINGS, MAX_DOC_BYTES, MAX_HISTORY,
+                   MAX_NAME_BYTES, MAX_OUTPUT_BYTES, MAX_REQUEST_BYTES, MAX_SNAPSHOTS,
+                   PROTOCOL_VERSION, Err, Evt, Ok, Record, WireError, escape_doc, format_money,
+                   is_ident, parse_i64, split_args)
 # Not used here: bench/traced_server.py wraps these names on this module, and
 # patches `answer` on each class in `ServerHandlerFactory.KINDS` and on
 # `FallbackHandler`.  The verbs are answered by the functions in `ROUTES`.
@@ -90,7 +90,7 @@ class ServerConfig(Record):
 
     __slots__ = ("port", "family", "max_conns", "log_path")
 
-    def __init__(self, port: int = 7465, family: str = "text", max_conns: int = 128,
+    def __init__(self, port: int = DEFAULT_PORT, family: str = "text", max_conns: int = 128,
                  log_path: str | None = None):
         if not 0 <= port <= 65535:
             raise ValueError("port out of range")
@@ -180,6 +180,14 @@ def _bare(answer):
     return verb
 
 
+def _tokens(args: str, count: int, usage: str) -> list:
+    """A verb's `count` arguments, split at blanks; any other number is refused."""
+    tokens = split_args(args)
+    if len(tokens) != count:
+        raise UsageError(usage)
+    return tokens
+
+
 def _stats(session):
     server = session.server  # its totals, kept by `handle_line`; times floor to whole ms
     counters = {"elapsed_ms." + verb: ns // 1_000_000 for verb, ns in server.elapsed_ns.items()}
@@ -189,18 +197,8 @@ def _stats(session):
     return Ok(" ".join("%s=%d" % kv for kv in sorted(counters.items())))
 
 
-def _eval(session, args):
-    try:
-        return Ok(str(fold_expr(args, session.ctx)))
-    except (ParseError, EvalError) as exc:
-        return Err("EVAL", str(exc))
-
-
 def _let(session, args):
-    tokens = split_args(args)
-    if len(tokens) != 2:
-        raise UsageError("takes a name and an integer")
-    name, raw = tokens
+    name, raw = _tokens(args, 2, "takes a name and an integer")
     if not is_ident(name):
         raise WireError("bad variable name %r" % name)
     value = parse_i64(raw)
@@ -237,13 +235,6 @@ def _write(session, args):
     return Ok(str(execute_command(doc, caretaker, command)))
 
 
-def _undo(session):
-    try:
-        return Ok(undo_last(session.document, session.caretaker))
-    except EmptyHistoryError as exc:
-        return Err("EMPTY", str(exc))
-
-
 def _snapshot(session):
     if len(session.caretaker.snapshots) >= MAX_SNAPSHOTS:
         return Err("LIMIT", "too many snapshots")
@@ -251,27 +242,20 @@ def _snapshot(session):
 
 
 def _restore(session, args):
-    tokens = split_args(args)
-    if len(tokens) != 1:
-        raise UsageError("takes a snapshot id")
-    try:
-        return Ok(restore_memento(session.document, session.caretaker, tokens[0]))
-    except UnknownSnapshotError as exc:
-        return Err("STATE", str(exc))
+    snapshot_id, = _tokens(args, 1, "takes a snapshot id")
+    return Ok(restore_memento(session.document, session.caretaker, snapshot_id))
 
 
 MAX_MAJOR = I64_MAX // 100  # wire amounts are major units; all arithmetic runs in minor units
 
 
 def _price(session, args):
-    tokens = split_args(args)
-    if len(tokens) != 2:
-        raise UsageError("takes an amount and a strategy")
-    amount = parse_i64(tokens[0])
+    raw, text = _tokens(args, 2, "takes an amount and a strategy")
+    amount = parse_i64(raw)
     if not 0 <= amount <= MAX_MAJOR:
         raise WireError("price out of range")
     try:
-        strategy = parse_strategy(tokens[1])
+        strategy = parse_strategy(text)
     except ValueError as exc:
         raise WireError(str(exc)) from None
     return Ok(format_money(apply_discount(strategy, amount * 100)))
@@ -289,10 +273,8 @@ def _watching(session, args, change, refusal):
 
 
 def _temp(session, args):
-    tokens = split_args(args)
-    if len(tokens) != 1:
-        raise UsageError("takes an integer")
-    session.server.temperature.publish(parse_i64(tokens[0]))
+    raw, = _tokens(args, 1, "takes an integer")
+    session.server.temperature.publish(parse_i64(raw))
     return _OK
 
 
@@ -308,11 +290,11 @@ ROUTES = {
     "STATS": _bare(_stats),
     "PING": _bare(lambda session: _PONG),
     "QUIT": _bare(lambda session: _BYE),
-    "EVAL": _eval,
+    "EVAL": lambda session, args: Ok(str(fold_expr(args, session.ctx))),
     "LET": _let,
     "WRITE": _write,
     "SHOW": _bare(lambda session: Ok(session.document.content)),
-    "UNDO": _bare(_undo),
+    "UNDO": _bare(lambda session: Ok(undo_last(session.document, session.caretaker))),
     "SNAPSHOT": _bare(_snapshot),
     "RESTORE": _restore,
     "PRICE": _price,
@@ -330,9 +312,9 @@ ROUTES = {
 
 def handle_line(session: Session, line: str):
     """Dispatch one LF-stripped request line to a Reply.  Every parsed line
-    is counted; a verb in the table is timed and, with a log, its record is
-    held for the callback's one log write, made before any of the
-    callback's replies is sent."""
+    is counted.  A table verb's reply, OK or its own error (a catalogue
+    refusal included), is timed and, with a log, its record is held for the
+    callback's one log write, made before the callback sends any reply."""
     server = session.server
     try:
         verb, args = server.family.parse_request(line)
@@ -349,6 +331,12 @@ def handle_line(session: Session, line: str):
         return Err("PARSE", "%s %s" % (verb, exc))
     except WireError as exc:
         return Err("PARSE", str(exc))
+    except (ParseError, EvalError) as exc:
+        reply = Err("EVAL", str(exc))
+    except EmptyHistoryError as exc:
+        reply = Err("EMPTY", str(exc))
+    except UnknownSnapshotError as exc:
+        reply = Err("STATE", str(exc))
     except Exception as exc:
         return Err("INTERNAL", "unexpected failure: %s" % exc)
     elapsed = server.elapsed_ns
@@ -558,10 +546,9 @@ class PatternServer(EventHandler):
 
     def _queue_reply(self, session: Session, reply):
         """Buffer one reply or event for the flush at the end of the current
-        callback.  `_BYE` and `_LINE_TOO_LONG` close the session; nothing is
-        buffered after them or an overflow.  A PAUSED watcher takes events."""
-        if session.state >= CLOSING:
-            return
+        callback; `_BYE` and `_LINE_TOO_LONG` close the session.  Its session
+        is OPEN, or PAUSED for an event, and a line framed below
+        OUTPUT_HIGH_WATER cannot overflow it before its own reply."""
         data = (self.family.render_reply(reply) + "\n").encode()
         out = session.out_buffer
         if len(out) + len(data) > MAX_OUTPUT_BYTES:

@@ -41,6 +41,7 @@ MAX_OUTPUT_BYTES = 1024 * 1024
 #   + 3 * MAX_REQUEST_BYTES                    unframed input, the session
 # = 19.6 MiB; a server holds `max_conns` times it, 2.45 GiB at the default 128.
 PROTOCOL_VERSION = 1
+DEFAULT_PORT = 7465  # patternd's and patternsh's
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
 # an identifier: a lowercase ASCII letter, then lowercase ASCII letters,

@@ -57,11 +57,11 @@ class TestDiscountStrategies:
 
     @pytest.mark.parametrize("percent", [-1, 101])
     def test_percent_bounds(self, percent):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^pct must be in 0\.\.100$"):
             PercentageDiscount(percent)
 
     def test_fixed_amount_must_be_nonnegative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^fixed discount must be >= 0$"):
             FixedDiscount(-1)
 
     def test_boundary_percentages(self):

@@ -308,6 +308,29 @@ class TestStats:
                  and node.value in server_module.ROUTES and not any(node is c for c in codes)]
         assert sorted(named) == sorted(keys)
 
+    def test_each_refusal_is_stated_in_one_place(self):
+        """Arguments are split and counted only by `_tokens`, a UsageError
+        is raised only there and in `_bare`, and the catalogue's refusals
+        are turned into wire codes only by `handle_line`."""
+        tree = ast.parse(Path(server_module.__file__).read_text(encoding="utf-8"))
+
+        def owners(matches):
+            """The module-level definitions (or statement kinds) holding a match."""
+            return {getattr(top, "name", type(top).__name__)
+                    for top in tree.body for node in ast.walk(top) if matches(node)}
+
+        def names(node):
+            nodes = node.elts if isinstance(node, ast.Tuple) else [node]
+            return {getattr(getattr(n, "func", n), "id", None) for n in nodes}
+
+        assert owners(lambda node: isinstance(node, ast.Call)
+                      and "split_args" in names(node)) == {"_tokens"}
+        assert owners(lambda node: isinstance(node, ast.Raise) and node.exc is not None
+                      and "UsageError" in names(node.exc)) == {"_bare", "_tokens"}
+        catalogue = {"ParseError", "EvalError", "EmptyHistoryError", "UnknownSnapshotError"}
+        assert owners(lambda node: isinstance(node, ast.ExceptHandler) and node.type is not None
+                      and catalogue & names(node.type)) == {"handle_line"}
+
 
 class TestEval:
     def test_wire_example(self, server, connect):
@@ -533,12 +556,18 @@ class TestDocumentVerbs:
     @pytest.mark.parametrize("char", ["\x01", "\\", "\N{LATIN SMALL LETTER E WITH ACUTE}",
                                       "\N{GRINNING FACE}"])
     def test_the_largest_reply_fits_under_the_output_limit(self, char):
-        # one reply may cross the high-water mark, but must not pass the limit
-        # that closes a session
-        document = char * (MAX_DOC_BYTES // len(char.encode()))
+        # a line is framed only while the output is under the high-water
+        # mark; its reply, with the event its request sends its own session
+        # (a SAY of a whole line), may cross the mark but must not pass the
+        # limit that closes a session, so no reply is queued to a closed one
+        size = len(char.encode())
+        document = char * (MAX_DOC_BYTES // size)
+        message = char * ((MAX_REQUEST_BYTES - len("SAY ")) // size)
+        sid = "user-%d" % I64_MAX  # longer than the ids a server hands out in practice
         for family in (TextFamily(), JsonFamily()):
             reply = (family.render_reply(Ok(escape_doc(document))) + "\n").encode()
-            assert OUTPUT_HIGH_WATER + len(reply) < MAX_OUTPUT_BYTES
+            event = (family.render_reply(Evt("chat [%s] %s" % (sid, message))) + "\n").encode()
+            assert OUTPUT_HIGH_WATER + len(reply) + len(event) <= MAX_OUTPUT_BYTES
 
     @pytest.mark.parametrize("family", ["text", "json"])
     def test_a_capped_backslash_show_buffers_under_the_output_limit(self, family):
@@ -2006,6 +2035,47 @@ class TestRequestLogWrites:
         assert [(data.count(pong.encode()), records) for data, records in sends] == [
             (fits, fits + 1)]
         assert log_records(log_path) == ["handled PING"] * (fits + 1)
+
+
+# Requests that their verb refuses: with an error of its own, from the
+# catalogue or a limit, or with ERR PARSE from its argument check.
+REFUSALS = [
+    ("EVAL 1/0", Err("EVAL", "division by zero")),
+    ("EVAL", Err("EVAL", "unexpected end of input at offset 0")),
+    ("UNDO", Err("EMPTY", "no commands to undo")),
+    ("RESTORE 9", Err("STATE", "unknown snapshot id '9'")),
+    ("WATCH temp", Ok()),
+    ("WATCH temp", Err("STATE", "already watching temp")),
+    ("LET %s 1" % ("v" * (MAX_NAME_BYTES + 1)), Err("LIMIT", "variable name too long")),
+    ("LET x", Err("PARSE", "LET takes a name and an integer")),
+    ("RESTORE", Err("PARSE", "RESTORE takes a snapshot id")),
+    ("RESTORE 1 2", Err("PARSE", "RESTORE takes a snapshot id")),
+    ("PRICE 1 pct:101", Err("PARSE", "pct must be in 0..100")),
+    ("PRICE 1 fixed:-1", Err("PARSE", "fixed discount must be >= 0")),
+    ("PRICE 1 bogus", Err("PARSE", "bad strategy 'bogus'")),
+    ("TEMP x", Err("PARSE", "not an integer: 'x'")),
+    ("TEMP", Err("PARSE", "TEMP takes an integer")),
+]
+
+
+@pytest.mark.parametrize("family", ["text", "json"])
+def test_a_verbs_own_errors_are_timed_and_logged_and_its_parse_errors_are_not(family,
+                                                                              tmp_path):
+    """A request its verb answers, with OK or with an error of its own (ERR
+    EVAL, EMPTY, STATE or LIMIT), leaves a `handled <VERB>` record and an
+    `elapsed_ms.<VERB>` key; one answered ERR PARSE leaves neither."""
+    log_path = tmp_path / "patternd.log"
+    with InProcessSession(family, log_path=str(log_path)) as client:
+        protocol = client.server.family
+        replies = client.feed("".join(line + "\n" for line, _ in REFUSALS + [("STATS", None)])
+                              .encode())
+    assert replies[:-1] == [protocol.render_reply(reply) for _, reply in REFUSALS]
+    answered = [line.split(" ", 1)[0] for line, reply in REFUSALS
+                if not isinstance(reply, Err) or reply.code != "PARSE"]
+    assert log_records(log_path) == ["handled " + verb for verb in answered + ["STATS"]]
+    stats = dict(item.split("=") for item in protocol.parse_reply(replies[-1]).payload.split(" "))
+    assert sorted(stats) == sorted({"elapsed_ms." + verb for verb in answered} | {"requests"})
+    assert stats["requests"] == str(len(REFUSALS) + 1)
 
 
 class TestFuzzSmoke:
