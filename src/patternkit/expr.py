@@ -1,16 +1,23 @@
 """The arithmetic expression language used by the EVAL verb.
 
-The grammar is stated once, in one walker (`walk`) over one token scan:
+The grammar is stated once, in one walker (`walk`) over a line's tokens:
 
     expr := term (('+'|'-') term)* ; term := factor (('*'|'/') factor)* ;
     factor := INT | IDENT | '(' expr ')'
 
-One regex `findall` splits the line into tokens: an integer literal (a '-'
-joins the digits right after it), an identifier, or any other non-blank
-character on its own; blanks are space and tab only.  A '-' begins a literal
-only in factor position (expression head, after '(' or an operator); in
-operator position a '-<digits>' token is the operator '-' and then the
-literal <digits>.  Both operator levels associate to the left.
+A token is an integer literal (a '-' joins the digits right after it), an
+identifier, or any other non-blank character on its own; blanks are space
+and tab only.  A '-' begins a literal only in factor position (expression
+head, after '(' or an operator); in operator position a '-<digits>' token
+is the operator '-' and then the literal <digits>.  Both operator levels
+associate to the left.
+
+Two sources give the tokens, and both give the same ones.  A line with a
+blank, made of the grammar's own characters, is split at its blanks, its
+parens padded first (`str.split` costs a fraction of a regex scan), and the
+walker takes each word only if it is exactly one token.  Any other line, or one with a
+word of more than one token or a syntax fault, is scanned by one regex
+`findall`, which alone gives a ParseError its offset.
 
 The walker keeps the open sum and the open product, each with its pending
 operator, and saves them in a frame at each '(', so nesting depth costs
@@ -292,9 +299,21 @@ def iter_nodes(e: Expr) -> BidirectionalCursor:
 # a lone '-' is a token too), per identifier, and per other non-blank
 # character; the blanks before a token (`wire.BLANKS`) are skipped.
 _TOKEN = re.compile(r"[%s]*([-0-9][0-9]*|%s|[^%s])" % (BLANKS, IDENT_PATTERN, BLANKS))
-_DIGITS = "0123456789"
+# A line of these characters alone may be split at its blanks: `str.split`
+# splits at every Unicode whitespace, so no other may pass.  It is read with
+# `match` and its end, since a `fullmatch` that fails backs off one character
+# at a time.
+_SPLITTABLE = re.compile(r"[-+*/()%s0-9a-z_]*" % BLANKS).match
 # the characters that begin an identifier: those that are one on their own
 _IDENT_START = frozenset(ch for ch in map(chr, range(128)) if is_ident(ch))
+
+
+class _Fault(Exception):
+    """A syntax fault, or a word of a blank-split line that is not exactly
+    one token: (message, index of the token `_walk` met it at or None for
+    the end of the line, characters into that token)."""
+
+    held = None  # the EvalError that the same tokens raised before the fault
 
 
 def _inert(*_):
@@ -312,42 +331,76 @@ def walk(text: str, number, name, reduce):
     raises ParseError.  The first EvalError a hook raises is held while the
     line is walked again with hooks that cannot fail, so that a ParseError
     anywhere in the line wins over it.  Text of any length is taken.
+
+    A line with a blank, and only digits, lowercase letters, '_',
+    operators, parens and blanks, is split at its blanks once its parens
+    are padded with spaces.  `_walk` takes a word only if it is exactly one
+    token, and then it is the token that `_TOKEN` finds there, so the words
+    walk as the regex's tokens would.  At a word of two tokens or more, or
+    at a syntax fault, the line is walked from `_TOKEN.findall` instead,
+    as is any other line (one with no blank could be split only at its
+    parens): only that scan states a ParseError's offset.  An EvalError met
+    in the words is the one the regex's tokens meet first, so it stays held
+    through that walk.
     """
-    tokens = _TOKEN.findall(text)
+    error = None
+    if (" " in text or "\t" in text) and _SPLITTABLE(text).end() == len(text):
+        try:
+            return _settle(text.replace("(", " ( ").replace(")", " ) ").split(),
+                           number, name, reduce)
+        except _Fault as fault:
+            error = fault.held
     try:
-        return _walk(text, tokens, number, name, reduce)
-    except EvalError as exc:
-        error = exc
-    _walk(text, tokens, None, _inert, _inert)  # raises the line's ParseError, if any
+        return _settle(_TOKEN.findall(text), number, name, reduce, error)
+    except _Fault as fault:
+        raise _parse_error(text, *fault.args) from None
+
+
+def _settle(tokens, number, name, reduce, error=None):
+    """`_walk` over `tokens`, holding the first EvalError (or `error`, one
+    already met) until a walk with inert hooks has found no fault."""
+    if error is None:
+        try:
+            return _walk(tokens, number, name, reduce)
+        except EvalError as exc:
+            error = exc
+    try:
+        _walk(tokens, None, _inert, _inert)
+    except _Fault as fault:
+        fault.held = error
+        raise
     raise error
 
 
-def _walk(text, tokens, number, name, reduce):
+def _walk(tokens, number, name, reduce):
     # The open sum and product: `total total_op product product_op`, where
     # an operator of None means that level holds no pending operation yet.
     # Each '(' saves them in a frame and starts afresh; its ')' restores
-    # them and takes the finished sum as a factor.
+    # them and takes the finished sum as a factor.  Each token is checked
+    # whole, so that a blank-split word of more than one token is a fault:
+    # `int` never sees "1_0", "+5" or "12ab", nor `name` "a-b".  A literal
+    # is an optional '-' and ASCII digits ('٣' is a digit, and the regex
+    # makes it a token of its own).
     frames = []
     total = total_op = product = product_op = None
     want_factor = True
     pending = iter(tokens)
     for token in pending:
         if want_factor:
-            first = token[0]
-            if first in _DIGITS or first == "-" and token != "-":
+            if token.isdigit() and token.isascii() or token[0] == "-" and token[1:].isdigit():
                 value = int(token)
                 if not I64_MIN <= value <= I64_MAX:
-                    raise _fault("integer literal out of 64-bit range", text, tokens, pending)
+                    raise _fault("integer literal out of 64-bit range", tokens, pending)
                 if number is not None:
                     value = number(value)
-            elif first in _IDENT_START:
+            elif token[0] in _IDENT_START and token.isidentifier():
                 value = name(token)
             elif token == "(":
                 frames.append((total, total_op, product, product_op))
                 total_op = product_op = None
                 continue
             else:
-                raise _fault("unexpected character %r" % token, text, tokens, pending)
+                raise _fault("unexpected character %r" % token, tokens, pending)
             want_factor = False
         elif token == "*" or token == "/":
             product_op = token
@@ -361,30 +414,37 @@ def _walk(text, tokens, number, name, reduce):
         elif token == ")" and frames:
             value = product if total_op is None else reduce(total_op, total, product)
             total, total_op, product, product_op = frames.pop()
-        elif token[0] == "-":  # "1-2": the operator '-', then the literal 2
+        elif token[0] == "-" and token[1:].isdigit():  # "1-2": the operator '-', then the literal 2
             total = product if total_op is None else reduce(total_op, total, product)
             total_op, product_op = "-", None
             value = -int(token)
             if value > I64_MAX:
-                raise _fault("integer literal out of 64-bit range", text, tokens, pending, 1)
+                raise _fault("integer literal out of 64-bit range", tokens, pending, 1)
             if number is not None:
                 value = number(value)
         else:
-            raise _fault("expected ')'" if frames else "unexpected trailing input",
-                         text, tokens, pending)
+            raise _fault("expected ')'" if frames else "unexpected trailing input", tokens, pending)
         product = value if product_op is None else reduce(product_op, product, value)
     if want_factor:
-        raise ParseError("unexpected end of input", len(text.encode("utf-8")))
+        raise _Fault("unexpected end of input", None, 0)
     if frames:
-        raise ParseError("expected ')'", len(text.encode("utf-8")))
+        raise _Fault("expected ')'", None, 0)
     return product if total_op is None else reduce(total_op, total, product)
 
 
-def _fault(message: str, text: str, tokens: list, pending, skip: int = 0) -> ParseError:
-    """A ParseError at the token that `pending` handed out last, `skip`
-    characters into it; the scan runs again to find where that token starts."""
-    index = len(tokens) - length_hint(pending) - 1
-    start = next(islice(_TOKEN.finditer(text), index, None)).start(1) + skip
+def _fault(message: str, tokens: list, pending, skip: int = 0) -> _Fault:
+    """A fault at the token that `pending` handed out last, `skip`
+    characters into it."""
+    return _Fault(message, len(tokens) - length_hint(pending) - 1, skip)
+
+
+def _parse_error(text: str, message: str, index, skip: int) -> ParseError:
+    """The ParseError of a fault at `_TOKEN`'s token `index` of `text`, or at
+    its end; the scan runs again to find where that token starts."""
+    if index is None:
+        start = len(text)
+    else:
+        start = next(islice(_TOKEN.finditer(text), index, None)).start(1) + skip
     return ParseError(message, len(text[:start].encode("utf-8")))
 
 

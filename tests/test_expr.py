@@ -3,9 +3,10 @@
 import random
 import re
 import threading
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -18,6 +19,7 @@ from oracles import (
     reference_fold,
     tree_to_text,
 )
+from patternkit import expr
 from patternkit.expr import (
     AtomPool,
     BidirectionalCursor,
@@ -348,6 +350,129 @@ class TestFold:
     def test_the_first_eval_error_in_post_order_wins(self, text, message):
         assert outcome(fold_expr, text, BOUND) == (EvalError, message, None)
         assert outcome(tree_walk, text, BOUND) == (EvalError, message, None)
+
+
+# Spaced lines with a word of more than one token, the word in factor
+# position and then in operator position, and what EVAL answers for each
+MULTI_TOKEN_WORDS = [
+    ("1 + 12ab + 1", ("parse", "unexpected trailing input", 6)),
+    ("2 12ab + 1", ("parse", "unexpected trailing input", 2)),
+    ("1 + 1_0 + 1", ("parse", "unexpected trailing input", 5)),
+    ("2 1_0 + 1", ("parse", "unexpected trailing input", 2)),
+    ("1 + -x + 1", ("parse", "unexpected character '-'", 4)),
+    ("2 -x + 1", 2 - I64_MAX + 1),
+    ("1 + a-b + 1", 12),
+    ("2 a-b + 1", ("parse", "unexpected trailing input", 2)),
+    ("1 + 3*4 + 1", 14),
+    ("2 3*4 + 1", ("parse", "unexpected trailing input", 2)),
+    ("1 + +5 + 1", ("parse", "unexpected character '+'", 4)),
+    ("2 +5 + 1", 8),
+    ("1 + --5 + 1", ("parse", "unexpected character '-'", 4)),
+    ("2 --5 + 1", 8),
+    ("1 + -1_0 + 1", ("parse", "unexpected trailing input", 6)),
+    ("2 -1_0 + 1", ("parse", "unexpected trailing input", 4)),
+    ("1 + -5*3 + 1", -13),
+    ("2 -5*3 + 1", -12),
+]
+
+# Spaced lines whose errors come in an order that matters: a ParseError
+# after an EvalError, or an EvalError before a word of more than one token
+ERROR_ORDER = [
+    ("1 / 0 + 12ab", ("parse", "unexpected trailing input", 10)),
+    ("1 / 0 + 3*4 )", ("parse", "unexpected trailing input", 12)),
+    ("x + 1 + 1_0", ("parse", "unexpected trailing input", 9)),
+    ("1/0 + (2 -x", ("parse", "expected ')'", 11)),
+    ("a * (x + a) - 1/0", ("eval", "integer overflow in +", None)),
+    ("nope + 1 + 3*4", ("eval", "unbound variable 'nope'", None)),
+    ("nope * (1 +5) - 2", ("eval", "unbound variable 'nope'", None)),
+]
+
+
+# Lines of the characters that a line may hold and still be split at its
+# blanks, and of runs of 19 to 21 digits, bare or glued to a '-'.  Each is a
+# factor and an operator in turn, most often one token with a blank after
+# it, so that most lines are answered from their words
+SPLIT_ALPHABET = "0123456789+-*/() \tabxz_"
+SPLIT_PIECES = st.one_of(st.sampled_from(SPLIT_ALPHABET), DIGIT_RUNS, DIGIT_RUNS.map("-".__add__))
+
+
+@st.composite
+def split_texts(draw):
+    def piece(tokens):
+        return draw(SPLIT_PIECES if draw(st.sampled_from(range(8))) == 7 else st.sampled_from(tokens))
+
+    def blank():
+        return draw(st.sampled_from((" ", "\t", "", " ", " ", " ")))
+
+    pairs = draw(st.integers(0, 8))
+    factors = ("7", "42", "-3", "a", "b", "x", "ab", "z")
+    return "".join(piece(factors) + blank() + piece("+-*/") + blank() for _ in range(pairs)) + piece(factors)
+
+
+def split_words(text):
+    """The words `fold_expr` answered `text` from, when it answered without
+    the token regex's `findall`; else None."""
+    walked, scans = [], []
+    walk, scan = expr._walk, expr._TOKEN
+
+    def recording_walk(tokens, *hooks):
+        walked.append(tokens)
+        return walk(tokens, *hooks)
+
+    class RecordingScan:
+        finditer = scan.finditer
+
+        def findall(self, line):
+            scans.append(line)
+            return scan.findall(line)
+
+    with mock.patch.object(expr, "_walk", recording_walk), \
+            mock.patch.object(expr, "_TOKEN", RecordingScan()):
+        outcome(fold_expr, text, BOUND)
+    return None if scans else walked[0]
+
+
+class TestSplitWords:
+    """A line split at its blanks answers as the token regex's tokens do."""
+
+    @settings(max_examples=6 * settings.default.max_examples)
+    @given(split_texts())
+    def test_any_split_text_evaluates_as_the_text_reference(self, text):
+        expected = reference_fold(text, BOUND.bindings)
+        assert reference_outcome(fold_expr, text, BOUND) == expected
+        assert reference_outcome(tree_walk, text, BOUND) == expected
+
+    @settings(max_examples=2 * settings.default.max_examples)
+    @given(split_texts())
+    def test_the_words_of_a_split_answer_are_the_regex_tokens(self, text):
+        words = split_words(text)
+        event("split, answered from the words" if words is not None else
+              "split, answered from the regex" if " " in text or "\t" in text else "not split")
+        if words is not None:
+            assert words == expr._TOKEN.findall(text)
+
+    @pytest.mark.parametrize("text", ["1 + 2 * (3 - x)", "nope + 1 / 0", "\t-5 * ( a )"])
+    def test_a_spaced_line_is_answered_from_its_words(self, text):
+        assert split_words(text) == expr._TOKEN.findall(text)
+
+    @pytest.mark.parametrize("text", ["1+2", "1 + 12ab", "1 / 0 + 3*4", "1 + Speed", "1 +\x0b2"])
+    def test_other_lines_are_answered_from_the_regex(self, text):
+        assert split_words(text) is None
+
+    def test_printed_trees_are_answered_from_their_words(self):
+        rng = random.Random(20261020)
+        for _ in range(300):
+            text = tree_to_text(random_tree(rng, max_depth=5))
+            # a leaf prints with no blank, and a line with none is not split
+            expected = expr._TOKEN.findall(text) if " " in text else None
+            assert split_words(text) == expected, text
+
+    @pytest.mark.parametrize("text,expected", MULTI_TOKEN_WORDS + ERROR_ORDER,
+                             ids=[text for text, _ in MULTI_TOKEN_WORDS + ERROR_ORDER])
+    def test_a_word_of_several_tokens_answers_as_its_tokens(self, text, expected):
+        assert reference_fold(text, BOUND.bindings) == expected
+        assert reference_outcome(fold_expr, text, BOUND) == expected
+        assert reference_outcome(tree_walk, text, BOUND) == expected
 
 
 class TestPrinter:
