@@ -313,8 +313,6 @@ class _Fault(Exception):
     one token: (message, index of the token `_walk` met it at or None for
     the end of the line, characters into that token)."""
 
-    held = None  # the EvalError that the same tokens raised before the fault
-
 
 def _inert(*_):
     return 0
@@ -337,39 +335,31 @@ def walk(text: str, number, name, reduce):
     are padded with spaces.  `_walk` takes a word only if it is exactly one
     token, and then it is the token that `_TOKEN` finds there, so the words
     walk as the regex's tokens would.  At a word of two tokens or more, or
-    at a syntax fault, the line is walked from `_TOKEN.findall` instead,
-    as is any other line (one with no blank could be split only at its
-    parens): only that scan states a ParseError's offset.  An EvalError met
-    in the words is the one the regex's tokens meet first, so it stays held
-    through that walk.
+    at a syntax fault, the line is walked afresh from `_TOKEN.findall`, as
+    is any other line (one with no blank could be split only at its
+    parens): only that scan states a ParseError's offset.  The hooks are
+    pure, so an EvalError met in the words is met again in that walk.
     """
-    error = None
     if (" " in text or "\t" in text) and _SPLITTABLE(text).end() == len(text):
         try:
             return _settle(text.replace("(", " ( ").replace(")", " ) ").split(),
                            number, name, reduce)
-        except _Fault as fault:
-            error = fault.held
+        except _Fault:
+            pass
     try:
-        return _settle(_TOKEN.findall(text), number, name, reduce, error)
+        return _settle(_TOKEN.findall(text), number, name, reduce)
     except _Fault as fault:
         raise _parse_error(text, *fault.args) from None
 
 
-def _settle(tokens, number, name, reduce, error=None):
-    """`_walk` over `tokens`, holding the first EvalError (or `error`, one
-    already met) until a walk with inert hooks has found no fault."""
-    if error is None:
-        try:
-            return _walk(tokens, number, name, reduce)
-        except EvalError as exc:
-            error = exc
+def _settle(tokens, number, name, reduce):
+    """`_walk` over `tokens`, holding the first EvalError until a walk with
+    inert hooks has found no fault."""
     try:
+        return _walk(tokens, number, name, reduce)
+    except EvalError:
         _walk(tokens, None, _inert, _inert)
-    except _Fault as fault:
-        fault.held = error
         raise
-    raise error
 
 
 def _walk(tokens, number, name, reduce):

@@ -26,6 +26,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 EXPR = "src/patternkit/expr.py"
+REACTOR = "src/patternkit/reactor.py"
 SERVER = "src/patternkit/server.py"
 WIRE = "src/patternkit/wire.py"
 SPLIT_WORDS = "tests/test_expr.py::TestSplitWords"
@@ -43,9 +44,14 @@ MUTANTS = [
      "elif token[0] in _IDENT_START:",
      [SPLIT_WORDS]),
     ("split-path-parse-error-kept", EXPR,
-     "        except _Fault as fault:\n            error = fault.held\n",
+     "        except _Fault:\n            pass\n",
      "        except _Fault as fault:\n            raise _parse_error(text, *fault.args) from None\n",
      [SPLIT_WORDS, PARSE_OFFSETS]),
+    # a ParseError anywhere in the line wins over an EvalError
+    ("eval-error-without-inert-walk", EXPR,
+     "    except EvalError:\n        _walk(tokens, None, _inert, _inert)\n        raise\n",
+     "    except EvalError:\n        raise\n",
+     ["tests/test_expr.py::TestFold::test_a_parse_error_wins_over_an_earlier_eval_error"]),
     ("split-negative-literal-without-isdigit", EXPR,
      'or token[0] == "-" and token[1:].isdigit():',
      'or token[0] == "-" and token != "-":',
@@ -68,6 +74,16 @@ MUTANTS = [
      '    "PING": _bare(lambda session: _PONG),\n',
      '    "PING": _bare(lambda session: _PONG),\n    "PING": _bare(lambda session: _PONG),\n',
      ["tests/test_server.py::TestStats::test_each_verb_is_named_once_as_a_table_key"]),
+    # a new session is a member of the chat room
+    ("open-session-skips-the-chat-join", SERVER,
+     "        self.chat.join(session.sid, session.deliver)\n",
+     "",
+     ["tests/test_server.py::test_an_in_process_session_is_opened_as_a_connection_is"]),
+    # stop() wakes a select that has no timeout; the killing test waits 5 s
+    ("stop-sends-no-wakeup-byte", REACTOR,
+     '            self._wake_send.send(b"\\x00")\n',
+     "            pass\n",
+     ["tests/test_reactor.py::TestRunAndStop::test_stop_interrupts_long_select_quickly"]),
     # the JSON family escapes to ASCII
     ("json-escape-not-ascii", WIRE,
      "from _json import encode_basestring_ascii",

@@ -376,7 +376,8 @@ MULTI_TOKEN_WORDS = [
 ]
 
 # Spaced lines whose errors come in an order that matters: a ParseError
-# after an EvalError, or an EvalError before a word of more than one token
+# after an EvalError, or an EvalError before or after a word of more than
+# one token
 ERROR_ORDER = [
     ("1 / 0 + 12ab", ("parse", "unexpected trailing input", 10)),
     ("1 / 0 + 3*4 )", ("parse", "unexpected trailing input", 12)),
@@ -385,6 +386,9 @@ ERROR_ORDER = [
     ("a * (x + a) - 1/0", ("eval", "integer overflow in +", None)),
     ("nope + 1 + 3*4", ("eval", "unbound variable 'nope'", None)),
     ("nope * (1 +5) - 2", ("eval", "unbound variable 'nope'", None)),
+    ("3*4 / 0", ("eval", "division by zero", None)),
+    ("1 +5 + nope", ("eval", "unbound variable 'nope'", None)),
+    ("1 + 1 / 0 + 3*4", ("eval", "division by zero", None)),
 ]
 
 
