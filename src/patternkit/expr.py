@@ -15,9 +15,9 @@ associate to the left.
 Two sources give the tokens, and both give the same ones.  A line with a
 blank, made of the grammar's own characters, is split at its blanks, its
 parens padded first (`str.split` costs a fraction of a regex scan), and the
-walker takes each word only if it is exactly one token.  Any other line, or one with a
-word of more than one token or a syntax fault, is scanned by one regex
-`findall`, which alone gives a ParseError its offset.
+walker takes each word only if it is exactly one token.  Any other line, or
+one with a word of more than one token, is scanned by one regex `findall`.
+A ParseError's offset is found by scanning the line to the fault's token.
 
 The walker keeps the open sum and the open product, each with its pending
 operator, and saves them in a frame at each '(', so nesting depth costs
@@ -298,7 +298,9 @@ def iter_nodes(e: Expr) -> BidirectionalCursor:
 # One token per integer literal (a '-' joins the digits right after it, and
 # a lone '-' is a token too), per identifier, and per other non-blank
 # character; the blanks before a token (`wire.BLANKS`) are skipped.
-_TOKEN = re.compile(r"[%s]*([-0-9][0-9]*|%s|[^%s])" % (BLANKS, IDENT_PATTERN, BLANKS))
+_TOKEN_PATTERN = r"[-0-9][0-9]*|%s|[^%s]" % (IDENT_PATTERN, BLANKS)
+_TOKEN = re.compile(r"[%s]*(%s)" % (BLANKS, _TOKEN_PATTERN))
+_ONE_TOKEN = re.compile(_TOKEN_PATTERN).fullmatch  # a blank-split word that is one token
 # A line of these characters alone may be split at its blanks: `str.split`
 # splits at every Unicode whitespace, so no other may pass.  It is read with
 # `match` and its end, since a `fullmatch` that fails backs off one character
@@ -334,18 +336,23 @@ def walk(text: str, number, name, reduce):
     operators, parens and blanks, is split at its blanks once its parens
     are padded with spaces.  `_walk` takes a word only if it is exactly one
     token, and then it is the token that `_TOKEN` finds there, so the words
-    walk as the regex's tokens would.  At a word of two tokens or more, or
-    at a syntax fault, the line is walked afresh from `_TOKEN.findall`, as
-    is any other line (one with no blank could be split only at its
-    parens): only that scan states a ParseError's offset.  The hooks are
-    pure, so an EvalError met in the words is met again in that walk.
+    walk as the regex's tokens would.  At a syntax fault, if every word
+    from the fault on is one token too, the words are the regex's tokens:
+    the fault is the one those meet, at the same index, and raises at once.
+    Otherwise, as at a word of two tokens or more, the line is walked afresh
+    from `_TOKEN.findall`, as is any other line (one with no blank could be
+    split only at its parens).  The hooks are pure, so an EvalError met in
+    the words is met again in that walk.
     """
     if (" " in text or "\t" in text) and _SPLITTABLE(text).end() == len(text):
+        words = text.replace("(", " ( ").replace(")", " ) ").split()
         try:
-            return _settle(text.replace("(", " ( ").replace(")", " ) ").split(),
-                           number, name, reduce)
-        except _Fault:
-            pass
+            return _settle(words, number, name, reduce)
+        except _Fault as fault:
+            # `_walk` took each word before the fault as one token
+            index = fault.args[1]
+            if index is None or all(map(_ONE_TOKEN, words[index:])):
+                raise _parse_error(text, *fault.args) from None
     try:
         return _settle(_TOKEN.findall(text), number, name, reduce)
     except _Fault as fault:

@@ -40,9 +40,12 @@ none is dropped while a `publish` or a chat `send` walks its members.
 The write-ready callback alone flushes first: whether a PAUSED session
 resumes depends on what the send left.
 
-A session's document is held only in the escaped form that `SHOW`, `UNDO`
-and `RESTORE` send, with its raw UTF-8 size beside it: each `WRITE`
-escapes its own argument once, and no reply escapes the whole document.
+A session's document is held only as the bytes that `SHOW`, `UNDO` and
+`RESTORE` send, its family's escape of it, in one `bytearray` with its raw
+UTF-8 size beside it.  Each `WRITE` escapes its own argument once and
+appends it in place, `UNDO` truncates in place, and a document verb's reply
+is those bytes spliced into the output between the family's fixed head and
+tail: no reply renders, escapes or encodes the document.
 
 Each verb's cost is bounded by the limits in `wire.py`, and one session's
 work is bounded per loop round.  A session pauses, before it frames its
@@ -138,7 +141,7 @@ class Session(EventHandler):
         self.sid = "user-%d" % next(_session_ids)
         self.conn = conn
         self.server = server
-        self.document = Document()
+        self.document = Document(bytearray(), 0)
         self.caretaker = Caretaker()
         self.player = MediaPlayer()
         self.ctx = Context()  # the one context: LET assigns into its bindings
@@ -211,27 +214,37 @@ def _let(session, args):
     return _OK
 
 
-# The document verbs.  A session's document is held escaped, with its raw
-# UTF-8 size beside it: `SHOW`, `UNDO` and `RESTORE` reply with the content
-# as it is stored, and MAX_DOC_BYTES counts raw bytes.
+# The document verbs.  A session's document is a `bytearray` of the bytes
+# its replies send, with its raw UTF-8 size beside it: `SHOW`, `UNDO` and
+# `RESTORE` answer with the content itself, which `_queue_reply` splices into
+# the output, and MAX_DOC_BYTES counts raw bytes.
 
 class EscapedWrite(WriteCommand):
-    """A WRITE kept in the form every document reply sends: `text` is the
-    argument escaped once, and `undo_info` its UTF-8 byte length, so the
-    document's `size` counts the bytes written."""
+    """A WRITE of `stored`, its argument as the document holds it, which
+    adds `undo_info` UTF-8 bytes to the document's `size`.  It appends in
+    place and then keeps only its two lengths: its undo truncates in place."""
 
-    def __init__(self, text: str):
-        self.text = escape_doc(text)
-        self.undo_info = len(text.encode("utf-8"))
+    def __init__(self, stored: bytes, size: int):
+        self.stored, self.length, self.undo_info = stored, len(stored), size
+
+    def execute(self, doc: Document):
+        doc.content += self.stored
+        doc.size += self.undo_info
+        del self.stored
+
+    def undo(self, doc: Document):
+        del doc.content[len(doc.content) - self.length:]
+        doc.size -= self.undo_info
 
 
 def _write(session, args):
     doc, caretaker = session.document, session.caretaker
-    command = EscapedWrite(args)
-    if doc.size + command.undo_info > MAX_DOC_BYTES:  # undo_info: bytes appended
+    size = len(args.encode("utf-8"))
+    if doc.size + size > MAX_DOC_BYTES:
         return Err("LIMIT", "document too large")
     if len(caretaker.history) >= MAX_HISTORY:
         return Err("LIMIT", "undo history full")
+    command = EscapedWrite(session.server.family.store_document(escape_doc(args)), size)
     return Ok(str(execute_command(doc, caretaker, command)))
 
 
@@ -243,7 +256,7 @@ def _snapshot(session):
 
 def _restore(session, args):
     snapshot_id, = _tokens(args, 1, "takes a snapshot id")
-    return Ok(restore_memento(session.document, session.caretaker, snapshot_id))
+    return restore_memento(session.document, session.caretaker, snapshot_id)
 
 
 MAX_MAJOR = I64_MAX // 100  # wire amounts are major units; all arithmetic runs in minor units
@@ -284,8 +297,9 @@ def _say(session, args):
 
 
 # Each verb to the function `(session, args) -> reply` that answers it, shared
-# by every server in the process.  A verb it lacks answers ERR UNKNOWN and is
-# neither timed nor logged.
+# by every server in the process; a document verb's reply is the document's
+# `bytearray`.  A verb it lacks answers ERR UNKNOWN and is neither timed nor
+# logged.
 ROUTES = {
     "STATS": _bare(_stats),
     "PING": _bare(lambda session: _PONG),
@@ -293,8 +307,8 @@ ROUTES = {
     "EVAL": lambda session, args: Ok(str(fold_expr(args, session.ctx))),
     "LET": _let,
     "WRITE": _write,
-    "SHOW": _bare(lambda session: Ok(session.document.content)),
-    "UNDO": _bare(lambda session: Ok(undo_last(session.document, session.caretaker))),
+    "SHOW": _bare(lambda session: session.document.content),
+    "UNDO": _bare(lambda session: undo_last(session.document, session.caretaker)),
     "SNAPSHOT": _bare(_snapshot),
     "RESTORE": _restore,
     "PRICE": _price,
@@ -311,8 +325,9 @@ ROUTES = {
 
 
 def handle_line(session: Session, line: str):
-    """Dispatch one LF-stripped request line to a Reply.  Every parsed line
-    is counted.  A table verb's reply, OK or its own error (a catalogue
+    """Dispatch one LF-stripped request line to a Reply, or to the stored
+    document that a document verb answers with.  Every parsed line is
+    counted.  A table verb's reply, OK or its own error (a catalogue
     refusal included), is timed and, with a log, its record is held for the
     callback's one log write, made before the callback sends any reply."""
     server = session.server
@@ -549,6 +564,9 @@ class PatternServer(EventHandler):
         callback; `_BYE` and `_LINE_TOO_LONG` close the session.  Its session
         is OPEN, or PAUSED for an event, and a line framed below
         OUTPUT_HIGH_WATER cannot overflow it before its own reply."""
+        if reply.__class__ is bytearray:
+            self._queue_document(session, reply)
+            return
         data = (self.family.render_reply(reply) + "\n").encode()
         out = session.out_buffer
         if len(out) + len(data) > MAX_OUTPUT_BYTES:
@@ -560,6 +578,21 @@ class PatternServer(EventHandler):
         self._replies += 1
         if reply is _BYE or reply is _LINE_TOO_LONG:
             session.state = CLOSING
+
+    def _queue_document(self, session: Session, stored: bytearray):
+        """`_queue_reply` for a document verb: the stored document, already
+        in its family's wire form, is copied straight into the output,
+        between the family's fixed head and tail.  A document verb sends no
+        event and answers a line framed below OUTPUT_HIGH_WATER, so its reply
+        fits under MAX_OUTPUT_BYTES, as
+        `test_the_largest_reply_fits_under_the_output_limit` checks."""
+        family, out = self.family, session.out_buffer
+        if not out:
+            self._flushes[session] = None
+        out += family.document_head if stored else family.empty_document_head
+        out += stored
+        out += family.document_tail
+        self._replies += 1
 
     def _overflow(self, session: Session):
         """End a session whose output would pass MAX_OUTPUT_BYTES, the way

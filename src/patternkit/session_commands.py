@@ -16,20 +16,21 @@ class UnknownSnapshotError(LookupError):
 
 class Document:
     """Text mutated only by commands, undo, or memento restore, each of which
-    keeps `size`, the UTF-8 length of what was written, without re-encoding;
-    under patternd the content is held escaped and `size` counts raw bytes."""
+    keeps `size`, the UTF-8 length of what was written, without re-encoding.
+    Under patternd the content is one `bytearray` of the escaped bytes its
+    replies send, edited in place, and `size` counts raw bytes."""
 
-    def __init__(self, content: str = ""):
+    def __init__(self, content: str = "", size: int | None = None):
         self.content = content
-        self.size = len(content.encode("utf-8"))
+        self.size = len(content.encode("utf-8")) if size is None else size
 
     def byte_length(self) -> int:
         return self.size
 
 
 class Memento:
-    """Opaque full snapshot, the content with its byte size; only a
-    Document reads it back."""
+    """Opaque full snapshot, a copy of the content with its byte size; only
+    a Document reads it back."""
 
     def __init__(self, state):
         self._state = state
@@ -85,10 +86,13 @@ def undo_last(doc: Document, caretaker: Caretaker) -> str:
     return doc.content
 
 
+# A snapshot and a restore each copy the content with a full slice, so no
+# edit in place of a `bytearray` reaches a memento; a `str` slices to itself.
+
 def save_memento(doc: Document, caretaker: Caretaker) -> str:
     snap_id = str(caretaker._next_snap)
     caretaker._next_snap += 1
-    caretaker.snapshots[snap_id] = Memento((doc.content, doc.size))
+    caretaker.snapshots[snap_id] = Memento((doc.content[:], doc.size))
     return snap_id
 
 
@@ -97,7 +101,9 @@ def restore_memento(doc: Document, caretaker: Caretaker, snap_id: str) -> str:
     so nothing can be undone across a restore."""
     if snap_id not in caretaker.snapshots:
         raise UnknownSnapshotError("unknown snapshot id %r" % snap_id)
-    doc.content, doc.size = caretaker.snapshots[snap_id]._reveal()
+    content, doc.size = caretaker.snapshots[snap_id]._reveal()
+    doc.content = None  # the old content goes before the copy is made: never both at once
+    doc.content = content[:]
     caretaker.history.clear()
     return doc.content
 

@@ -30,16 +30,19 @@ MAX_SNAPSHOTS = 16
 # SHOWn in the JSON family (up to six bytes per document byte), plus the
 # 64 KiB at which the server stops reading a session
 MAX_OUTPUT_BYTES = 1024 * 1024
-# What one session can hold, in bytes.  The document is stored escaped, up
-# to two characters per byte it counts, and CPython stores every character of
-# a str that holds one above U+FFFF in four bytes (PEP 393), so each stored
-# copy takes up to 8 bytes per document byte:
-#     (MAX_SNAPSHOTS + 2) * 8 * MAX_DOC_BYTES  snapshots, document, undo texts
+# What one session can hold, in bytes.  The document and each snapshot are
+# held as the bytes their family sends: escaped, up to 2 bytes per byte they
+# count in the text family and 6 in the JSON family, where a control
+# character is sent as \u00XX.  A WRITE keeps only lengths, and the live
+# document, one buffer grown in place, may hold an eighth more than the most
+# it has held:
+#     (MAX_SNAPSHOTS + 1) * 6 * MAX_DOC_BYTES  snapshots, document
+#   + 6 * MAX_DOC_BYTES // 8                   the document's over-allocation
 #   + MAX_HISTORY * 256                        each undoable WRITE's objects
 #   + MAX_BINDINGS * (MAX_NAME_BYTES + 128)    each name, its value, its slot
 #   + MAX_OUTPUT_BYTES * 9 // 8                unsent output, over-allocated
 #   + 3 * MAX_REQUEST_BYTES                    unframed input, the session
-# = 19.6 MiB; a server holds `max_conns` times it, 2.45 GiB at the default 128.
+# = 14.4 MiB; a server holds `max_conns` times it, 1.8 GiB at the default 128.
 PROTOCOL_VERSION = 1
 DEFAULT_PORT = 7465  # patternd's and patternsh's
 I64_MIN = -(2**63)
@@ -199,7 +202,11 @@ def unescape_doc(text: str) -> str:
 
 
 class ProtocolFamily:
-    """A matched request-parser / reply-renderer pair."""
+    """A matched request-parser / reply-renderer pair.
+
+    A document verb's reply line is `document_head`, the document as
+    `store_document` gave it and `document_tail`; an empty document's line
+    starts with `empty_document_head` instead."""
 
     name = ""
 
@@ -212,11 +219,18 @@ class ProtocolFamily:
     def parse_reply(self, line: str) -> Reply:
         raise NotImplementedError
 
+    def store_document(self, escaped: str) -> bytes:
+        """A piece of document, already `escape_doc`ed, as the reply value
+        sends it.  Each character is stored on its own, so stored pieces
+        join as the text they store does."""
+        raise NotImplementedError
+
 
 class TextFamily(ProtocolFamily):
     """Lines `OK <payload>` / `ERR <code> <message>` / `EVT <stream line>`."""
 
     name = "text"
+    document_head, empty_document_head, document_tail = b"OK ", b"OK", b"\n"
 
     def render_reply(self, reply: Reply) -> str:
         if isinstance(reply, Ok):
@@ -237,6 +251,9 @@ class TextFamily(ProtocolFamily):
             return Evt(line[4:])
         raise WireError("not a text-family reply: %r" % line)
 
+    def store_document(self, escaped: str) -> bytes:
+        return escaped.encode()
+
 
 class JsonFamily(ProtocolFamily):
     """One JSON object per line, in one of three exact shapes:
@@ -251,6 +268,8 @@ class JsonFamily(ProtocolFamily):
     `json.dumps` itself calls, so no dict is built per reply."""
 
     name = "json"
+    document_head = empty_document_head = b'{"ok": true, "value": "'
+    document_tail = b'"}\n'
 
     def render_reply(self, reply: Reply) -> str:
         if isinstance(reply, Ok):
@@ -275,6 +294,9 @@ class JsonFamily(ProtocolFamily):
         if obj.get("ok") is False:
             return Err(obj.get("code"), obj.get("message", ""))
         raise WireError("not a json-family reply: %r" % line)
+
+    def store_document(self, escaped: str) -> bytes:
+        return encode_basestring_ascii(escaped)[1:-1].encode()  # the string, without its quotes
 
 
 # every reply family by its `name`: `--family` and ServerConfig accept these keys

@@ -28,9 +28,11 @@ ROOT = Path(__file__).resolve().parent.parent
 EXPR = "src/patternkit/expr.py"
 REACTOR = "src/patternkit/reactor.py"
 SERVER = "src/patternkit/server.py"
+SESSION_COMMANDS = "src/patternkit/session_commands.py"
 WIRE = "src/patternkit/wire.py"
 SPLIT_WORDS = "tests/test_expr.py::TestSplitWords"
 PARSE_OFFSETS = "tests/test_expr.py::TestParser::test_error_byte_offsets"
+DOC_STORAGE = "tests/test_server.py::TestDocumentStorage::"
 
 # (name, file, text, replacement, killing tests)
 MUTANTS = [
@@ -43,9 +45,10 @@ MUTANTS = [
      "elif token[0] in _IDENT_START and token.isidentifier():",
      "elif token[0] in _IDENT_START:",
      [SPLIT_WORDS]),
+    # a fault in the words is raised from them only if they are the regex's tokens
     ("split-path-parse-error-kept", EXPR,
-     "        except _Fault:\n            pass\n",
-     "        except _Fault as fault:\n            raise _parse_error(text, *fault.args) from None\n",
+     "            if index is None or all(map(_ONE_TOKEN, words[index:])):\n",
+     "            if True:\n",
      [SPLIT_WORDS, PARSE_OFFSETS]),
     # a ParseError anywhere in the line wins over an EvalError
     ("eval-error-without-inert-walk", EXPR,
@@ -89,6 +92,27 @@ MUTANTS = [
      "from _json import encode_basestring_ascii",
      "from _json import encode_basestring as encode_basestring_ascii",
      ["tests/test_wire.py::test_json_reply_is_what_json_dumps_gives"]),
+    # the live document is edited in place, so no memento may share it
+    ("snapshot-shares-the-live-document", SESSION_COMMANDS,
+     "Memento((doc.content[:], doc.size))",
+     "Memento((doc.content, doc.size))",
+     [DOC_STORAGE + "test_no_edit_in_place_reaches_a_snapshot"]),
+    ("restore-shares-the-snapshot", SESSION_COMMANDS,
+     "    doc.content = content[:]\n",
+     "    doc.content = content\n",
+     [DOC_STORAGE + "test_no_edit_in_place_reaches_a_snapshot"]),
+    # an UNDO removes the bytes its WRITE stored, not the bytes it counted
+    ("undo-truncates-by-raw-size", SERVER,
+     "del doc.content[len(doc.content) - self.length:]",
+     "del doc.content[len(doc.content) - self.undo_info:]",
+     [DOC_STORAGE + "test_no_edit_in_place_reaches_a_snapshot",
+      DOC_STORAGE + "test_only_a_write_escapes_and_only_its_own_argument"]),
+    # the JSON family stores its own escape of a document, which SHOW sends as it is
+    ("json-document-stored-as-text", WIRE,
+     "encode_basestring_ascii(escaped)[1:-1].encode()",
+     "escaped.encode()",
+     [DOC_STORAGE + "test_a_document_holds_its_wire_bytes",
+      DOC_STORAGE + "test_the_cap_counts_bytes_before_escaping"]),
 ]
 
 

@@ -3,6 +3,8 @@
 import random
 import re
 import threading
+import types
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -477,6 +479,42 @@ class TestSplitWords:
         assert reference_fold(text, BOUND.bindings) == expected
         assert reference_outcome(fold_expr, text, BOUND) == expected
         assert reference_outcome(tree_walk, text, BOUND) == expected
+
+
+def doc_eval_pool() -> list:
+    """The EVAL texts of `bench/workloads.py`'s doc-eval workload, seed 5,
+    read from its source, so no bytecode is written under `bench/`."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    workloads = types.ModuleType("workloads")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), workloads.__dict__)
+    return [entry[0].decode()[len("EVAL "):-1] for entry in workloads.DocEval(5).expressions]
+
+
+@pytest.mark.parametrize("tail, message", [
+    (" )", "unexpected trailing input"),  # at a one-character word
+    (" 12", "unexpected trailing input"),  # at a literal where an operator goes
+    (" + 99999999999999999999", "integer literal out of 64-bit range"),
+    (" *", "unexpected end of input"),  # at the line's end
+])
+def test_a_fault_at_a_word_of_one_token_is_raised_from_the_words(tail, message):
+    """A spaced line that faults at its end, or at a word of one token,
+    faults where the regex's tokens would: its ParseError is raised from
+    the words, and `_TOKEN.findall` never runs."""
+    texts = [text + tail for text in doc_eval_pool()]
+    scans, scan = [], expr._TOKEN
+
+    class RecordingScan:
+        finditer = scan.finditer
+
+        def findall(self, line):
+            scans.append(line)
+            return scan.findall(line)
+
+    with mock.patch.object(expr, "_TOKEN", RecordingScan()):
+        outcomes = [reference_outcome(fold_expr, text, Context()) for text in texts]
+    assert scans == []
+    assert outcomes == [reference_fold(text) for text in texts]
+    assert {outcome[:2] for outcome in outcomes} == {("parse", message)}
 
 
 class TestPrinter:

@@ -565,7 +565,8 @@ class TestDocumentVerbs:
         message = char * ((MAX_REQUEST_BYTES - len("SAY ")) // size)
         sid = "user-%d" % I64_MAX  # longer than the ids a server hands out in practice
         for family in (TextFamily(), JsonFamily()):
-            reply = (family.render_reply(Ok(escape_doc(document))) + "\n").encode()
+            reply = (family.document_head + family.store_document(escape_doc(document))
+                     + family.document_tail)  # the spliced reply, as SHOW buffers it
             event = (family.render_reply(Evt("chat [%s] %s" % (sid, message))) + "\n").encode()
             assert OUTPUT_HIGH_WATER + len(reply) + len(event) <= MAX_OUTPUT_BYTES
 
@@ -946,7 +947,7 @@ def test_verbs_that_take_no_arguments_refuse_them_and_change_nothing(family):
             render(Ok("2")), render(Ok("3")), render(Ok("1"))]
 
         def state():
-            return (session.document.content, session.document.size,
+            return (bytes(session.document.content), session.document.size,
                     len(session.caretaker.history), sorted(session.caretaker.snapshots),
                     session.player.state)
 
@@ -996,7 +997,7 @@ def test_arguments_are_split_at_spaces_and_tabs_only(family):
         for line in ("LET y\x0b7", "PRICE 100\x0cnone", "TEMP \N{EM SPACE}5", "RESTORE 1\x1c",
                      "LET y\r7", "PRICE 100\N{NO-BREAK SPACE}none"):
             assert client.feed(line.encode() + b"\n") == [refused], repr(line)
-        assert session.ctx.bindings == {} and session.document.content == "abc"
+        assert session.ctx.bindings == {} and session.document.content == b"abc"
         temp = render(Evt("temp " + temperature_line(session.sid, 5)))
         assert client.feed(b"LET  y\t 7 \t\nEVAL y \t*\t2\nPRICE 100 \t none\n"
                            b"TEMP \t5\t\nRESTORE \t1  \n") == [
@@ -1021,15 +1022,15 @@ def test_temp_events_show_every_64_bit_integer_exactly(family):
 def test_a_session_at_every_cap_holds_less_than_the_stated_sum(family):
     """One session at every cap at once: MAX_BINDINGS names of
     MAX_NAME_BYTES; a document at MAX_DOC_BYTES written by MAX_HISTORY
-    undoable WRITEs that each hold an emoji, so every stored string takes
-    four bytes a character; MAX_SNAPSHOTS distinct snapshots of it, each
-    within 2 KiB of the cap; and unsent events within one event of
-    MAX_OUTPUT_BYTES.  tracemalloc's peak over building the server and
-    driving it stays under the sum that `wire.py` states."""
-    stated = ((MAX_SNAPSHOTS + 2) * 8 * MAX_DOC_BYTES + MAX_HISTORY * 256
-              + MAX_BINDINGS * (MAX_NAME_BYTES + 128) + MAX_OUTPUT_BYTES * 9 // 8
-              + 3 * MAX_REQUEST_BYTES)
-    assert round(stated / 2**20, 1) == 19.6
+    undoable WRITEs that each hold an emoji and backslashes, which every
+    escape widens; MAX_SNAPSHOTS distinct snapshots of it, each within 2 KiB
+    of the cap; and unsent events within one event of MAX_OUTPUT_BYTES.
+    tracemalloc's peak over building the server and driving it stays under
+    the sum that `wire.py` states."""
+    stated = ((MAX_SNAPSHOTS + 1) * 6 * MAX_DOC_BYTES + 6 * MAX_DOC_BYTES // 8
+              + MAX_HISTORY * 256 + MAX_BINDINGS * (MAX_NAME_BYTES + 128)
+              + MAX_OUTPUT_BYTES * 9 // 8 + 3 * MAX_REQUEST_BYTES)
+    assert round(stated / 2**20, 1) == 14.4
     emoji = "\N{GRINNING FACE}"
     piece = emoji + "\\" * (MAX_DOC_BYTES // MAX_HISTORY - len(emoji.encode()))
     write = ("WRITE %s\n" % piece).encode()
@@ -1138,7 +1139,9 @@ def assert_document_replies(family: str, lines) -> list:
 
 
 class TestDocumentStorage:
-    """A session's document is held escaped, with its raw size beside it."""
+    """A session's document is held as the bytes its replies send, its
+    family's escape of it, in one buffer edited in place, with its raw size
+    beside it."""
 
     def test_only_a_write_escapes_and_only_its_own_argument(self, monkeypatch):
         escape, calls, per_line = server_module.escape_doc, [], []
@@ -1178,6 +1181,46 @@ class TestDocumentStorage:
         answers = assert_document_replies(family, lines)
         assert answers[-3:] == [("OK", "131072"), ("ERR", "LIMIT", "document too large"),
                                 ("OK", "\\" * 262144)]
+
+    @pytest.mark.parametrize("family", ["text", "json"])
+    def test_a_document_holds_its_wire_bytes(self, family):
+        """One emoji, then backslashes up to MAX_DOC_BYTES: the document
+        holds exactly the bytes its SHOW sends as the reply's value, and
+        takes less than a tenth more, its buffer's over-allocation.  As a
+        `str`, the emoji would make CPython store every character in four
+        bytes (PEP 393)."""
+        emoji = "\N{GRINNING FACE}"
+        chunk = "\\" * (MAX_REQUEST_BYTES - len("WRITE "))
+        full, rest = divmod(MAX_DOC_BYTES - len(emoji.encode()), len(chunk))
+        lines = ["WRITE " + emoji] + ["WRITE " + chunk] * full + ["WRITE " + "\\" * rest]
+        with InProcessSession(family) as client:
+            session = client.session
+            tracemalloc.start()
+            try:
+                assert client.feed("".join(line + "\n" for line in lines).encode())[-1] == (
+                    rendered(family, ("OK", str(MAX_DOC_BYTES))))
+                shown, = client.feed(b"SHOW\n")
+                head, tail = rendered(family, ("OK", "x")).split("x")  # around the value
+                line = shown.encode()
+                payload = line[len(head):len(line) - len(tail)]
+                assert session.document.content == payload
+                before = tracemalloc.get_traced_memory()[0]
+                session.document = None
+                held = before - tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        assert shown == rendered(family, ("OK", escape_doc(emoji + "\\" * (MAX_DOC_BYTES - 4))))
+        assert len(payload) < held < 1.1 * len(payload)
+
+    @pytest.mark.parametrize("family", ["text", "json"])
+    def test_no_edit_in_place_reaches_a_snapshot(self, family):
+        """WRITE appends to the live document and UNDO truncates it, both in
+        place, so SNAPSHOT and RESTORE each copy it: a snapshot restores as
+        it was taken, however the document is edited before or after."""
+        lines = ["WRITE a\\b", "SNAPSHOT", "WRITE c\\\N{GRINNING FACE}", "UNDO",
+                 "WRITE \\n", "RESTORE 1", "WRITE d", "RESTORE 1"]
+        answers = assert_document_replies(family, lines)
+        assert answers[-3] == answers[-1] == ("OK", "a\\\\b")
 
 
 class TestConnectionLimit:
