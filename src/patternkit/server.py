@@ -11,8 +11,8 @@ connection and its own `temp` observer.  A session's one variable is its
 
     OPEN      reading; each complete line is answered as it is framed
     PAUSED    not read: the rest of its read waits in `in_buffer`
-    CLOSING   QUIT's reply, the over-long line's ERR LIMIT or the peer's
-              EOF ended the session; nothing after it runs or is sent
+    CLOSING   QUIT, an over-long line or the peer's EOF ended the session,
+              each where it is met; nothing after its last line runs or is sent
     CLOSED    finished: nothing more is read, answered or buffered; the
               callback's flush sends once more, then drops it
 
@@ -28,17 +28,18 @@ descriptors stops accepting until a session is dropped; new connections
 wait in the listen backlog.
 
 A reactor callback (a read, a write-ready callback, or the accept that
-buffers the greeting) only computes: it answers lines, buffers output and
-moves states.  Its end acts, in `_batched`: one write of the request-log
-records it made, sharing one stamp, then one flush of each session it
-touched, so a pipelined burst costs one log write and one send, and each
-record is in the log before its reply is sent.  `_flush` alone sends to
-a session or drops it: after one send, an OPEN session waits on `READ`,
-plus `WRITE` while output is unsent; a PAUSED session, or a CLOSING one
-with unsent output, waits on `WRITE`; any other session is dropped.  So
-none is dropped while a `publish` or a chat `send` walks its members.
-The write-ready callback alone flushes first: whether a PAUSED session
-resumes depends on what the send left.
+buffers the greeting) only computes: it answers lines, buffers output
+(`_queue_reply` alone appends to a session's) and moves states.  Its end
+acts, in `_batched`: one write of the request-log records it made, sharing
+one stamp, then one flush of each session it touched, so a pipelined burst
+costs one log write and one send, and each record is in the log before its
+reply is sent.  `_flush` alone sends to a session or drops it: after one
+send, an OPEN session waits on `READ`, plus `WRITE` while output is
+unsent; a PAUSED session, or a CLOSING one with unsent output, waits on
+`WRITE`; any other session is dropped.  So none is dropped while a
+`publish` or a chat `send` walks its members.  The write-ready callback
+alone flushes first: whether a PAUSED session resumes depends on what the
+send left.
 
 A session's document is held only as the bytes that `SHOW`, `UNDO` and
 `RESTORE` send, its family's escape of it, in one `bytearray` with its raw
@@ -117,12 +118,10 @@ _session_ids = itertools.count(1)
 
 OPEN, PAUSED, CLOSING, CLOSED = range(4)
 
-# `_queue_reply` closes the session on `_BYE` and `_LINE_TOO_LONG`, matched
-# by identity.
+# shared: a constant reply is built once
+_OK, _PONG, _BYE = Ok(), Ok("pong"), Ok("bye")
 _LINE_TOO_LONG = Err("LIMIT", "request line too long")
 _NOT_UTF8 = Err("PARSE", "request is not valid UTF-8")
-_BYE = Ok("bye")  # QUIT's reply
-_OK, _PONG = Ok(), Ok("pong")  # shared: a constant reply is built once
 _OUTPUT_FULL = Err("LIMIT", "output buffer full")
 
 # replies and events one callback may buffer before the session it reads
@@ -198,6 +197,11 @@ def _stats(session):
     if server.log_errors:
         counters["log_errors"] = server.log_errors
     return Ok(" ".join("%s=%d" % kv for kv in sorted(counters.items())))
+
+
+def _quit(session):
+    session.state = CLOSING  # nothing after its reply is read, answered or sent
+    return _BYE
 
 
 def _let(session, args):
@@ -303,7 +307,7 @@ def _say(session, args):
 ROUTES = {
     "STATS": _bare(_stats),
     "PING": _bare(lambda session: _PONG),
-    "QUIT": _bare(lambda session: _BYE),
+    "QUIT": _bare(_quit),
     "EVAL": lambda session, args: Ok(str(fold_expr(args, session.ctx))),
     "LET": _let,
     "WRITE": _write,
@@ -504,7 +508,7 @@ class PatternServer(EventHandler):
     def _receive(self, session: Session):
         self._flushes[session] = None
         try:
-            data = session.conn.recv(4096)
+            data = session.conn.recv(MAX_REQUEST_BYTES)
         except BlockingIOError:
             return
         except OSError:
@@ -528,6 +532,7 @@ class PatternServer(EventHandler):
             if end > start and buffer[end - 1] == 0x0D:
                 end -= 1
             if end - start > MAX_REQUEST_BYTES:
+                session.state = CLOSING
                 self._queue_reply(session, _LINE_TOO_LONG)
                 break
             if index < 0:
@@ -561,48 +566,33 @@ class PatternServer(EventHandler):
 
     def _queue_reply(self, session: Session, reply):
         """Buffer one reply or event for the flush at the end of the current
-        callback; `_BYE` and `_LINE_TOO_LONG` close the session.  Its session
-        is OPEN, or PAUSED for an event, and a line framed below
-        OUTPUT_HIGH_WATER cannot overflow it before its own reply."""
-        if reply.__class__ is bytearray:
-            self._queue_document(session, reply)
-            return
-        data = (self.family.render_reply(reply) + "\n").encode()
-        out = session.out_buffer
-        if len(out) + len(data) > MAX_OUTPUT_BYTES:
-            self._overflow(session)
-            return
+        callback, and count it toward LOOP_REPLY_BUDGET.  A document verb's
+        reply, the stored document in its family's wire form, is spliced
+        between the family's fixed head and tail; it sends no event and
+        answers a line framed below OUTPUT_HIGH_WATER, so it fits under
+        MAX_OUTPUT_BYTES (`test_the_largest_reply_fits_under_the_output_limit`).
+
+        A rendered line that would take the output past MAX_OUTPUT_BYTES
+        ends the session instead, the way Redis closes a pubsub client past
+        its hard limit: a peer that far behind is not waited for.  It is
+        CLOSED with `ERR LIMIT output buffer full` buffered, so this
+        callback's flush makes its last send, after the log write; the line
+        reaches the peer only if that send takes the whole backlog."""
+        family, out = self.family, session.out_buffer
         if not out:  # else this callback's flush or write interest is pending
             self._flushes[session] = None
-        out += data
+        if reply.__class__ is bytearray:
+            out += family.document_head if reply else family.empty_document_head
+            out += reply
+            out += family.document_tail
+        else:
+            line = (family.render_reply(reply) + "\n").encode()
+            if len(out) + len(line) > MAX_OUTPUT_BYTES:
+                line = (family.render_reply(_OUTPUT_FULL) + "\n").encode()
+                session.state = CLOSED
+                self._flushes[session] = None  # dropped now, not at its next write-ready
+            out += line
         self._replies += 1
-        if reply is _BYE or reply is _LINE_TOO_LONG:
-            session.state = CLOSING
-
-    def _queue_document(self, session: Session, stored: bytearray):
-        """`_queue_reply` for a document verb: the stored document, already
-        in its family's wire form, is copied straight into the output,
-        between the family's fixed head and tail.  A document verb sends no
-        event and answers a line framed below OUTPUT_HIGH_WATER, so its reply
-        fits under MAX_OUTPUT_BYTES, as
-        `test_the_largest_reply_fits_under_the_output_limit` checks."""
-        family, out = self.family, session.out_buffer
-        if not out:
-            self._flushes[session] = None
-        out += family.document_head if stored else family.empty_document_head
-        out += stored
-        out += family.document_tail
-        self._replies += 1
-
-    def _overflow(self, session: Session):
-        """End a session whose output would pass MAX_OUTPUT_BYTES, the way
-        Redis closes a pubsub client past its hard limit: a peer that far
-        behind is not waited for.  It is CLOSED with the error line buffered,
-        so this callback's flush makes its last send, after the log write;
-        the line reaches the peer only if that send takes the whole backlog."""
-        session.out_buffer += (self.family.render_reply(_OUTPUT_FULL) + "\n").encode()
-        session.state = CLOSED
-        self._flushes[session] = None
 
     def _writable(self, session: Session):
         """WRITE callback: send the rest of the output, then resume a PAUSED

@@ -33,6 +33,9 @@ WIRE = "src/patternkit/wire.py"
 SPLIT_WORDS = "tests/test_expr.py::TestSplitWords"
 PARSE_OFFSETS = "tests/test_expr.py::TestParser::test_error_byte_offsets"
 DOC_STORAGE = "tests/test_server.py::TestDocumentStorage::"
+BACKPRESSURE = "tests/test_server.py::TestBackpressure::"
+FRAMING = "tests/test_server.py::TestFraming::"
+SESSION_STATES = "tests/test_server.py::TestSessionStates::"
 
 # (name, file, text, replacement, killing tests)
 MUTANTS = [
@@ -113,6 +116,35 @@ MUTANTS = [
      "escaped.encode()",
      [DOC_STORAGE + "test_a_document_holds_its_wire_bytes",
       DOC_STORAGE + "test_the_cap_counts_bytes_before_escaping"]),
+    # a resumed session is flushed by its own callback, whatever its replies mark
+    ("resume-skips-the-flush", SERVER,
+     "        session.state = OPEN\n        self._flushes[session] = None\n",
+     "        session.state = OPEN\n",
+     [SESSION_STATES + "test_a_resumed_session_is_flushed_by_its_callback"]),
+    # only what a send took leaves the output
+    ("partial-send-treated-as-complete", SERVER,
+     "                del out[:session.conn.send(out)]\n",
+     "                session.conn.send(out)\n                del out[:]\n",
+     [DOC_STORAGE + "test_a_document_holds_its_wire_bytes",
+      SESSION_STATES + "test_a_resumed_session_is_flushed_by_its_callback"]),
+    # a CLOSING session waits until its output is sent
+    ("closing-dropped-with-unsent-output", SERVER,
+     "elif state == PAUSED or state == CLOSING and out:",
+     "elif state == PAUSED:",
+     [FRAMING + "test_eof_behind_unsent_replies_closes_once_they_are_sent"]),
+    # each close is set where it is decided
+    ("quit-leaves-the-session-open", SERVER,
+     "    session.state = CLOSING  # nothing after its reply is read, answered or sent\n",
+     "",
+     [BACKPRESSURE + "test_no_event_is_built_for_a_watcher_that_quit"]),
+    ("overlong-line-leaves-the-session-open", SERVER,
+     "                session.state = CLOSING\n                self._queue_reply(",
+     "                self._queue_reply(",
+     [FRAMING + "test_oversized_line_gets_limit_then_close"]),
+    ("overflow-leaves-the-session-open", SERVER,
+     "                session.state = CLOSED\n                self._flushes[session] = None",
+     "                self._flushes[session] = None",
+     [BACKPRESSURE + "test_nothing_follows_the_output_limit_line"]),
 ]
 
 

@@ -33,8 +33,8 @@ from patternkit.creational import Registry
 from patternkit.expr import Context, Number
 from patternkit.messaging import temperature_line
 from patternkit.reactor import READ, WRITE, Reactor
-from patternkit.server import (CLOSED, CLOSING, LOOP_REPLY_BUDGET, OPEN,
-                               OUTPUT_HIGH_WATER, PAUSED, PatternServer, ServerConfig, Session,
+from patternkit.server import (CLOSED, CLOSING, LOOP_REPLY_BUDGET, OPEN, OUTPUT_HIGH_WATER,
+                               OUTPUT_LOW_WATER, PAUSED, PatternServer, ServerConfig, Session,
                                main)
 from patternkit.structural_kit import FileLogSink, LoggingHandler, TimingHandler
 from patternkit.wire import (FAMILIES, I64_MAX, I64_MIN, MAX_BINDINGS, MAX_DOC_BYTES, MAX_HISTORY,
@@ -715,7 +715,10 @@ class TestEvents:
 class TestFraming:
     def test_the_line_limit_is_read_only_by_framing(self):
         """`wire` states MAX_REQUEST_BYTES and framing alone enforces it: of
-        every module in the package, only `PatternServer._pump_lines` reads it."""
+        every module in the package, only `PatternServer._pump_lines` reads
+        it, and `_receive`, which reads at most one line's worth at a time,
+        as the sum stated in `wire` assumes: it counts unframed input as
+        three lines."""
         def readers(node, scope):
             if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 scope += (node.name,)
@@ -728,7 +731,7 @@ class TestFraming:
         package = Path(server_module.__file__).parent
         found = [reader for path in sorted(package.glob("*.py"))
                  for reader in readers(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))]
-        assert found == ["server.PatternServer._pump_lines"]
+        assert found == ["server.PatternServer._receive", "server.PatternServer._pump_lines"]
 
     def test_pipelined_requests_answered_in_order(self, server, connect):
         client = connect(server)
@@ -1629,6 +1632,56 @@ class TestSessionStates:
         assert faults == []
         assert server.reactor.registration_count() == 1
 
+
+    @pytest.mark.parametrize("family", ["text", "json"])
+    def test_a_resumed_session_is_flushed_by_its_callback(self, family):
+        """A PAUSED session that resumes in its write-ready callback with
+        output still unsent is flushed by that callback, so it waits on READ
+        again: the replies it then answers are buffered behind that output,
+        so they do not mark it for the flush."""
+        with InProcessSession(family) as client:
+            srv, session = client.server, client.session
+            # a fixed small send buffer: the send leaves the output part sent
+            session.conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            session.state = PAUSED
+            session.out_buffer += b"x" * (OUTPUT_LOW_WATER + 100)
+            session.in_buffer += b"PING\n"
+            srv.reactor.modify(session.conn, WRITE)
+            assert interest_faults(srv) == []
+            srv._batched(srv._writable, session)
+            assert session.state == OPEN and session.out_buffer and not session.in_buffer
+            assert interest_faults(srv) == []
+            pong = srv.family.render_reply(Ok("pong"))
+            assert client.feed(b"") == ["x" * (OUTPUT_LOW_WATER + 100) + pong]
+
+    def test_only_queue_reply_buffers_output(self):
+        """In `server.py` only `_queue_reply` appends to a session's
+        `out_buffer`, by its name or by a local name bound to it."""
+        def appenders(node, scope, aliases):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope += (node.name,)
+            if isinstance(node, ast.FunctionDef):
+                aliases = set(aliases)
+                for assign in ast.walk(node):
+                    if isinstance(assign, ast.Assign):
+                        for target in assign.targets:
+                            pairs = (zip(target.elts, assign.value.elts)
+                                     if isinstance(target, ast.Tuple)
+                                     and isinstance(assign.value, ast.Tuple)
+                                     else [(target, assign.value)])
+                            aliases |= {name.id for name, value in pairs
+                                        if isinstance(name, ast.Name)
+                                        and getattr(value, "attr", None) == "out_buffer"}
+            if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
+                target = node.target
+                if (getattr(target, "attr", None) == "out_buffer"
+                        or getattr(target, "id", None) in aliases):
+                    yield ".".join(scope)
+            for child in ast.iter_child_nodes(node):
+                yield from appenders(child, scope, aliases)
+
+        tree = ast.parse(Path(server_module.__file__).read_text(encoding="utf-8"))
+        assert set(appenders(tree, (), set())) == {"PatternServer._queue_reply"}
 
     def test_only_the_end_of_a_callback_sends_drops_or_logs(self):
         """In `server.py` only `_flush` drops a session or sends to its
