@@ -19,6 +19,9 @@ walker takes each word only if it is exactly one token.  Any other line, or
 one with a word of more than one token, is scanned by one regex `findall`.
 A ParseError's offset is found by scanning the line to the fault's token.
 
+`fold_expr` reads a literal of up to three digits from one shared table,
+`_LITERALS` (see there), until a factor of the line misses it.
+
 The walker keeps the open sum and the open product, each with its pending
 operator, and saves them in a frame at each '(', so nesting depth costs
 heap, never call stack.  It reduces each operator as soon as its right
@@ -119,9 +122,10 @@ class Context(Record):
         super().__init__({} if bindings is None else bindings)
 
     def value_of(self, name: str) -> int:
-        if name not in self.bindings:
-            raise _unbound(name)
-        return self.bindings[name]
+        try:
+            return self.bindings[name]
+        except KeyError:
+            raise _unbound(name) from None
 
     def bind(self, name: str, value: int) -> Context:
         merged = dict(self.bindings)
@@ -308,6 +312,15 @@ _ONE_TOKEN = re.compile(_TOKEN_PATTERN).fullmatch  # a blank-split word that is 
 _SPLITTABLE = re.compile(r"[-+*/()%s0-9a-z_]*" % BLANKS).match
 # the characters that begin an identifier: those that are one on their own
 _IDENT_START = frozenset(ch for ch in map(chr, range(128)) if is_ident(ch))
+# Each literal of at most three digits, written as `str` writes it, to its
+# int: one value per literal, built once and shared by every line that
+# holds it (the flyweight of the small integers), so `_walk` skips the
+# checks, `int` and the 64-bit check for it.  Each key is a literal `_walk`
+# takes, and its value is the one `int` gives, so no value or error
+# changes; "007", "1000" and "-5" are not keys.  1000 entries hold about
+# 0.1 MB.
+_LITERALS = {str(v): v for v in range(1000)}
+_literal = _LITERALS.get
 
 
 class _Fault(Exception):
@@ -377,27 +390,33 @@ def _walk(tokens, number, name, reduce):
     # whole, so that a blank-split word of more than one token is a fault:
     # `int` never sees "1_0", "+5" or "12ab", nor `name` "a-b".  A literal
     # is an optional '-' and ASCII digits ('٣' is a digit, and the regex
-    # makes it a token of its own).
+    # makes it a token of its own).  When a literal's value is its int
+    # (`number` is None), a factor is first looked up in `_LITERALS`, until
+    # a literal or a name misses it: a line of other literals or of names
+    # pays one probe, and one for each '(' before that factor.
     frames = []
     total = total_op = product = product_op = None
     want_factor = True
+    tabled = number is None
     pending = iter(tokens)
     for token in pending:
         if want_factor:
-            if token.isdigit() and token.isascii() or token[0] == "-" and token[1:].isdigit():
-                value = int(token)
-                if not I64_MIN <= value <= I64_MAX:
-                    raise _fault("integer literal out of 64-bit range", tokens, pending)
-                if number is not None:
-                    value = number(value)
-            elif token[0] in _IDENT_START and token.isidentifier():
-                value = name(token)
-            elif token == "(":
-                frames.append((total, total_op, product, product_op))
-                total_op = product_op = None
-                continue
-            else:
-                raise _fault("unexpected character %r" % token, tokens, pending)
+            if not tabled or (value := _literal(token)) is None:
+                tabled = tabled and token == "("
+                if token.isdigit() and token.isascii() or token[0] == "-" and token[1:].isdigit():
+                    value = int(token)
+                    if not I64_MIN <= value <= I64_MAX:
+                        raise _fault("integer literal out of 64-bit range", tokens, pending)
+                    if number is not None:
+                        value = number(value)
+                elif token[0] in _IDENT_START and token.isidentifier():
+                    value = name(token)
+                elif token == "(":
+                    frames.append((total, total_op, product, product_op))
+                    total_op = product_op = None
+                    continue
+                else:
+                    raise _fault("unexpected character %r" % token, tokens, pending)
             want_factor = False
         elif token == "*" or token == "/":
             product_op = token

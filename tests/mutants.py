@@ -32,6 +32,7 @@ SESSION_COMMANDS = "src/patternkit/session_commands.py"
 WIRE = "src/patternkit/wire.py"
 SPLIT_WORDS = "tests/test_expr.py::TestSplitWords"
 PARSE_OFFSETS = "tests/test_expr.py::TestParser::test_error_byte_offsets"
+LITERAL_TABLE = "tests/test_expr.py::TestLiteralTable"
 DOC_STORAGE = "tests/test_server.py::TestDocumentStorage::"
 BACKPRESSURE = "tests/test_server.py::TestBackpressure::"
 FRAMING = "tests/test_server.py::TestFraming::"
@@ -75,6 +76,16 @@ MUTANTS = [
      'raise _fault("integer literal out of 64-bit range", tokens, pending, 1)',
      'raise _fault("integer literal out of 64-bit range", tokens, pending)',
      [PARSE_OFFSETS]),
+    # a literal is read from the shared table only when no leaf hook is set
+    ("table-hit-skips-number-hook", EXPR,
+     "    tabled = number is None\n",
+     "    tabled = True\n",
+     [LITERAL_TABLE]),
+    # each key of the table is the literal of its own value
+    ("literal-table-off-by-one", EXPR,
+     "_LITERALS = {str(v): v for v in range(1000)}",
+     "_LITERALS = {str(v + 1): v for v in range(1000)}",
+     [LITERAL_TABLE]),
     # each verb is named once
     ("a-second-ping-key", SERVER,
      '    "PING": _bare(lambda session: _PONG),\n',

@@ -517,6 +517,73 @@ def test_a_fault_at_a_word_of_one_token_is_raised_from_the_words(tail, message):
     assert {outcome[:2] for outcome in outcomes} == {("parse", message)}
 
 
+# Literals at the edges of `expr._LITERALS`: two it holds, and others it
+# misses that the grammar takes ("00", "-0", the 64-bit edge) or refuses
+# ('٣' is a digit, "1_0" and "+5" are two tokens each)
+BOUNDARY_LITERALS = ["0", "00", "007", "999", "1000", "-0", "-999", "9223372036854775807",
+                     "9223372036854775808", "\N{ARABIC-INDIC DIGIT THREE}", "1_0", "+5"]
+# the words that are not one token each
+NOT_ONE_WORD = ("\N{ARABIC-INDIC DIGIT THREE}", "1_0", "+5")
+# each literal alone, as a factor (after an operator and after a '('), and
+# in operator position
+LITERAL_LINES = [shape % literal for literal in BOUNDARY_LITERALS
+                 for shape in ("%s", "%s + 1", "2 * (%s - 1)", "2 %s", "a / %s")]
+
+
+class TestLiteralTable:
+    """`expr._LITERALS` changes no value and no error of EVAL."""
+
+    def test_the_table_holds_each_literal_of_up_to_three_digits(self):
+        assert list(expr._LITERALS.items()) == [(str(v), v) for v in range(1000)]
+
+    @pytest.mark.parametrize("spaced", [True, False], ids=["split-path", "regex-path"])
+    def test_boundary_literals_evaluate_as_the_text_reference(self, spaced):
+        texts = LITERAL_LINES if spaced else [text.replace(" ", "") for text in LITERAL_LINES]
+        for text in texts:
+            expected = reference_fold(text, BOUND.bindings)
+            assert reference_outcome(fold_expr, text, BOUND) == expected, text
+            assert reference_outcome(tree_walk, text, BOUND) == expected, text
+            with mock.patch.dict(expr._LITERALS, clear=True):
+                assert reference_outcome(fold_expr, text, BOUND) == expected, text
+            # a line with no blank, or a word of more than one token, is scanned
+            words = split_words(text)
+            if " " in text and not any(word in text for word in NOT_ONE_WORD):
+                assert words == expr._TOKEN.findall(text), text
+            else:
+                assert words is None, text
+
+    def test_a_tabled_literal_is_the_pools_number(self):
+        pool = AtomPool()
+        tree = parse_expr("7 * (999 - 0)", pool)
+        assert type(tree.left) is Number
+        assert tree.left is pool.intern(7)
+        assert tree.right.left is pool.intern(999)
+        assert tree.right.right is pool.intern(0)
+        assert parse_expr("42", pool) is pool.intern(42)
+
+    @pytest.mark.parametrize("text, probed", [
+        ("1 + 2 * (3 - 4)", ["1", "2", "(", "3", "4"]),
+        ("(5 + 1000) * 6 - 7", ["(", "5", "1000"]),
+        ("1000 + 1 + 2 + 3", ["1000"]),
+        ("a * 2 + 3", ["a"]),
+        ("((007 + 1))", ["(", "(", "007"]),
+    ])
+    def test_a_line_probes_the_table_until_a_factor_misses_it(self, text, probed):
+        """A line whose literals the table misses pays one probe, not one per factor."""
+        probes = []
+
+        def probe(token):
+            probes.append(token)
+            return expr._LITERALS.get(token)
+
+        with mock.patch.object(expr, "_literal", probe):
+            assert reference_outcome(fold_expr, text, BOUND) == reference_fold(text, BOUND.bindings)
+            assert probes == probed
+            probes.clear()
+            parse_expr(text)
+            assert probes == []
+
+
 class TestPrinter:
     def test_canonical_form(self):
         assert parse_expr("5 + 3 - 2").accept(PrintVisitor()) == "((5 + 3) - 2)"
