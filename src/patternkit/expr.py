@@ -300,11 +300,10 @@ def iter_nodes(e: Expr) -> BidirectionalCursor:
 
 
 # One token per integer literal (a '-' joins the digits right after it, and
-# a lone '-' is a token too), per identifier, and per other non-blank
-# character; the blanks before a token (`wire.BLANKS`) are skipped.
-_TOKEN_PATTERN = r"[-0-9][0-9]*|%s|[^%s]" % (IDENT_PATTERN, BLANKS)
-_TOKEN = re.compile(r"[%s]*(%s)" % (BLANKS, _TOKEN_PATTERN))
-_ONE_TOKEN = re.compile(_TOKEN_PATTERN).fullmatch  # a blank-split word that is one token
+# a lone '-' is a token too), per identifier, and per other non-blank character;
+# no alternative matches a blank (`wire.BLANKS`), so a search steps over blanks.
+_TOKEN = re.compile(r"[-0-9][0-9]*|%s|[^%s]" % (IDENT_PATTERN, BLANKS))
+_ONE_TOKEN = _TOKEN.fullmatch  # a blank-split word that is one token
 # A line of these characters alone may be split at its blanks: `str.split`
 # splits at every Unicode whitespace, so no other may pass.  It is read with
 # `match` and its end, since a `fullmatch` that fails backs off one character
@@ -460,7 +459,7 @@ def _parse_error(text: str, message: str, index, skip: int) -> ParseError:
     if index is None:
         start = len(text)
     else:
-        start = next(islice(_TOKEN.finditer(text), index, None)).start(1) + skip
+        start = next(islice(_TOKEN.finditer(text), index, None)).start() + skip
     return ParseError(message, len(text[:start].encode("utf-8")))
 
 

@@ -397,14 +397,8 @@ class PatternServer(EventHandler):
     # -- lifecycle ----------------------------------------------------------
 
     def bind(self):
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        try:
-            sock.bind(("127.0.0.1", self.config.port))
-        except OSError:
-            sock.close()
-            raise
-        sock.listen(128)
+        # sets SO_REUSEADDR on POSIX: a restart binds while old connections sit in TIME_WAIT
+        sock = socket.create_server(("127.0.0.1", self.config.port), backlog=128)
         sock.setblocking(False)
         self.listener = sock
         self.port = sock.getsockname()[1]

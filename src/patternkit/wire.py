@@ -3,9 +3,13 @@
 Requests are LF-terminated UTF-8 verb lines in every family; the protocol
 family only changes how replies are rendered (and parsed back).  The
 request grammar (line limit, verbs, blanks, integers, identifiers) is stated
-only here; the server's line framing enforces the limit, before a line is
-decoded, so `parse_request` never sees a longer line.  Money is carried as
-integer minor units and formatted for display here.
+here; the server's line framing enforces the limit, before a line is
+decoded, so `parse_request` never sees a longer line.  For speed,
+`expr._walk` checks EVAL's integer literals and names inline instead of
+calling `parse_i64` and `is_ident`; in `tests/test_server.py`,
+`TestEval::test_one_integer_grammar` and
+`TestEval::test_let_and_eval_agree_on_names` keep the two in step.  Money is
+carried as integer minor units and formatted for display here.
 
 The JSON family renders with `_json.encode_basestring_ascii`, the C
 escape that `json.encoder` exports, and only `JsonFamily.parse_reply`, a
@@ -179,26 +183,21 @@ def escape_doc(text: str) -> str:
     return text.replace("\\", "\\\\").replace("\n", "\\n")
 
 
+_ESCAPE = re.compile(r"\\(.?)", re.DOTALL)  # a backslash and the character after it, if any
+_UNESCAPED = {"n": "\n", "\\": "\\"}
+
+
+def _unescape(escape: re.Match) -> str:
+    try:
+        return _UNESCAPED[escape[1]]
+    except KeyError:
+        raise WireError("bad escape \\%s" % escape[1] if escape[1]
+                        else "dangling backslash in escaped text") from None
+
+
 def unescape_doc(text: str) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 >= len(text):
-            raise WireError("dangling backslash in escaped text")
-        nxt = text[i + 1]
-        if nxt == "n":
-            out.append("\n")
-        elif nxt == "\\":
-            out.append("\\")
-        else:
-            raise WireError("bad escape \\%s" % nxt)
-        i += 2
-    return "".join(out)
+    """`escape_doc`'s inverse; the first fault in `text` is the one raised."""
+    return _ESCAPE.sub(_unescape, text)
 
 
 class ProtocolFamily:

@@ -86,6 +86,16 @@ MUTANTS = [
      "_LITERALS = {str(v): v for v in range(1000)}",
      "_LITERALS = {str(v + 1): v for v in range(1000)}",
      [LITERAL_TABLE]),
+    # no alternative of the token pattern matches a blank
+    ("token-matches-a-blank", EXPR,
+     '_TOKEN = re.compile(r"[-0-9][0-9]*|%s|[^%s]" % (IDENT_PATTERN, BLANKS))',
+     '_TOKEN = re.compile(r"[-0-9][0-9]*|%s|[^%s]| " % (IDENT_PATTERN, BLANKS))',
+     [SPLIT_WORDS, PARSE_OFFSETS]),
+    # an escaped 'n' is a newline
+    ("unescape-n-not-a-newline", WIRE,
+     '_UNESCAPED = {"n": "\\n", "\\\\": "\\\\"}',
+     '_UNESCAPED = {"n": "n", "\\\\": "\\\\"}',
+     ["tests/test_wire.py::TestDocEscaping"]),
     # each verb is named once
     ("a-second-ping-key", SERVER,
      '    "PING": _bare(lambda session: _PONG),\n',

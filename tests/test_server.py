@@ -1,6 +1,7 @@
 """End-to-end tests of the command server over real sockets."""
 
 import ast
+import contextlib
 import gc
 import itertools
 import json
@@ -88,6 +89,25 @@ def stall(server, client, shows=20):
     client.send_raw(b"SHOW\n" * shows)
     assert wait_until(lambda: session.state == PAUSED and session.out_buffer)
     return session
+
+
+@contextlib.contextmanager
+def slow_reader(server):
+    """A client whose replies back up: a 4096-byte receive buffer on it and
+    a 4096-byte send buffer on its session's end, where autotuning could
+    absorb megabytes.  Yields (socket, its reader, session) once the
+    greeting is read, and closes the socket and its reader at the end."""
+    with socket.socket() as sock:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.connect(("127.0.0.1", server.port))
+        sock.settimeout(10)
+        with sock.makefile("rb") as reader:
+            greeting = reader.readline()
+            assert greeting.startswith(b"OK patternd")
+            sid = greeting.decode().split()[-1]
+            session = next(s for s in server.sessions.values() if s.sid == sid)
+            session.conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            yield sock, reader, session
 
 
 @pytest.fixture
@@ -749,16 +769,7 @@ class TestFraming:
             assert client.read_line() == "OK %d" % i
 
     def test_slow_reader_gets_every_byte_of_large_replies(self, server):
-        sock = socket.socket()
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
-        sock.connect(("127.0.0.1", server.port))
-        sock.settimeout(10)
-        reader = sock.makefile("rb")
-        try:
-            assert reader.readline().startswith(b"OK patternd")
-            # a fixed small send buffer: autotuning could absorb megabytes
-            conn = next(iter(server.sessions))
-            conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        with slow_reader(server) as (sock, reader, _):
             chunk = "x" * 4000
             sock.sendall(("WRITE %s\n" % chunk).encode() * 32)  # 128,000 bytes, under the cap
             for _ in range(32):
@@ -772,9 +783,6 @@ class TestFraming:
             sock.sendall(b"PING\n")
             assert reader.readline() == b"OK pong\n"
             assert wait_until(lambda: not any(s.out_buffer for s in server.sessions.values()))
-        finally:
-            reader.close()
-            sock.close()
 
     def test_request_split_across_packets(self, server, connect):
         client = connect(server)
@@ -821,15 +829,7 @@ class TestFraming:
         assert client.read_eof() == b""
 
     def test_eof_behind_unsent_replies_closes_once_they_are_sent(self, server):
-        sock = socket.socket()
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
-        sock.connect(("127.0.0.1", server.port))
-        sock.settimeout(10)
-        reader = sock.makefile("rb")
-        try:
-            assert reader.readline().startswith(b"OK patternd")
-            conn, session = next(iter(server.sessions.items()))
-            conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        with slow_reader(server) as (sock, reader, session):
             sock.sendall(("WRITE %s\n" % DOC_CHUNK).encode() * 4)
             assert [reader.readline() for _ in range(4)][-1] == b"OK 8192\n"
             # 48 KiB of replies: under the high-water mark, more than the sockets hold
@@ -842,9 +842,6 @@ class TestFraming:
             assert reader.readline() == b"OK pong\n"
             assert reader.read() == b""
             assert wait_until(lambda: server.active_sessions() == 0)
-        finally:
-            reader.close()
-            sock.close()
 
     def test_invalid_utf8_is_a_parse_error(self, server, connect):
         client = connect(server)
@@ -1338,15 +1335,7 @@ class TestBackpressure:
 
     def test_unread_replies_pause_the_read(self, server):
         # the client never reads while it sends 200 SHOWs of a 64 KiB document
-        sock = socket.socket()
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
-        sock.connect(("127.0.0.1", server.port))
-        sock.settimeout(10)
-        reader = sock.makefile("rb")
-        try:
-            assert reader.readline().startswith(b"OK patternd")
-            conn, session = next(iter(server.sessions.items()))
-            conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        with slow_reader(server) as (sock, reader, session):
             sock.sendall(("WRITE %s\n" % DOC_CHUNK).encode() * 32)
             assert [reader.readline() for _ in range(32)][-1] == b"OK 65536\n"
             largest = [0]
@@ -1368,20 +1357,9 @@ class TestBackpressure:
             sock.sendall(b"PING\n")
             assert reader.readline() == b"OK pong\n"
             assert largest[0] <= OUTPUT_HIGH_WATER + len(reply)
-        finally:
-            reader.close()
-            sock.close()
 
     def test_a_watcher_that_stops_reading_is_closed(self, server, connect):
-        sock = socket.socket()
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
-        sock.connect(("127.0.0.1", server.port))
-        sock.settimeout(10)
-        reader = sock.makefile("rb")
-        try:
-            assert reader.readline().startswith(b"OK patternd")
-            conn, watcher = next(iter(server.sessions.items()))
-            conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        with slow_reader(server) as (sock, reader, watcher):
             sock.sendall(b"WATCH temp\n")
             assert reader.readline() == b"OK\n"
             flooder = connect(server)
@@ -1403,21 +1381,9 @@ class TestBackpressure:
                        for line in lines[:-1])
             assert flooder.ask("QUIT") == "OK bye"
             assert wait_until(lambda: server.active_sessions() == 0)
-        finally:
-            reader.close()
-            sock.close()
-
 
     def test_nothing_follows_ok_bye_not_even_events(self, server, connect):
-        sock = socket.socket()
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
-        sock.connect(("127.0.0.1", server.port))
-        sock.settimeout(10)
-        reader = sock.makefile("rb")
-        try:
-            assert reader.readline().startswith(b"OK patternd")
-            conn, watcher = next(iter(server.sessions.items()))
-            conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        with slow_reader(server) as (sock, reader, watcher):
             sock.sendall(b"WATCH temp\n")
             assert reader.readline() == b"OK\n"
             other = connect(server)
@@ -1436,9 +1402,6 @@ class TestBackpressure:
             events = ["EVT temp " + temperature_line(watcher.sid, n) for n in range(800)]
             assert lines == events + ["OK bye", ""]
             assert wait_until(lambda: server.active_sessions() == 1)
-        finally:
-            reader.close()
-            sock.close()
 
     @pytest.mark.parametrize("family", ["text", "json"])
     def test_nothing_follows_the_output_limit_line(self, family, monkeypatch):
@@ -2227,7 +2190,12 @@ class TestEntryPoint:
     def test_bind_failure_exits_1(self, server, capsys):
         # the fixture server already owns its port
         assert main(["--port", str(server.port)]) == 1
-        assert "" != capsys.readouterr().err
+        assert "patternd: cannot bind port %d: " % server.port in capsys.readouterr().err
+
+    def test_the_listener_reuses_its_address_and_does_not_block(self, server):
+        # a restart binds the port while the last run's connections sit in TIME_WAIT
+        assert server.listener.getsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR) != 0
+        assert server.listener.getblocking() is False
 
     def test_unopenable_log_exits_1(self, server, tmp_path, capsys):
         # the port is taken too, so a server that opened no log first would

@@ -109,12 +109,25 @@ class TestDocEscaping:
             assert unescape_doc(escaped) == text
 
     def test_unescape_rejects_dangling_backslash(self):
-        with pytest.raises(WireError):
+        with pytest.raises(WireError, match=r"^dangling backslash in escaped text$"):
             unescape_doc("abc\\")
 
     def test_unescape_rejects_unknown_escape(self):
-        with pytest.raises(WireError):
+        with pytest.raises(WireError, match=r"^bad escape \\t$"):
             unescape_doc("a\\tb")
+
+    def test_unescape_rejects_a_backslash_before_a_raw_newline(self):
+        with pytest.raises(WireError) as raised:
+            unescape_doc("a\\\nb")
+        assert str(raised.value) == "bad escape \\\n"
+
+    def test_unescape_raises_the_first_fault(self):
+        with pytest.raises(WireError) as raised:
+            unescape_doc("a\\n\\x\\")
+        assert str(raised.value) == "bad escape \\x"
+        with pytest.raises(WireError) as raised:
+            unescape_doc("\\\\\\q\\\n")
+        assert str(raised.value) == "bad escape \\q"
 
 
 class TestReplies:
